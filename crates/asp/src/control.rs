@@ -111,8 +111,8 @@ impl Preset {
 pub struct SolveBudget {
     /// Maximum wall-clock time for one solve (`None` = no deadline).
     pub wall_deadline: Option<Duration>,
-    /// Maximum total conflicts across all solver runs (and portfolio workers) of one
-    /// solve (`None` = no limit).
+    /// Maximum total conflicts across all solver runs of one solve (`None` = no
+    /// limit).
     pub conflict_limit: Option<u64>,
 }
 
@@ -202,10 +202,6 @@ pub struct SolverConfig {
     /// high-priority `error(Priority, Msg, Args)` levels on the relaxed second-phase
     /// solve.
     pub priority_floor: i64,
-    /// Number of differently-seeded solver configurations raced per optimizer search
-    /// (`0` or `1` = serial). Results are byte-identical regardless of the value; a
-    /// portfolio only changes how fast the canonical answer is found.
-    pub portfolio: usize,
     /// Share provenance-safe learned clauses between requests with an identical
     /// translation (same closure digest) through the session's
     /// [`crate::SharedClauseStore`]. Results are byte-identical either way.
@@ -222,7 +218,6 @@ impl Default for SolverConfig {
             strategy: OptStrategy::default(),
             seed: 0,
             priority_floor: i64::MIN,
-            portfolio: 1,
             share_nogoods: true,
             budget: None,
         }
@@ -246,7 +241,6 @@ impl SolverConfig {
                 seed: 0x7eea,
                 learned_limit: 4000,
                 clause_decay: 0.999,
-                portfolio: 1,
             },
             Preset::Trendy => SatConfig {
                 var_decay: 0.97,
@@ -256,7 +250,6 @@ impl SolverConfig {
                 seed: 0x7e2d,
                 learned_limit: 8000,
                 clause_decay: 0.999,
-                portfolio: 1,
             },
             Preset::Handy => SatConfig {
                 var_decay: 0.99,
@@ -266,11 +259,9 @@ impl SolverConfig {
                 seed: 0x4a2d,
                 learned_limit: 16000,
                 clause_decay: 0.9995,
-                portfolio: 1,
             },
         };
         cfg.seed ^= self.seed;
-        cfg.portfolio = self.portfolio.max(1);
         cfg
     }
 }
@@ -493,9 +484,6 @@ pub struct Stats {
     /// Clauses transferred into this control's clause cache from the cross-request
     /// [`crate::SharedClauseStore`] (zero without a store or on a store miss).
     pub transferred_clauses: u64,
-    /// Seed of the solver configuration that claimed the most recent portfolio race
-    /// of the last optimizing solve (the base seed when solving serially).
-    pub winner_seed: u64,
     /// Did the most recent solve end because its [`SolveBudget`] expired?
     pub budget_exhausted: bool,
 }
@@ -1041,9 +1029,9 @@ impl Control {
     /// are *necessary* and kept, the others are deleted. Each test is a plain stable-
     /// model probe (no optimization) consuming only the SAT/UNSAT verdict — a fact
     /// about the formula — so the minimized core is a deterministic function of the
-    /// input core, independent of warm starts, cross-request clause transfers, and
-    /// portfolio race timing. Returns the minimized core (indices into `assumptions`)
-    /// and the number of probe solves performed.
+    /// input core, independent of warm starts and cross-request clause transfers.
+    /// Returns the minimized core (indices into `assumptions`) and the number of probe
+    /// solves performed.
     ///
     /// `pinned` assumptions are held in every probe but are never candidates for
     /// deletion and never appear in the result — the caller uses them for `#external`
@@ -1125,10 +1113,9 @@ impl Control {
                     // probe the next candidate at the same position. Only the UNSAT
                     // *verdict* is consumed, never the probe's own sub-core: a
                     // final-conflict core depends on the probe's learned-clause
-                    // trajectory (warm starts, cross-request transfers, portfolio
-                    // history), while the verdict is a fact about the formula — so
-                    // the minimized core is a deterministic function of the input
-                    // core alone.
+                    // trajectory (warm starts, cross-request transfers), while the
+                    // verdict is a fact about the formula — so the minimized core is
+                    // a deterministic function of the input core alone.
                     core.remove(i);
                 }
                 ProbeVerdict::Stable => i += 1, // member `i` is necessary
@@ -1208,7 +1195,6 @@ impl Control {
         self.stats.models_examined = optimal.models_examined;
         self.stats.solver_runs = optimal.solver_runs;
         self.stats.loop_nogoods = optimal.loop_nogoods;
-        self.stats.winner_seed = optimal.winner_seed;
         self.record_sat_stats(&optimal.sat);
     }
 

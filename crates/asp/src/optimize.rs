@@ -7,31 +7,27 @@
 //! priority level (by adding a weighted-sum upper bound), level by level in decreasing
 //! priority, until the optimum is proved for every level.
 //!
-//! # Portfolio parallelism and determinism
+//! # Determinism under warm starts
 //!
-//! With [`SatConfig::portfolio`] > 1, every search of the descent is *raced* by K
-//! differently-seeded solver configurations (an internal `Pool`) kept in lockstep: each worker
-//! holds the identical clause/constraint stream, the first worker to reach a usable
-//! verdict claims the race and cancels the rest through a shared atomic stop flag.
-//! Which worker wins is timing-dependent, so the *trajectory* (incumbent models, the
-//! order loop nogoods are found, learned clauses) is not reproducible — but the
+//! A solve may start warm: its session clause cache can carry loop nogoods and
+//! learned clauses from earlier solves on the same grounding, or clauses transferred
+//! in from sibling requests through the cross-request store. Those clauses steer the
+//! search *trajectory* (incumbent models, the order loop nogoods are found, learned
+//! clauses), so the incumbent is not reproducible across cache states — but the
 //! returned result is, by construction:
 //!
-//! * the **cost vector** is the lexicographic optimum, unique regardless of which
-//!   worker proved each bound;
+//! * the **cost vector** is the lexicographic optimum, unique whatever the trajectory;
 //! * the **model** is re-derived by a final *canonical extraction* solve — a fresh,
-//!   serial, cold-started solver over (translation, fixed externals, every level
-//!   pinned at its optimal bound), a deterministic function of the problem alone.
-//!   With all levels simultaneously bounded at the optimum `c*`, any stable model
-//!   found has cost exactly `c*` (level 1 cannot go below the global minimum; given
-//!   equality there, level 2 cannot; and so on), so the extraction always succeeds
-//!   and always returns the same model — in serial mode too, which is what makes
-//!   portfolio and serial results byte-identical;
-//! * an **unsat core** is either taken from a canonical serial-cold search, or
-//!   re-proved on one (see [`solve_optimal_assuming`]).
+//!   cold-started solver over (translation, fixed externals, every level pinned at its
+//!   optimal bound), a deterministic function of the problem alone. With all levels
+//!   simultaneously bounded at the optimum `c*`, any stable model found has cost
+//!   exactly `c*` (level 1 cannot go below the global minimum; given equality there,
+//!   level 2 cannot; and so on), so the extraction always succeeds and always returns
+//!   the same model, which is what makes cold and warm solves byte-identical;
+//! * an **unsat core** is either taken from a cold search, or re-proved on one (see
+//!   [`solve_optimal_assuming`]).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::ground::GroundProgram;
@@ -57,13 +53,8 @@ pub struct OptimalModel {
     pub conflicts: u64,
     /// Loop nogoods added by the stable-model check.
     pub loop_nogoods: u64,
-    /// Aggregated low-level solver statistics across all runs — under a portfolio,
-    /// summed over *every* worker (winners and cancelled losers alike), so the
-    /// counters reflect total work done rather than the winning solver's share.
+    /// Aggregated low-level solver statistics across all runs.
     pub sat: SatStats,
-    /// Seed of the solver configuration that claimed the most recent portfolio race
-    /// (the caller's base seed when solving serially).
-    pub winner_seed: u64,
 }
 
 /// Strategy used to drive the optimization (mirrors clasp's `--opt-strategy`).
@@ -199,7 +190,7 @@ pub fn solve_optimal(
 /// the provenance-safe learned clauses of each retiring solver) flows back into it.
 ///
 /// `budget` is an optional shared solve budget (see [`SolveBudgetState`]): it is
-/// installed into *every* solver this solve builds — the descent workers and the
+/// installed into *every* solver this solve builds — the descent solvers and the
 /// canonical extraction/core re-proof alike — so an armed budget interrupts the solve
 /// within one solver check interval no matter which phase it is in. An interrupted
 /// solve returns [`OptOutcome::Budget`], carrying the incumbent model when
@@ -223,17 +214,16 @@ pub fn solve_optimal_assuming(
     let levels: Vec<Level> =
         collect_levels(ground)?.into_iter().filter(|l| l.priority >= priority_floor).collect();
     let mut stats = RunStats::default();
-    // A warm-started cache (cross-request transfers) or a portfolio race makes the
-    // search *trajectory* irreproducible; remember whether either is in play, because
-    // an unsat core is only canonical when neither is (see the UNSAT arm below).
-    let deterministic_trajectory = cache.is_empty() && config.portfolio.max(1) == 1;
-    let mut winner_seed;
+    // A warm-started cache (earlier solves, cross-request transfers) makes the search
+    // *trajectory* irreproducible; remember whether one is in play, because an unsat
+    // core is only canonical on a cold start (see the UNSAT arm below).
+    let deterministic_trajectory = cache.is_empty();
     // Loop nogoods discovered by the stability check are shared across solver runs.
     let mut extra_clauses: Vec<Vec<Lit>> = Vec::new();
     // One occurrence index serves every stability check of this solve.
     let mut checker = StabilityChecker::new(ground);
 
-    // Initial model with no objective bounds. The pool stays live across levels: it
+    // Initial model with no objective bounds. The solver stays live across levels: it
     // is only discarded when a level's final (UNSAT) bound poisons it, and only
     // rebuilt lazily when a later level actually needs another run — warm-started
     // from the session clause cache, the loop nogoods found so far, and the
@@ -241,55 +231,52 @@ pub fn solve_optimal_assuming(
     // (clasp's optimization sign heuristic), so even the first model lands near the
     // cheap end of the search space and the per-level descents start close to the
     // optimum.
-    let mut live = Some(build_pool(translation, config, fixed, &[], &extra_clauses, cache, budget));
-    if let Some(pool) = live.as_mut() {
+    let mut live =
+        Some(build_solver(translation, config, fixed, &[], &extra_clauses, cache, budget));
+    if let Some(solver) = live.as_mut() {
         for level in &levels {
             for &(l, _) in &level.lits {
-                pool.set_phase(l.var(), !l.is_pos());
+                solver.set_phase(l.var(), !l.is_pos());
             }
         }
     }
     let mut best = {
-        let pool = live.as_mut().expect("just built");
+        let solver = live.as_mut().expect("just built");
         match run_stable(
-            pool,
+            solver,
             ground,
             &mut checker,
             &mut extra_clauses,
             assumptions,
             &mut stats,
             cache,
-            true,
         ) {
-            StableOutcome::Model(m) => {
-                winner_seed = pool.winner_seed;
-                m
-            }
+            StableOutcome::Model(m) => m,
             StableOutcome::Interrupted => {
                 // The budget expired before even one stable model was found: there
                 // is nothing to degrade to.
-                pool.absorb_stats(&mut stats.sat);
-                pool.harvest(cache);
+                stats.sat.absorb(&solver.stats);
+                cache.harvest(solver);
                 return Ok(OptOutcome::Budget { partial: None, sat: stats.sat });
             }
             StableOutcome::Unsat => {
                 // The *unbounded* program is unsatisfiable under the assumptions: the
                 // failed-assumption set is a genuine unsat core (later UNSATs merely
                 // prove an objective bound optimal and carry no core).
-                pool.absorb_stats(&mut stats.sat);
-                pool.harvest(cache);
+                stats.sat.absorb(&solver.stats);
+                cache.harvest(solver);
                 let core = if deterministic_trajectory {
-                    // Serial search on a cold cache: the canonical worker just ran the
-                    // exact deterministic refutation, so its core is the canonical one.
-                    pool.canonical().failed_assumptions().to_vec()
+                    // Cold cache: the solver just ran the exact deterministic
+                    // refutation, so its core is the canonical one.
+                    solver.failed_assumptions().to_vec()
                 } else {
-                    // The refuting trajectory was steered by transferred clauses
-                    // and/or race timing, and final-conflict cores are trajectory-
-                    // dependent. Re-prove on a fresh serial cold-started solver — the
-                    // same search a cold serial solve would have run — so diagnostics
-                    // never depend on what happened to be cached or who won a race.
-                    // An expired budget interrupts the re-proof; the live pool's core
-                    // (sound, merely trajectory-dependent) is the graceful fallback.
+                    // The refuting trajectory was steered by cached clauses, and
+                    // final-conflict cores are trajectory-dependent. Re-prove on a
+                    // fresh cold-started solver — the same search a cold solve would
+                    // have run — so diagnostics never depend on what happened to be
+                    // cached. An expired budget interrupts the re-proof; the live
+                    // solver's core (sound, merely trajectory-dependent) is the
+                    // graceful fallback.
                     canonical_core(
                         ground,
                         translation,
@@ -301,9 +288,14 @@ pub fn solve_optimal_assuming(
                         cache,
                         budget,
                     )
-                    .unwrap_or_else(|| pool.canonical().failed_assumptions().to_vec())
+                    .unwrap_or_else(|| solver.failed_assumptions().to_vec())
                 };
-                *retired = live.take().map(Pool::into_canonical);
+                // Retired solvers feed `StableProbe::from_solver`: uninstall the
+                // budget so an adopter can never observe a stale interrupt.
+                *retired = live.take().map(|mut s| {
+                    s.set_budget(None);
+                    s
+                });
                 return Ok(OptOutcome::Unsat { core, sat: stats.sat });
             }
         }
@@ -341,14 +333,14 @@ pub fn solve_optimal_assuming(
             if current == proven_above + 1 {
                 break;
             }
-            let pool = match live.as_mut() {
-                Some(p) => p,
+            let solver = match live.as_mut() {
+                Some(s) => s,
                 None => {
-                    // The previous run retired the pool (UNSAT bound). Rebuild with
+                    // The previous run retired the solver (UNSAT bound). Rebuild with
                     // every frozen bound, the clause cache (which now carries the
-                    // retired workers' provenance-safe learned clauses), and the
+                    // retired solver's provenance-safe learned clauses), and the
                     // loop nogoods, warm-started from the incumbent's phases.
-                    let mut p = build_pool(
+                    let mut s = build_solver(
                         translation,
                         config,
                         fixed,
@@ -358,7 +350,7 @@ pub fn solve_optimal_assuming(
                         budget,
                     );
                     for (v, &val) in best.iter().enumerate() {
-                        p.set_phase(v as Var, val);
+                        s.set_phase(v as Var, val);
                     }
                     // The frozen non-zero bounds occupy the linear slots after the
                     // translation's, in level order; zero bounds became root-level
@@ -373,7 +365,7 @@ pub fn solve_optimal_assuming(
                             slot += 1;
                         }
                     }
-                    live.insert(p)
+                    live.insert(s)
                 }
             };
             // Probe only when the incumbent is far from zero: at `current <= 2` a
@@ -387,29 +379,27 @@ pub fn solve_optimal_assuming(
             let bound = if optimistic { 0 } else { current - 1 };
             match strategy {
                 OptStrategy::BranchAndBound => {
-                    set_level_bound(pool, &mut live_bounds, li, level, bound);
+                    set_level_bound(solver, &mut live_bounds, li, level, bound);
                 }
                 OptStrategy::Descent => {
                     // Demand improvement on this level and at least no regression on the
                     // remaining ones simultaneously.
-                    set_level_bound(pool, &mut live_bounds, li, level, bound);
+                    set_level_bound(solver, &mut live_bounds, li, level, bound);
                     for (lj, l) in levels.iter().enumerate().skip(li + 1) {
-                        set_level_bound(pool, &mut live_bounds, lj, l, best_costs[lj]);
+                        set_level_bound(solver, &mut live_bounds, lj, l, best_costs[lj]);
                     }
                 }
             }
             match run_stable(
-                pool,
+                solver,
                 ground,
                 &mut checker,
                 &mut extra_clauses,
                 assumptions,
                 &mut stats,
                 cache,
-                false,
             ) {
                 StableOutcome::Model(m) => {
-                    winner_seed = pool.winner_seed;
                     best_costs = level_costs(&levels, &m);
                     best = m;
                 }
@@ -419,38 +409,18 @@ pub fn solve_optimal_assuming(
                     // just not necessarily optimal. No canonical re-extraction (it
                     // would be interrupted too); under an expired budget the model is
                     // trajectory-dependent by design.
-                    winner_seed = pool.winner_seed;
-                    pool.absorb_stats(&mut stats.sat);
-                    pool.harvest(cache);
-                    let cost = levels
-                        .iter()
-                        .zip(best_costs.iter())
-                        .map(|(l, &c)| (l.priority, c + l.base))
-                        .collect();
-                    let partial = OptimalModel {
-                        model: best,
-                        cost,
-                        models_examined: stats.models,
-                        solver_runs: stats.runs,
-                        conflicts: stats.sat.conflicts,
-                        loop_nogoods: stats.loop_nogoods,
-                        sat: stats.sat.clone(),
-                        winner_seed,
-                    };
-                    return Ok(OptOutcome::Budget {
-                        partial: Some(Box::new(partial)),
-                        sat: stats.sat,
-                    });
+                    stats.sat.absorb(&solver.stats);
+                    cache.harvest(solver);
+                    return Ok(budget_partial(&levels, &best_costs, best, stats));
                 }
                 StableOutcome::Unsat => {
-                    // The bound that failed poisons the pool either way, so retire
+                    // The bound that failed poisons the solver either way, so retire
                     // it (a later run rebuilds on demand — its provenance-safe
                     // learned clauses live on through the cache). A failed one-step
                     // descent proves the level optimal; a failed zero-probe only
                     // proves the optimum is nonzero — fall back to classic descents.
-                    winner_seed = pool.winner_seed;
-                    pool.absorb_stats(&mut stats.sat);
-                    pool.harvest(cache);
+                    stats.sat.absorb(&solver.stats);
+                    cache.harvest(solver);
                     live = None;
                     if optimistic {
                         optimistic_failed = true;
@@ -462,29 +432,29 @@ pub fn solve_optimal_assuming(
             }
         }
         // Freeze this level at its optimum for the remaining levels — and mirror the
-        // frozen bound into the still-live pool (a pure tightening the incumbent
+        // frozen bound into the still-live solver (a pure tightening the incumbent
         // satisfies), keeping it interchangeable with a freshly built one.
         fixed_bounds.push(level_bound(level, best_costs[li]));
-        if let Some(pool) = live.as_mut() {
-            set_level_bound(pool, &mut live_bounds, li, level, best_costs[li]);
+        if let Some(solver) = live.as_mut() {
+            set_level_bound(solver, &mut live_bounds, li, level, best_costs[li]);
         }
     }
-    if let Some(pool) = live.as_ref() {
-        pool.absorb_stats(&mut stats.sat);
-        pool.harvest(cache);
+    if let Some(solver) = live.as_ref() {
+        stats.sat.absorb(&solver.stats);
+        cache.harvest(solver);
     }
     drop(live);
 
     // Canonical model extraction: the incumbent `best` depends on the search
-    // trajectory (which worker won each race, which clauses were transferred in), but
-    // the optimal cost vector `best_costs` does not — it is the unique lexicographic
-    // optimum. Re-derive the returned model on a fresh, serial, cold-started solver
-    // with every level pinned at its optimal bound: its inputs are a deterministic
-    // function of the problem alone, so serial, portfolio, and warm-started solves
-    // all return the same model byte for byte. With all levels simultaneously bounded
-    // at the optimum, any stable model of the pinned program has exactly the optimal
-    // cost (no level can beat its own proven optimum given equality above it), so the
-    // extraction cannot fail; the incumbent stays as a debug-checked safety net.
+    // trajectory (which clauses the cache warm-started it with), but the optimal cost
+    // vector `best_costs` does not — it is the unique lexicographic optimum. Re-derive
+    // the returned model on a fresh cold-started solver with every level pinned at its
+    // optimal bound: its inputs are a deterministic function of the problem alone, so
+    // cold and warm-started solves return the same model byte for byte. With all
+    // levels simultaneously bounded at the optimum, any stable model of the pinned
+    // program has exactly the optimal cost (no level can beat its own proven optimum
+    // given equality above it), so the extraction cannot fail; the incumbent stays as
+    // a debug-checked safety net.
     match extract_canonical(
         ground,
         translation,
@@ -503,68 +473,70 @@ pub fn solve_optimal_assuming(
             // re-extraction: the costs are optimal but the returned model would be
             // trajectory-dependent, so surface the incumbent as a budget partial
             // rather than breaking the "Optimal implies deterministic" contract.
-            let cost = levels
-                .iter()
-                .zip(best_costs.iter())
-                .map(|(l, &c)| (l.priority, c + l.base))
-                .collect();
-            let partial = OptimalModel {
-                model: best,
-                cost,
-                models_examined: stats.models,
-                solver_runs: stats.runs,
-                conflicts: stats.sat.conflicts,
-                loop_nogoods: stats.loop_nogoods,
-                sat: stats.sat.clone(),
-                winner_seed,
-            };
-            return Ok(OptOutcome::Budget { partial: Some(Box::new(partial)), sat: stats.sat });
+            return Ok(budget_partial(&levels, &best_costs, best, stats));
         }
         StableOutcome::Unsat => {
             debug_assert!(false, "extraction under pinned optimal bounds must be satisfiable");
         }
     }
 
-    let cost =
-        levels.iter().zip(best_costs.iter()).map(|(l, &c)| (l.priority, c + l.base)).collect();
-    Ok(OptOutcome::Optimal(OptimalModel {
-        model: best,
+    Ok(OptOutcome::Optimal(optimal_model(&levels, &best_costs, best, stats)))
+}
+
+/// Assemble the returned [`OptimalModel`] from the final model and the run's counters.
+fn optimal_model(
+    levels: &[Level],
+    costs: &[i64],
+    model: Vec<bool>,
+    stats: RunStats,
+) -> OptimalModel {
+    let cost = levels.iter().zip(costs.iter()).map(|(l, &c)| (l.priority, c + l.base)).collect();
+    OptimalModel {
+        model,
         cost,
         models_examined: stats.models,
         solver_runs: stats.runs,
         conflicts: stats.sat.conflicts,
         loop_nogoods: stats.loop_nogoods,
         sat: stats.sat,
-        winner_seed,
-    }))
+    }
 }
 
-/// Build a fresh serial cold-started pool over the translation (plus `bounds`), with
-/// the objective literals phase-biased false — the deterministic solver setup shared
-/// by the canonical model extraction and the canonical core re-proof. Nothing
+/// The [`OptOutcome::Budget`] degradation: the incumbent with the costs it achieved.
+fn budget_partial(
+    levels: &[Level],
+    costs: &[i64],
+    model: Vec<bool>,
+    stats: RunStats,
+) -> OptOutcome {
+    let sat = stats.sat.clone();
+    OptOutcome::Budget { partial: Some(Box::new(optimal_model(levels, costs, model, stats))), sat }
+}
+
+/// Build a fresh cold-started solver over the translation (plus `bounds`), with the
+/// objective literals phase-biased false — the deterministic solver setup shared by
+/// the canonical model extraction and the canonical core re-proof. Nothing
 /// trajectory-dependent (session cache contents, accumulated loop nogoods, incumbent
-/// phases) flows in, which is precisely what makes the result mode-independent.
-fn deterministic_pool(
+/// phases) flows in, which is precisely what makes the result cache-independent.
+fn deterministic_solver(
     translation: &Translation,
     config: &SatConfig,
     levels: &[Level],
     fixed: &[Lit],
     bounds: &[LinearSpec],
     budget: Option<&Arc<SolveBudgetState>>,
-) -> Pool {
-    let mut serial = config.clone();
-    serial.portfolio = 1;
+) -> Solver {
     let empty = ClauseCache::default();
-    let mut pool = build_pool(translation, &serial, fixed, bounds, &[], &empty, budget);
+    let mut solver = build_solver(translation, config, fixed, bounds, &[], &empty, budget);
     for level in levels {
         for &(l, _) in &level.lits {
-            pool.set_phase(l.var(), !l.is_pos());
+            solver.set_phase(l.var(), !l.is_pos());
         }
     }
-    pool
+    solver
 }
 
-/// The canonical model extraction run (see [`solve_optimal_assuming`]): one serial
+/// The canonical model extraction run (see [`solve_optimal_assuming`]): one
 /// deterministic stable-model search with every level pinned at its optimum. Loop
 /// nogoods it discovers still flow into the session cache, and its low-level solver
 /// work is absorbed into the aggregate statistics — but its model/nogood counters
@@ -584,31 +556,23 @@ fn extract_canonical(
     cache: &mut ClauseCache,
     budget: Option<&Arc<SolveBudgetState>>,
 ) -> StableOutcome {
-    let mut pool = deterministic_pool(translation, config, levels, fixed, bounds, budget);
+    let mut solver = deterministic_solver(translation, config, levels, fixed, bounds, budget);
     let mut checker = StabilityChecker::new(ground);
     let mut extras: Vec<Vec<Lit>> = Vec::new();
     let mut local = RunStats::default();
-    let outcome = run_stable(
-        &mut pool,
-        ground,
-        &mut checker,
-        &mut extras,
-        assumptions,
-        &mut local,
-        cache,
-        false,
-    );
+    let outcome =
+        run_stable(&mut solver, ground, &mut checker, &mut extras, assumptions, &mut local, cache);
     stats.runs += local.runs;
-    pool.absorb_stats(&mut stats.sat);
-    pool.harvest(cache);
+    stats.sat.absorb(&solver.stats);
+    cache.harvest(&solver);
     outcome
 }
 
-/// Re-prove an UNSAT outcome on a fresh serial cold-started solver and return *its*
-/// failed-assumption core — the same core a cold serial solve computes, making
-/// diagnostics independent of cross-request clause transfers and race timing.
-/// Returns `None` when the solve budget expired before the re-proof finished; the
-/// caller falls back to a sound (but trajectory-dependent) core.
+/// Re-prove an UNSAT outcome on a fresh cold-started solver and return *its*
+/// failed-assumption core — the same core a cold solve computes, making diagnostics
+/// independent of warm starts and cross-request clause transfers. Returns `None` when
+/// the solve budget expired before the re-proof finished; the caller falls back to a
+/// sound (but trajectory-dependent) core.
 #[allow(clippy::too_many_arguments)]
 fn canonical_core(
     ground: &GroundProgram,
@@ -621,25 +585,17 @@ fn canonical_core(
     cache: &mut ClauseCache,
     budget: Option<&Arc<SolveBudgetState>>,
 ) -> Option<Vec<Lit>> {
-    let mut pool = deterministic_pool(translation, config, levels, fixed, &[], budget);
+    let mut solver = deterministic_solver(translation, config, levels, fixed, &[], budget);
     let mut checker = StabilityChecker::new(ground);
     let mut extras: Vec<Vec<Lit>> = Vec::new();
     let mut local = RunStats::default();
-    let outcome = run_stable(
-        &mut pool,
-        ground,
-        &mut checker,
-        &mut extras,
-        assumptions,
-        &mut local,
-        cache,
-        true,
-    );
+    let outcome =
+        run_stable(&mut solver, ground, &mut checker, &mut extras, assumptions, &mut local, cache);
     stats.runs += local.runs;
-    pool.absorb_stats(&mut stats.sat);
-    pool.harvest(cache);
+    stats.sat.absorb(&solver.stats);
+    cache.harvest(&solver);
     match outcome {
-        StableOutcome::Unsat => Some(pool.canonical().failed_assumptions().to_vec()),
+        StableOutcome::Unsat => Some(solver.failed_assumptions().to_vec()),
         StableOutcome::Interrupted => None,
         StableOutcome::Model(_) => {
             debug_assert!(false, "the re-proof of an UNSAT search must be UNSAT");
@@ -685,7 +641,7 @@ impl StableProbe {
         fixed: &[Lit],
         cache: &ClauseCache,
     ) -> Self {
-        Self::from_solver(ground, build_solver(translation, config, fixed, &[], &[], cache))
+        Self::from_solver(ground, build_solver(translation, config, fixed, &[], &[], cache, None))
     }
 
     /// Adopt an existing solver as the probe — typically the retired solver of a
@@ -786,7 +742,7 @@ pub fn enumerate_models_with_stats(
         return (models, SatStats::default(), examined);
     }
     let empty_cache = ClauseCache::default();
-    let mut solver = build_solver(translation, config, &[], &[], &[], &empty_cache);
+    let mut solver = build_solver(translation, config, &[], &[], &[], &empty_cache, None);
     let mut checker = StabilityChecker::new(ground);
     loop {
         if models.len() >= limit {
@@ -794,7 +750,7 @@ pub fn enumerate_models_with_stats(
         }
         match solver.search() {
             SearchResult::Interrupted => {
-                unreachable!("enumeration solvers never carry a stop flag")
+                unreachable!("enumeration solvers carry no solve budget")
             }
             SearchResult::Unsat => break,
             SearchResult::Sat => {
@@ -888,16 +844,15 @@ fn pin_zero(solver: &mut Solver, lits: impl Iterator<Item = (Lit, u64)>) {
     }
 }
 
-/// Impose (or tighten) a level's objective bound on a live pool (broadcast to every
-/// worker in lockstep). The first time a level is bounded, a linear constraint is
-/// added and its literals are bumped and phase-biased towards *false* (clasp's
-/// optimization sign heuristic) — otherwise phase saving would keep steering the
-/// search back to the just-outlawed incumbent. Subsequent descents of the same level
-/// tighten that constraint's upper bound in place, so the solvers never accumulate
-/// superseded bounds. A level first bounded at zero is pinned through unit clauses
-/// instead (see [`ZERO_BOUND`]).
+/// Impose (or tighten) a level's objective bound on the live solver. The first time a
+/// level is bounded, a linear constraint is added and its literals are bumped and
+/// phase-biased towards *false* (clasp's optimization sign heuristic) — otherwise
+/// phase saving would keep steering the search back to the just-outlawed incumbent.
+/// Subsequent descents of the same level tighten that constraint's upper bound in
+/// place, so the solver never accumulates superseded bounds. A level first bounded at
+/// zero is pinned through unit clauses instead (see [`ZERO_BOUND`]).
 fn set_level_bound(
-    pool: &mut Pool,
+    solver: &mut Solver,
     live_bounds: &mut [Option<usize>],
     li: usize,
     level: &Level,
@@ -908,33 +863,23 @@ fn set_level_bound(
         return; // already pinned at zero — no tighter bound exists
     }
     if live_bounds[li].is_none() && upper == 0 {
-        for worker in &mut pool.workers {
-            pin_zero(worker, level.lits.iter().copied());
-        }
+        pin_zero(solver, level.lits.iter().copied());
         live_bounds[li] = Some(ZERO_BOUND);
         return;
     }
     // Re-focus the heuristic on the objective at every descent, not only the first:
     // the activity bump and the false-bias refresh are what steer the next search
     // towards cheaper models once phase saving has locked onto the incumbent.
-    for worker in &mut pool.workers {
-        for &(l, _) in &level.lits {
-            worker.bump_variable(l.var(), 0.5);
-            worker.set_phase(l.var(), !l.is_pos());
-        }
+    for &(l, _) in &level.lits {
+        solver.bump_variable(l.var(), 0.5);
+        solver.set_phase(l.var(), !l.is_pos());
     }
     if let Some(idx) = live_bounds[li] {
-        for worker in &mut pool.workers {
-            worker.tighten_linear_upper(idx, upper);
-        }
+        solver.tighten_linear_upper(idx, upper);
         return;
     }
-    // Every worker ingested the identical constraint stream, so the new bound's slot
-    // is the same in each of them.
-    live_bounds[li] = Some(pool.canonical().num_linears());
-    for worker in &mut pool.workers {
-        worker.add_linear(level_bound(level, bound));
-    }
+    live_bounds[li] = Some(solver.num_linears());
+    solver.add_linear(level_bound(level, bound));
 }
 
 fn build_solver(
@@ -944,8 +889,10 @@ fn build_solver(
     bounds: &[LinearSpec],
     extra_clauses: &[Vec<Lit>],
     cache: &ClauseCache,
+    budget: Option<&Arc<SolveBudgetState>>,
 ) -> Solver {
     let mut solver = Solver::new(translation.num_vars, config.clone());
+    solver.set_budget(budget.cloned());
     // Program content is provenance-safe; per-solve artifacts (external units,
     // objective bounds) are not — the distinction is what lets learned clauses be
     // exported back into the session cache. The translation (canonicalized once in
@@ -988,210 +935,9 @@ fn build_solver(
     solver
 }
 
-/// Derive worker `i`'s solver configuration from the caller's base. Worker 0 runs the
-/// *exact* base configuration — it is the canonical worker, byte-for-byte the serial
-/// solver — while the rest diversify along classic portfolio axes (clasp's
-/// `--parallel-mode` playbook): RNG seed, decision phase polarity, restart cadence,
-/// random-polarity rate, and activity-decay speed.
-fn worker_config(base: &SatConfig, i: usize) -> SatConfig {
-    let mut cfg = base.clone();
-    if i == 0 {
-        return cfg;
-    }
-    cfg.seed ^= (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    if i % 2 == 1 {
-        cfg.default_phase = !cfg.default_phase;
-    }
-    cfg.restart_base <<= i % 3;
-    cfg.random_polarity = (cfg.random_polarity + 0.01 * i as f64).min(0.2);
-    cfg.var_decay = (cfg.var_decay * 0.99f64.powi((i % 4) as i32)).max(0.8);
-    cfg
-}
-
-/// The claiming worker's view of one race.
-enum RaceVerdict {
-    /// A (supported) model was found; stability is the caller's business.
-    Sat(Vec<bool>),
-    /// No model under the current bounds and assumptions.
-    Unsat,
-    /// Every worker was interrupted by an expired solve budget before any verdict
-    /// (the race stop flag alone can never interrupt all workers — the claimant
-    /// finishes first).
-    Interrupted,
-}
-
-/// A portfolio of K differently-seeded solver workers kept in lockstep over one
-/// clause/constraint stream.
-///
-/// Worker 0 is the *canonical* worker: it runs the caller's exact configuration, so a
-/// pool of one degenerates to precisely the serial solver. All problem mutation
-/// (clauses, linear constraints, bounds, phase hints) is broadcast to every worker,
-/// keeping the *formula* identical across the pool while each worker's *search state*
-/// (learned clauses, activities, saved phases) diverges freely — any worker's verdict
-/// is therefore a verdict about the shared formula.
-struct Pool {
-    workers: Vec<Solver>,
-    /// Per-worker RNG seed, for `winner_seed` reporting.
-    seeds: Vec<u64>,
-    /// Shared stop flag: raised by a race claimant to cancel the other workers.
-    /// Installed into the workers only when the pool actually races (K > 1).
-    stop: Arc<AtomicBool>,
-    /// Seed of the worker configuration that claimed the most recent race.
-    winner_seed: u64,
-}
-
-impl Pool {
-    /// The canonical worker (exact base configuration).
-    fn canonical(&self) -> &Solver {
-        &self.workers[0]
-    }
-
-    /// Sum every worker's low-level counters into `total` — cancelled losers
-    /// included, so the statistics reflect total work done, not the winner's share.
-    fn absorb_stats(&self, total: &mut SatStats) {
-        for w in &self.workers {
-            total.absorb(&w.stats);
-        }
-    }
-
-    /// Collect every worker's provenance-safe learned clauses into the cache.
-    fn harvest(&self, cache: &mut ClauseCache) {
-        for w in &self.workers {
-            cache.harvest(w);
-        }
-    }
-
-    /// Dissolve the pool into its canonical worker (retired solvers feed
-    /// [`StableProbe::from_solver`]), uninstalling the stop flag and the solve
-    /// budget so an adopter can never observe a stale interrupt.
-    fn into_canonical(mut self) -> Solver {
-        let mut w = self.workers.swap_remove(0);
-        w.set_stop(None);
-        w.set_budget(None);
-        w
-    }
-
-    /// Broadcast a phase hint to every worker.
-    fn set_phase(&mut self, v: Var, phase: bool) {
-        for w in &mut self.workers {
-            w.set_phase(v, phase);
-        }
-    }
-
-    /// Broadcast a provenance-safe clause. Returns `false` when any worker refutes it
-    /// at the root — a root conflict in one worker is a fact about the shared formula.
-    fn add_clause_safe(&mut self, lits: &[Lit]) -> bool {
-        let mut ok = true;
-        for w in &mut self.workers {
-            ok &= w.add_clause_safe(lits);
-        }
-        ok
-    }
-
-    /// Race every worker on one search under `assumptions`; the first worker to reach
-    /// a claimable verdict wins and cancels the rest through the shared stop flag.
-    ///
-    /// A SAT verdict is claimable by any worker. An UNSAT verdict is claimable by any
-    /// worker unless `need_core` is set — then only worker 0 may claim it, because the
-    /// caller consumes the final-conflict unsat core and only the canonical worker's
-    /// core is deterministic. Interrupted workers never claim. Termination: worker 0
-    /// can only be interrupted after someone else claimed, so some worker always
-    /// claims and the race never dangles.
-    fn race(&mut self, assumptions: &[Lit], need_core: bool) -> RaceVerdict {
-        if self.workers.len() == 1 {
-            self.winner_seed = self.seeds[0];
-            return match self.workers[0].search_with_assumptions(assumptions) {
-                SearchResult::Sat => RaceVerdict::Sat(self.workers[0].model()),
-                SearchResult::Unsat => RaceVerdict::Unsat,
-                // A pool of one has no stop flag installed, so an interrupt can only
-                // come from an expired solve budget.
-                SearchResult::Interrupted => RaceVerdict::Interrupted,
-            };
-        }
-        self.stop.store(false, Ordering::SeqCst);
-        let claimed = AtomicUsize::new(usize::MAX);
-        let claimed = &claimed;
-        let stop = &self.stop;
-        let mut verdicts: Vec<Option<SearchResult>> =
-            (0..self.workers.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (i, (worker, slot)) in self.workers.iter_mut().zip(verdicts.iter_mut()).enumerate()
-            {
-                scope.spawn(move || {
-                    let result = worker.search_with_assumptions(assumptions);
-                    let may_claim = match result {
-                        SearchResult::Sat => true,
-                        SearchResult::Unsat => !need_core || i == 0,
-                        SearchResult::Interrupted => false,
-                    };
-                    if may_claim
-                        && claimed
-                            .compare_exchange(usize::MAX, i, Ordering::SeqCst, Ordering::SeqCst)
-                            .is_ok()
-                    {
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                    *slot = Some(result);
-                });
-            }
-        });
-        let winner = claimed.load(Ordering::SeqCst);
-        if winner == usize::MAX {
-            // No worker claimed: with the race flag alone that is impossible (the
-            // claimant always finishes first), so the solve budget expired and
-            // interrupted at least the canonical worker (an unclaimable `need_core`
-            // UNSAT from another worker may coexist; the budget verdict wins).
-            debug_assert_eq!(
-                verdicts[0],
-                Some(SearchResult::Interrupted),
-                "an unclaimed race means the canonical worker was interrupted"
-            );
-            return RaceVerdict::Interrupted;
-        }
-        self.winner_seed = self.seeds[winner];
-        match verdicts[winner] {
-            Some(SearchResult::Sat) => RaceVerdict::Sat(self.workers[winner].model()),
-            _ => RaceVerdict::Unsat,
-        }
-    }
-}
-
-/// Build a pool of `config.portfolio.max(1)` workers, each over the identical clause
-/// stream (see [`build_solver`]) under its [`worker_config`] variation, with the
-/// shared stop flag installed whenever there is more than one worker to race, and the
-/// shared solve budget (when one is set) installed into *every* worker — the budget
-/// must survive the per-race stop-flag resets, which is why it is a separate flag.
-fn build_pool(
-    translation: &Translation,
-    config: &SatConfig,
-    fixed: &[Lit],
-    bounds: &[LinearSpec],
-    extra_clauses: &[Vec<Lit>],
-    cache: &ClauseCache,
-    budget: Option<&Arc<SolveBudgetState>>,
-) -> Pool {
-    let k = config.portfolio.max(1);
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut workers = Vec::with_capacity(k);
-    let mut seeds = Vec::with_capacity(k);
-    for i in 0..k {
-        let cfg = worker_config(config, i);
-        seeds.push(cfg.seed);
-        let mut w = build_solver(translation, &cfg, fixed, bounds, extra_clauses, cache);
-        if k > 1 {
-            w.set_stop(Some(Arc::clone(&stop)));
-        }
-        if let Some(b) = budget {
-            w.set_budget(Some(Arc::clone(b)));
-        }
-        workers.push(w);
-    }
-    Pool { workers, seeds, stop, winner_seed: config.seed }
-}
-
-/// Outcome of driving a pool to the next stable model ([`run_stable`]).
+/// Outcome of driving a solver to the next stable model ([`run_stable`]).
 enum StableOutcome {
-    /// The next stable model under the pool's current bounds.
+    /// The next stable model under the solver's current bounds.
     Model(Vec<bool>),
     /// No stable model exists under the current bounds and assumptions.
     Unsat,
@@ -1199,30 +945,27 @@ enum StableOutcome {
     Interrupted,
 }
 
-/// Drive a live pool to the next *stable* model (adding loop nogoods for unstable
-/// supported models along the way, broadcast to every worker), or
-/// [`StableOutcome::Unsat`] when none exists under the pool's current bounds. The
-/// workers keep all state between calls; aggregate statistics are absorbed by the
-/// caller when the pool is retired. `need_core` marks the searches whose UNSAT
-/// outcome feeds final-conflict core extraction (see [`Pool::race`]).
-#[allow(clippy::too_many_arguments)]
+/// Drive a live solver to the next *stable* model (adding loop nogoods for unstable
+/// supported models along the way), or [`StableOutcome::Unsat`] when none exists
+/// under the solver's current bounds. The solver keeps all state between calls;
+/// aggregate statistics are absorbed by the caller when the solver is retired.
 fn run_stable(
-    pool: &mut Pool,
+    solver: &mut Solver,
     ground: &GroundProgram,
     checker: &mut StabilityChecker,
     extra_clauses: &mut Vec<Vec<Lit>>,
     assumptions: &[Lit],
     stats: &mut RunStats,
     cache: &mut ClauseCache,
-    need_core: bool,
 ) -> StableOutcome {
     stats.runs += 1;
     let debug = std::env::var("ASP_DEBUG").is_ok();
     loop {
-        match pool.race(assumptions, need_core) {
-            RaceVerdict::Unsat => return StableOutcome::Unsat,
-            RaceVerdict::Interrupted => return StableOutcome::Interrupted,
-            RaceVerdict::Sat(model) => {
+        match solver.search_with_assumptions(assumptions) {
+            SearchResult::Unsat => return StableOutcome::Unsat,
+            SearchResult::Interrupted => return StableOutcome::Interrupted,
+            SearchResult::Sat => {
+                let model = solver.model();
                 stats.models += 1;
                 // Loop nogood: at least one unfounded atom must be false, or one of
                 // the set's external supports must come true. It is a consequence of
@@ -1241,7 +984,7 @@ fn run_stable(
                 }
                 extra_clauses.push(nogood.clone());
                 cache.add(&nogood);
-                if !pool.add_clause_safe(&nogood) {
+                if !solver.add_clause_safe(&nogood) {
                     return StableOutcome::Unsat;
                 }
             }
@@ -1438,5 +1181,132 @@ mod tests {
         .unwrap()
         .expect("satisfiable");
         assert_eq!(result.cost, vec![(2, 4)]);
+    }
+
+    /// One [`solve_optimal_assuming`] call under the default configuration, no
+    /// fixed literals and no budget, on the given session cache.
+    fn solve_on(
+        ground: &GroundProgram,
+        translation: &Translation,
+        strategy: OptStrategy,
+        assumptions: &[Lit],
+        cache: &mut ClauseCache,
+    ) -> OptOutcome {
+        let mut retired = None;
+        let config = SatConfig::default();
+        solve_optimal_assuming(
+            ground,
+            translation,
+            &config,
+            strategy,
+            assumptions,
+            &[],
+            i64::MIN,
+            &mut retired,
+            cache,
+            None,
+        )
+        .unwrap()
+    }
+
+    fn lit_of(ground: &GroundProgram, symbols: &SymbolTable, atom: &str) -> Lit {
+        let (id, _) = ground
+            .atoms
+            .iter()
+            .find(|(_, a)| a.display(symbols).to_string() == atom)
+            .unwrap_or_else(|| panic!("no atom {atom}"));
+        Translation::atom_lit(id)
+    }
+
+    /// Pins the canonical model extraction: on a program with several optimal models,
+    /// the returned model must not depend on the descent's trajectory — neither on the
+    /// strategy nor on what a warm session cache steered the search towards. The
+    /// positive loops make the first solve cache loop nogoods, so a repeated solve on
+    /// the same cache (a session answering the same request twice) descends along a
+    /// different path. Returning the descent's incumbent instead of re-extracting
+    /// breaks both comparisons.
+    #[test]
+    fn optimal_model_is_independent_of_strategy_and_warm_cache() {
+        let (ground, translation, symbols) = setup(
+            r#"
+            { pick(a); pick(b); pick(c); pick(d); pick(e); pick(f) }.
+            r(a) :- pick(a).
+            r(b) :- r(a), pick(b).
+            r(a) :- r(b), pick(a).
+            r(c) :- r(b), pick(c).
+            r(b) :- r(c).
+            r(d) :- pick(d).
+            r(c) :- r(d), pick(c).
+            r(e) :- pick(e), r(c).
+            r(f) :- pick(f).
+            ok :- r(c).
+            ok :- r(f), r(e).
+            :- not ok.
+            cost(a, 1). cost(b, 0). cost(c, 1). cost(d, 1). cost(e, 0). cost(f, 1).
+            paid(P, W) :- pick(P), cost(P, W).
+            #minimize{ W@2,P : paid(P, W) }.
+            #minimize{ 1@1,P : r(P) }.
+            "#,
+        );
+        let model = |outcome: OptOutcome| match outcome {
+            OptOutcome::Optimal(m) => (true_atoms(&ground, &symbols, &m.model), m.cost),
+            other => panic!("expected an optimum, got {other:?}"),
+        };
+        for strategy in [OptStrategy::BranchAndBound, OptStrategy::Descent] {
+            let mut cache = ClauseCache::default();
+            let cold = model(solve_on(&ground, &translation, strategy, &[], &mut cache));
+            assert!(!cache.is_empty(), "the cold solve must cache loop nogoods");
+            let warm = model(solve_on(&ground, &translation, strategy, &[], &mut cache));
+            assert_eq!(warm, cold, "{strategy:?}: a warm cache changed the optimal model");
+            let reference = model(solve_on(
+                &ground,
+                &translation,
+                OptStrategy::BranchAndBound,
+                &[],
+                &mut ClauseCache::default(),
+            ));
+            assert_eq!(cold, reference, "{strategy:?}: the strategy changed the optimal model");
+        }
+    }
+
+    /// Pins the canonical core re-proof: an unsat core taken from a warm-started
+    /// search must equal the cold search's core. Here `a` and `c` conflict directly
+    /// (found by propagation as soon as `c` is assumed) while `a` and `b` only
+    /// conflict through search; a cache warmed by an earlier `[a, b]` refutation
+    /// carries the learned `¬a ∨ ¬b`, which makes the live search blame `b` first.
+    #[test]
+    fn unsat_core_is_independent_of_warm_cache() {
+        let (ground, translation, symbols) = setup(
+            r#"
+            { a; b; c; x; y }.
+            :- a, b, x, y.
+            :- a, b, x, not y.
+            :- a, b, not x, y.
+            :- a, b, not x, not y.
+            :- a, c.
+            "#,
+        );
+        let [a, b, c] = ["a", "b", "c"].map(|n| lit_of(&ground, &symbols, n));
+        let core = |outcome: OptOutcome| match outcome {
+            OptOutcome::Unsat { mut core, .. } => {
+                core.sort_by_key(|l| l.var());
+                core
+            }
+            other => panic!("expected UNSAT, got {other:?}"),
+        };
+        let strategy = OptStrategy::BranchAndBound;
+        let cold = core(solve_on(
+            &ground,
+            &translation,
+            strategy,
+            &[a, b, c],
+            &mut ClauseCache::default(),
+        ));
+        let mut warm = ClauseCache::default();
+        let ab = core(solve_on(&ground, &translation, strategy, &[a, b], &mut warm));
+        assert_eq!(ab.len(), 2, "{ab:?}");
+        assert!(!warm.is_empty(), "the [a, b] refutation must leave learned clauses");
+        let warmed = core(solve_on(&ground, &translation, strategy, &[a, b, c], &mut warm));
+        assert_eq!(warmed, cold, "a warm cache changed the unsat core");
     }
 }

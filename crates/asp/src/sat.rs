@@ -127,27 +127,25 @@ pub enum SearchResult {
     Sat,
     /// The formula (with all added clauses/constraints) is unsatisfiable.
     Unsat,
-    /// The search was stopped by the external stop flag (see [`Solver::set_stop`])
-    /// or an expired [`SolveBudgetState`] before reaching a verdict: another portfolio
-    /// worker won the race, or the solve ran out of budget. The solver remains
-    /// reusable — the partial assignment is undone by the next operation.
+    /// The search was stopped by an expired [`SolveBudgetState`] (see
+    /// [`Solver::set_budget`]) before reaching a verdict. The solver remains reusable
+    /// — the partial assignment is undone by the next operation.
     Interrupted,
 }
 
-/// Shared budget accounting for one logical solve (all portfolio workers of all
-/// descent steps of one `Control::solve*` call point at the same instance).
+/// Shared budget accounting for one logical solve (the solvers of every descent step,
+/// the canonical re-extraction and the core minimization probes of one
+/// `Control::solve*` call point at the same instance).
 ///
-/// This is deliberately *separate* from the race stop flag installed by
-/// [`Solver::set_stop`]: the portfolio resets that flag at the start of every race
-/// (and a pool of one never installs it), while a budget must stay armed across
-/// races. The search loop checks both at the same point, so an expired budget is
-/// observed within one propagation/conflict round — the "one solver check interval"
-/// of the deadline contract.
+/// The search loop checks the budget once per propagation/conflict round, so an
+/// expired budget is observed within one round — the "one solver check interval" of
+/// the deadline contract.
 ///
 /// The wall-deadline half lives outside this type: a monitor thread owned by the
 /// caller calls [`SolveBudgetState::arm`] when the deadline passes. The conflict
-/// half is counted here, by every worker, into one shared counter — the limit
-/// bounds the *total* conflict work of the solve, not per-worker effort.
+/// half is counted here, by every solver sharing the budget, into one shared
+/// counter — the limit bounds the *total* conflict work of the solve, not the
+/// effort of any one solver.
 #[derive(Debug, Default)]
 pub struct SolveBudgetState {
     expired: AtomicBool,
@@ -290,10 +288,6 @@ pub struct SatConfig {
     /// Learned-clause activity decay factor (0 < decay < 1); the clause analogue of
     /// `var_decay`.
     pub clause_decay: f64,
-    /// Number of differently-seeded solver configurations raced per optimizer search
-    /// (see `optimize`). `0` or `1` means serial solving; results are byte-identical
-    /// either way — the portfolio only changes how fast the canonical answer is found.
-    pub portfolio: usize,
 }
 
 impl Default for SatConfig {
@@ -306,7 +300,6 @@ impl Default for SatConfig {
             seed: 0x5eed,
             learned_limit: 4000,
             clause_decay: 0.999,
-            portfolio: 1,
         }
     }
 }
@@ -395,11 +388,9 @@ pub struct Solver {
     /// [`SearchResult::Unsat`]: the subset of the assumption literals whose conjunction
     /// is refuted. Empty when the problem is unsatisfiable without any assumptions.
     conflict_core: Vec<Lit>,
-    /// Cooperative cancellation flag shared by a portfolio race: when set, the search
-    /// loop exits with [`SearchResult::Interrupted`] at its next iteration.
-    stop: Option<Arc<AtomicBool>>,
-    /// Budget shared by one logical solve (deadline + total conflict limit). Checked
-    /// alongside `stop`, but never reset by the portfolio — see [`SolveBudgetState`].
+    /// Budget shared by one logical solve (deadline + total conflict limit): once it
+    /// expires, the search loop exits with [`SearchResult::Interrupted`] at its next
+    /// iteration — see [`SolveBudgetState`].
     budget: Option<Arc<SolveBudgetState>>,
 }
 
@@ -445,21 +436,13 @@ impl Solver {
             analyze_buf: Vec::new(),
             seen: vec![false; num_vars],
             conflict_core: Vec::new(),
-            stop: None,
             budget: None,
         }
     }
 
-    /// Install (or clear) the shared cancellation flag checked by the search loop.
-    /// Portfolio workers share one flag: the race winner sets it, the losers return
-    /// [`SearchResult::Interrupted`] and stay reusable for the next lockstep operation.
-    pub fn set_stop(&mut self, stop: Option<Arc<AtomicBool>>) {
-        self.stop = stop;
-    }
-
-    /// Install (or clear) the shared solve budget. Unlike the race stop flag the
-    /// budget survives every `set_stop` reset; once expired, every search on this
-    /// solver returns [`SearchResult::Interrupted`] until the budget is cleared.
+    /// Install (or clear) the shared solve budget. Once it has expired, every search
+    /// on this solver returns [`SearchResult::Interrupted`] until the budget is
+    /// cleared.
     pub fn set_budget(&mut self, budget: Option<Arc<SolveBudgetState>>) {
         self.budget = budget;
     }
@@ -756,11 +739,6 @@ impl Solver {
         self.cancel_until(0);
         let mut conflicts_until_restart = self.luby_interval();
         loop {
-            if let Some(stop) = &self.stop {
-                if stop.load(Ordering::Relaxed) {
-                    return SearchResult::Interrupted;
-                }
-            }
             if let Some(budget) = &self.budget {
                 if budget.expired() {
                     return SearchResult::Interrupted;
@@ -1986,7 +1964,7 @@ mod tests {
         loop {
             match s.search() {
                 SearchResult::Unsat => break,
-                SearchResult::Interrupted => unreachable!("no stop flag installed"),
+                SearchResult::Interrupted => unreachable!("no solve budget installed"),
                 SearchResult::Sat => {
                     count += 1;
                     assert!(count <= 3, "only 3 models exist");
@@ -2172,27 +2150,10 @@ mod tests {
     }
 
     #[test]
-    fn stop_flag_interrupts_the_search() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        // A pre-set stop flag must interrupt before any verdict; clearing it makes
-        // the same solver usable again.
-        let mut s = Solver::new(2, SatConfig::default());
-        assert!(s.add_clause(&[lit(1), lit(2)]));
-        let stop = Arc::new(AtomicBool::new(true));
-        s.set_stop(Some(stop.clone()));
-        assert_eq!(s.search(), SearchResult::Interrupted);
-        stop.store(false, Ordering::SeqCst);
-        assert_eq!(s.search(), SearchResult::Sat);
-        s.set_stop(None);
-        assert_eq!(s.search(), SearchResult::Sat);
-    }
-
-    #[test]
     fn expired_budget_interrupts_the_search() {
         use std::sync::Arc;
         // An armed budget interrupts before any verdict; clearing it restores the
-        // solver, and the race stop flag never touches the budget.
+        // solver.
         let mut s = Solver::new(2, SatConfig::default());
         assert!(s.add_clause(&[lit(1), lit(2)]));
         let budget = Arc::new(SolveBudgetState::new(None));

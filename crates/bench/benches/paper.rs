@@ -12,7 +12,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use asp::{Preset, SolverConfig};
 use bench::{chain_closure_program, wide_join_program, workload_buildcache, workload_repo, Scale};
-use spack_concretizer::{setup_problem, Concretizer, GreedyConcretizer, SiteConfig, CONCRETIZE_LP};
+use spack_concretizer::{
+    setup_problem, Concretizer, GreedyConcretizer, SiteConfig, SolveOptions, CONCRETIZE_LP,
+};
 use spack_repo::builtin_repo;
 use spack_spec::parse_spec;
 use spack_store::BuildcacheConfig;
@@ -41,7 +43,8 @@ fn table2_optimization(c: &mut Criterion) {
     group.sample_size(10).measurement_time(Duration::from_secs(10));
     for spec in ["example", "mpileaks"] {
         group.bench_with_input(BenchmarkId::from_parameter(spec), spec, |b, spec| {
-            let concretizer = Concretizer::new(&repo).with_site(site.clone());
+            let concretizer =
+                Concretizer::new(&repo).with_options(SolveOptions::new().site(site.clone()));
             b.iter(|| concretizer.concretize_str(std::hint::black_box(spec)).unwrap())
         });
     }
@@ -101,11 +104,13 @@ fn fig6_reuse(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_reuse");
     group.sample_size(10).measurement_time(Duration::from_secs(12));
     group.bench_function("hdf5_no_reuse", |b| {
-        let concretizer = Concretizer::new(&repo).with_site(site.clone());
+        let concretizer =
+            Concretizer::new(&repo).with_options(SolveOptions::new().site(site.clone()));
         b.iter(|| concretizer.concretize_str("hdf5").unwrap())
     });
     group.bench_function("hdf5_with_reuse", |b| {
-        let concretizer = Concretizer::new(&repo).with_site(site.clone()).with_database(&cache);
+        let concretizer = Concretizer::new(&repo)
+            .with_options(SolveOptions::new().site(site.clone()).database(&cache));
         b.iter(|| concretizer.concretize_str("hdf5").unwrap())
     });
     // The medium workload tier: the synthetic stack (deep chain + extra virtuals) with
@@ -114,8 +119,8 @@ fn fig6_reuse(c: &mut Criterion) {
     let medium_cache = workload_buildcache(&medium, Scale::Medium);
     for root in ["hdf5", "chain-root", "vapp-00"] {
         group.bench_function(format!("{root}_medium_cache"), |b| {
-            let concretizer =
-                Concretizer::new(&medium).with_site(site.clone()).with_database(&medium_cache);
+            let concretizer = Concretizer::new(&medium)
+                .with_options(SolveOptions::new().site(site.clone()).database(&medium_cache));
             b.iter(|| concretizer.concretize_str(root).unwrap())
         });
     }
@@ -158,7 +163,8 @@ fn fig7bc_full_solve(c: &mut Criterion) {
     for package in ["zlib", "openssl", "hdf5"] {
         let deps = repo.possible_dependency_count(package);
         group.bench_with_input(BenchmarkId::new(package, deps), package, |b, package| {
-            let concretizer = Concretizer::new(&repo).with_site(site.clone());
+            let concretizer =
+                Concretizer::new(&repo).with_options(SolveOptions::new().site(site.clone()));
             b.iter(|| concretizer.concretize_str(std::hint::black_box(package)).unwrap())
         });
     }
@@ -176,9 +182,9 @@ fn fig7d_presets(c: &mut Criterion) {
             BenchmarkId::from_parameter(preset.name()),
             &preset,
             |b, &preset| {
-                let concretizer = Concretizer::new(&repo)
-                    .with_site(site.clone())
-                    .with_solver_config(SolverConfig::preset(preset));
+                let concretizer = Concretizer::new(&repo).with_options(
+                    SolveOptions::new().site(site.clone()).solver(SolverConfig::preset(preset)),
+                );
                 b.iter(|| concretizer.concretize_str("callpath").unwrap())
             },
         );
@@ -225,7 +231,8 @@ fn fig7fg_reuse_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7fg_reuse_solve");
     group.sample_size(10).measurement_time(Duration::from_secs(12));
     group.bench_function("hdf5_full_cache", |b| {
-        let concretizer = Concretizer::new(&repo).with_site(site.clone()).with_database(&cache);
+        let concretizer = Concretizer::new(&repo)
+            .with_options(SolveOptions::new().site(site.clone()).database(&cache));
         b.iter(|| concretizer.concretize_str("hdf5").unwrap())
     });
     group.finish();
@@ -243,7 +250,8 @@ fn fig7h_old_vs_new(c: &mut Criterion) {
         b.iter(|| greedy.concretize(std::hint::black_box(&spec)).unwrap())
     });
     group.bench_function("asp_concretizer_hdf5", |b| {
-        let concretizer = Concretizer::new(&repo).with_site(site.clone());
+        let concretizer =
+            Concretizer::new(&repo).with_options(SolveOptions::new().site(site.clone()));
         b.iter(|| concretizer.concretize_str("hdf5").unwrap())
     });
     group.finish();

@@ -22,12 +22,6 @@
 //! summed per-request stage times in microseconds (`ground_us`, `setup_us`,
 //! `solve_us`) next to the usual engine counters.
 //!
-//! The `parallel_solve` group compares the same request mix on a serial session
-//! against a session racing a two-worker solver portfolio per optimization level
-//! (`--portfolio 2`), with the cross-request nogood store active in both; every
-//! portfolio result is asserted byte-identical to the serial session's before it
-//! counts, and the report carries the store's hit/transfer counters.
-//!
 //! The `base_update` group prices the live-update path behind `spack-solved`'s
 //! `update` request: freezing a post-delta universe from scratch (`full_refreeze`)
 //! versus absorbing a publish + yank round trip on a frozen session in place via
@@ -70,7 +64,9 @@ use bench::{
     chain_closure_program, service_buildcache, wide_join_program, workload_buildcache,
     workload_repo, Scale,
 };
-use spack_concretizer::{BaseDelta, ConcretizeError, Concretizer, ConcretizerSession, SiteConfig};
+use spack_concretizer::{
+    BaseDelta, ConcretizeError, Concretizer, ConcretizerSession, SiteConfig, SolveOptions,
+};
 use spack_repo::builtin_repo;
 use spack_store::BuildcacheConfig;
 
@@ -241,8 +237,8 @@ impl MixAggregate {
 
 /// Render the observable result of a request — DAG identity, objective vector,
 /// reuse/build partition, or the full diagnostics — for the byte-equality
-/// cross-check of the `parallel_solve` group (the same shape
-/// `tests/portfolio_cross_check.rs` pins under proptest).
+/// cross-check of the `base_update` group (the same shape
+/// `tests/store_cross_check.rs` pins under proptest).
 fn render_outcome(result: &Result<spack_concretizer::Concretization, ConcretizeError>) -> String {
     match result {
         Ok(c) => {
@@ -266,17 +262,6 @@ fn render_outcome(result: &Result<spack_concretizer::Concretization, ConcretizeE
         }
         Err(e) => format!("ERR {e}"),
     }
-}
-
-/// Append a session's shared-nogood-store counters to a run detail, so the report
-/// tracks how much cross-request clause transfer the mix actually exercises.
-fn with_store_counters(detail: RunDetail, session: &ConcretizerSession<'_>) -> RunDetail {
-    let (stages, mut counters) = detail;
-    let s = session.stats();
-    counters.push(("store_hits", s.store_hits));
-    counters.push(("store_misses", s.store_misses));
-    counters.push(("store_transferred", s.store_transferred));
-    (stages, counters)
 }
 
 /// The request mix of the `session_throughput` group: a realistic stream across the
@@ -375,8 +360,10 @@ fn main() -> std::process::ExitCode {
     // ---- table2_optimization: the full optimizing solve -----------------------------------
     for package in ["example", "mpileaks"] {
         runner.measure("table2_optimization", package, || {
-            let result =
-                Concretizer::new(&builtin).with_site(site.clone()).concretize_str(package).unwrap();
+            let result = Concretizer::new(&builtin)
+                .with_options(SolveOptions::new().site(site.clone()))
+                .concretize_str(package)
+                .unwrap();
             concretize_detail(&result)
         });
     }
@@ -396,14 +383,15 @@ fn main() -> std::process::ExitCode {
         },
     );
     runner.measure("fig6_reuse", "hdf5_no_reuse", || {
-        let result =
-            Concretizer::new(&builtin).with_site(site.clone()).concretize_str("hdf5").unwrap();
+        let result = Concretizer::new(&builtin)
+            .with_options(SolveOptions::new().site(site.clone()))
+            .concretize_str("hdf5")
+            .unwrap();
         concretize_detail(&result)
     });
     runner.measure("fig6_reuse", "hdf5_with_reuse", || {
         let result = Concretizer::new(&builtin)
-            .with_site(site.clone())
-            .with_database(&builtin_cache)
+            .with_options(SolveOptions::new().site(site.clone()).database(&builtin_cache))
             .concretize_str("hdf5")
             .unwrap();
         concretize_detail(&result)
@@ -419,8 +407,7 @@ fn main() -> std::process::ExitCode {
         }
         runner.measure("fig6_reuse", &format!("{root}_{}_cache", scale_name(scale)), || {
             let result = Concretizer::new(&medium)
-                .with_site(site.clone())
-                .with_database(&medium_cache)
+                .with_options(SolveOptions::new().site(site.clone()).database(&medium_cache))
                 .concretize_str(root)
                 .unwrap();
             concretize_detail(&result)
@@ -435,7 +422,10 @@ fn main() -> std::process::ExitCode {
     // the stages and counters expose the diagnostics cost per phase.
     for (name, spec) in [("version_pin", "zlib@9.9"), ("variant_pin", "netcdf-c ^hdf5~mpi")] {
         runner.measure("unsat_diagnostics", name, || {
-            match Concretizer::new(&builtin).with_site(site.clone()).concretize_str(spec) {
+            match Concretizer::new(&builtin)
+                .with_options(SolveOptions::new().site(site.clone()))
+                .concretize_str(spec)
+            {
                 Ok(_) => panic!("{spec} must be unsatisfiable"),
                 Err(ConcretizeError::Unsatisfiable { diagnostics, stats }) => {
                     assert_eq!(
@@ -476,7 +466,8 @@ fn main() -> std::process::ExitCode {
     // satisfiable.
     let mix = session_mix(&medium);
     let service_cache = service_buildcache(&medium, scale);
-    let oneshot = Concretizer::new(&medium).with_site(site.clone()).with_database(&service_cache);
+    let oneshot = Concretizer::new(&medium)
+        .with_options(SolveOptions::new().site(site.clone()).database(&service_cache));
     let session: ConcretizerSession<'_> = oneshot.session().expect("session build");
     {
         let s = session.stats();
@@ -515,49 +506,6 @@ fn main() -> std::process::ExitCode {
         agg.detail(started.elapsed())
     });
     report_specs_per_sec(&runner.records);
-
-    // ---- parallel_solve: portfolio racing on a long-lived session -------------------------
-    // The same mix, on two fresh sessions with the cross-request nogood store on (its
-    // default): one serial, one racing two diversified solver configurations per
-    // optimization level (`--portfolio 2`). Every portfolio result is asserted
-    // byte-identical to the serial session's render — the determinism contract is
-    // part of the measurement, not a separate test. On a single-core runner the
-    // portfolio bench mostly prices the racing overhead; CI's multi-thread matrix
-    // and any multi-core machine show the speedup.
-    let serial_solver =
-        Concretizer::new(&medium).with_site(site.clone()).with_database(&service_cache);
-    let serial_session: ConcretizerSession<'_> = serial_solver.session().expect("session build");
-    let expected: Vec<String> =
-        mix.iter().map(|s| render_outcome(&serial_session.concretize_str(s))).collect();
-    runner.measure("parallel_solve", "serial_mix", || {
-        let run = Instant::now();
-        let mut agg = MixAggregate::default();
-        for spec in &mix {
-            agg.add(serial_session.concretize_str(spec));
-        }
-        with_store_counters(agg.detail(run.elapsed()), &serial_session)
-    });
-    let parallel_solver = Concretizer::new(&medium)
-        .with_site(site.clone())
-        .with_database(&service_cache)
-        .with_portfolio(2);
-    let parallel_session: ConcretizerSession<'_> =
-        parallel_solver.session().expect("portfolio session build");
-    runner.measure("parallel_solve", "portfolio2_mix", || {
-        let run = Instant::now();
-        let mut agg = MixAggregate::default();
-        for (spec, want) in mix.iter().zip(&expected) {
-            let result = parallel_session.concretize_str(spec);
-            assert_eq!(
-                &render_outcome(&result),
-                want,
-                "portfolio result for `{spec}` differs from the serial session"
-            );
-            agg.add(result);
-        }
-        with_store_counters(agg.detail(run.elapsed()), &parallel_session)
-    });
-    report_portfolio_ratio(&runner.records);
 
     // ---- batch_durable: checkpoint overhead of the durable batch pipeline -----------------
     // The same request mix, run through `durable::run_batch` on the long-lived session,
@@ -668,7 +616,8 @@ fn main() -> std::process::ExitCode {
     };
     let (published_repo, _) = publish.apply(&medium, None);
     runner.measure("base_update", "full_refreeze", || {
-        let solver = Concretizer::new(&published_repo).with_site(site.clone());
+        let solver =
+            Concretizer::new(&published_repo).with_options(SolveOptions::new().site(site.clone()));
         let fresh = solver.session().expect("re-freeze session build");
         let s = fresh.stats();
         (
@@ -684,7 +633,8 @@ fn main() -> std::process::ExitCode {
             ],
         )
     });
-    let patch_solver = Concretizer::new(&medium).with_site(site.clone());
+    let patch_solver =
+        Concretizer::new(&medium).with_options(SolveOptions::new().site(site.clone()));
     let mut patch_session = patch_solver.session().expect("patch session build");
     let original_digest = patch_session.base_digest();
     runner.measure("base_update", "incremental_patch", || {
@@ -719,7 +669,8 @@ fn main() -> std::process::ExitCode {
     // Leave the session patched to the published universe and price its request
     // latency against the fresh-freeze oracle of that same universe.
     patch_session.apply_base_delta(&published_repo, None).expect("patch to published universe");
-    let fresh_solver = Concretizer::new(&published_repo).with_site(site.clone());
+    let fresh_solver =
+        Concretizer::new(&published_repo).with_options(SolveOptions::new().site(site.clone()));
     let fresh_published = fresh_solver.session().expect("fresh published session build");
     let expected_published: Vec<String> =
         mix.iter().map(|s| render_outcome(&fresh_published.concretize_str(s))).collect();
@@ -791,26 +742,6 @@ fn report_specs_per_sec(records: &[Record]) {
              ({:.2}x), parallel batch {batch:.1} specs/s ({:.2}x)",
             sess / one,
             batch / one
-        );
-    }
-}
-
-/// Print the headline portfolio-vs-serial comparison of the parallel_solve group.
-fn report_portfolio_ratio(records: &[Record]) {
-    let mean = |bench: &str| -> Option<f64> {
-        records
-            .iter()
-            .find(|r| r.group == "parallel_solve" && r.bench == bench)
-            .map(|r| r.mean.as_secs_f64())
-    };
-    if let (Some(serial), Some(portfolio)) = (mean("serial_mix"), mean("portfolio2_mix")) {
-        let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        eprintln!(
-            "# parallel_solve: serial {:.1}ms, portfolio-2 {:.1}ms ({:.2}x, {cores} cores, \
-             byte-identical results)",
-            serial * 1e3,
-            portfolio * 1e3,
-            serial / portfolio.max(1e-9)
         );
     }
 }

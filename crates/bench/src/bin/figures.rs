@@ -17,7 +17,7 @@ use rayon::prelude::*;
 
 use asp::{Preset, SolverConfig};
 use bench::{cdf, measure_one, summarize, workload_buildcache, workload_repo, Scale, SolveRecord};
-use spack_concretizer::{Concretizer, GreedyConcretizer, SiteConfig, CRITERIA};
+use spack_concretizer::{Concretizer, GreedyConcretizer, SiteConfig, SolveOptions, CRITERIA};
 use spack_repo::Repository;
 use spack_spec::parse_spec;
 use spack_store::{BuildcacheConfig, Database};
@@ -125,7 +125,7 @@ fn table2(repo: &Repository, site: &SiteConfig) {
         );
     }
     let result = Concretizer::new(repo)
-        .with_site(site.clone())
+        .with_options(SolveOptions::new().site(site.clone()))
         .concretize_str("hdf5")
         .expect("hdf5 concretizes");
     println!("  objective vector for `hdf5` (priority, value), non-zero entries:");
@@ -204,7 +204,7 @@ fn fig6(repo: &Repository, site: &SiteConfig) {
 
     // (a) hash-based reuse: concretize without the cache, then query exact hashes.
     let plain = Concretizer::new(repo)
-        .with_site(site.clone())
+        .with_options(SolveOptions::new().site(site.clone()))
         .concretize_str("hdf5")
         .expect("hdf5 concretizes");
     let hits =
@@ -218,8 +218,7 @@ fn fig6(repo: &Repository, site: &SiteConfig) {
 
     // (b) solving for reuse.
     let reused = Concretizer::new(repo)
-        .with_site(site.clone())
-        .with_database(&cache)
+        .with_options(SolveOptions::new().site(site.clone()).database(&cache))
         .concretize_str("hdf5")
         .expect("hdf5 concretizes with reuse");
     println!(

@@ -12,7 +12,7 @@ pub mod gate;
 
 use std::time::Duration;
 
-use spack_concretizer::{Concretizer, SiteConfig};
+use spack_concretizer::{Concretizer, SiteConfig, SolveOptions};
 use spack_repo::{builtin_repo, synth_repo, Repository, SynthConfig};
 use spack_spec::{Compiler, Platform};
 use spack_store::{synthesize_buildcache, BuildcacheConfig, Database};
@@ -226,11 +226,8 @@ pub fn measure_one(
     package: &str,
 ) -> SolveRecord {
     let possible_deps = repo.possible_dependency_count(package);
-    let mut concretizer = Concretizer::new(repo).with_site(site.clone()).with_solver_config(solver);
-    if let Some(db) = database {
-        concretizer = concretizer.with_database(db);
-    }
-    match concretizer.concretize_str(package) {
+    let options = SolveOptions { site: site.clone(), database, solver };
+    match Concretizer::new(repo).with_options(options).concretize_str(package) {
         Ok(result) => SolveRecord {
             package: package.to_string(),
             possible_deps,

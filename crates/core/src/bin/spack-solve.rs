@@ -79,8 +79,8 @@ fn main() -> ExitCode {
 fn usage() {
     eprintln!(
         "spack-solve — ASP-based dependency solving (SC'22 reproduction)\n\n\
-         USAGE:\n  spack-solve spec [--greedy] [--reuse] [--lassen] [--stats] [--explain] [--portfolio K] [--synthetic N] <spec...>\n  \
-         spack-solve batch [--reuse] [--lassen] [--stats] [--json] [--portfolio K] [--synthetic N]\n                    [--state-dir DIR] [--deadline-ms MS] [--conflict-limit N] [--retries N] <file>   (one spec per line; - for stdin)\n  \
+         USAGE:\n  spack-solve spec [--greedy] [--reuse] [--lassen] [--stats] [--explain] [--synthetic N] <spec...>\n  \
+         spack-solve batch [--reuse] [--lassen] [--stats] [--json] [--synthetic N]\n                    [--state-dir DIR] [--deadline-ms MS] [--conflict-limit N] [--retries N] <file>   (one spec per line; - for stdin)\n  \
          spack-solve providers <virtual>\n  spack-solve list [--synthetic N]\n  spack-solve criteria\n"
     );
 }
@@ -98,7 +98,6 @@ struct SpecOptions {
     lassen: bool,
     stats: bool,
     explain: bool,
-    portfolio: usize,
     synthetic: Option<usize>,
     spec_text: String,
 }
@@ -110,7 +109,6 @@ fn parse_spec_args(args: &[String]) -> Result<SpecOptions, String> {
         lassen: false,
         stats: false,
         explain: false,
-        portfolio: 1,
         synthetic: None,
         spec_text: String::new(),
     };
@@ -123,11 +121,6 @@ fn parse_spec_args(args: &[String]) -> Result<SpecOptions, String> {
             "--lassen" => options.lassen = true,
             "--stats" => options.stats = true,
             "--explain" => options.explain = true,
-            "--portfolio" => {
-                let k =
-                    iter.next().ok_or_else(|| "--portfolio requires a worker count".to_string())?;
-                options.portfolio = k.parse().map_err(|_| format!("invalid worker count '{k}'"))?;
-            }
             "--synthetic" => {
                 let n = iter
                     .next()
@@ -185,7 +178,7 @@ fn cmd_spec(args: &[String]) -> ExitCode {
     }
 
     let cache;
-    let mut solve_options = SolveOptions::new().site(site).portfolio(options.portfolio);
+    let mut solve_options = SolveOptions::new().site(site);
     if options.reuse {
         cache = synthesize_buildcache(&repo, &BuildcacheConfig::default());
         println!("(reuse enabled: {} cached builds)\n", cache.len());
@@ -334,10 +327,7 @@ fn print_stats(result: &spack_concretizer::Concretization) {
         "            {} decisions, {} propagations, {} conflicts, {} restarts, {} learned ({} deleted)",
         s.decisions, s.propagations, s.conflicts, s.restarts, s.learned, s.deleted
     );
-    println!(
-        "            warm clauses {}, transferred {}, winning seed {:#x}",
-        s.warm_clauses, s.transferred_clauses, s.winner_seed
-    );
+    println!("            warm clauses {}, transferred {}", s.warm_clauses, s.transferred_clauses);
 }
 
 /// `spack-solve batch <file>`: one request per line, answered on a single multi-shot
@@ -352,7 +342,6 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     let mut lassen = false;
     let mut stats = false;
     let mut json = false;
-    let mut portfolio = 1usize;
     let mut synthetic: Option<usize> = None;
     let mut state_dir: Option<String> = None;
     let mut deadline_ms: Option<u64> = None;
@@ -379,10 +368,6 @@ fn cmd_batch(args: &[String]) -> ExitCode {
                 "--lassen" => lassen = true,
                 "--stats" => stats = true,
                 "--json" => json = true,
-                "--portfolio" => {
-                    let k = flag_value(&mut iter, "--portfolio", "a worker count")?;
-                    portfolio = parse_value(k, "worker count")?;
-                }
                 "--synthetic" => {
                     let n = flag_value(&mut iter, "--synthetic", "a package count")?;
                     synthetic = Some(parse_value(n, "package count")?);
@@ -415,9 +400,8 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     }
     let Some(file) = file else {
         eprintln!(
-            "usage: spack-solve batch [--reuse] [--lassen] [--stats] [--json] [--portfolio K] \
-             [--synthetic N] [--state-dir DIR] [--deadline-ms MS] [--conflict-limit N] \
-             [--retries N] <file>"
+            "usage: spack-solve batch [--reuse] [--lassen] [--stats] [--json] [--synthetic N] \
+             [--state-dir DIR] [--deadline-ms MS] [--conflict-limit N] [--retries N] <file>"
         );
         return ExitCode::FAILURE;
     };
@@ -460,8 +444,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     // The manifest digest covers every option that affects results, so a state dir
     // cannot be resumed under a different configuration (including the output
     // format: checkpointed record outputs are replayed verbatim, so a human-mode
-    // state dir cannot be resumed as --json or vice versa). The portfolio size is
-    // deliberately excluded: results are byte-identical for any K.
+    // state dir cannot be resumed as --json or vice versa).
     let options_desc = format!(
         "reuse={reuse} lassen={lassen} synthetic={synthetic:?} \
          deadline_ms={deadline_ms:?} conflict_limit={conflict_limit:?} retries={retries} \
@@ -484,7 +467,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     let repo = repository(synthetic);
     let site = if lassen { SiteConfig::lassen() } else { SiteConfig::quartz() };
     let cache;
-    let mut solve_options = SolveOptions::new().site(site).portfolio(portfolio).budget(budget);
+    let mut solve_options = SolveOptions::new().site(site).budget(budget);
     if reuse {
         cache = synthesize_buildcache(&repo, &BuildcacheConfig::default());
         solve_options = solve_options.database(&cache);

@@ -44,8 +44,8 @@ use crate::{Concretization, ConcretizeError, ConcretizerSession, ResultClass};
 /// state dir from a different format is rejected instead of misparsed.
 const FORMAT_VERSION: u64 = 1;
 
-/// Seed-diversification constant for budget retries (the golden-ratio multiplier the
-/// solver portfolio uses to derive worker seeds — retries draw from the same family).
+/// Seed-diversification constant for budget retries: the 64-bit golden-ratio
+/// multiplier (Fibonacci hashing), so successive attempts draw well-spread seeds.
 const SEED_DIVERSIFIER: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// How one batch item ended up. Since the worst-class taxonomy moved into the
@@ -296,9 +296,9 @@ pub fn run_batch(
 
 /// Concretize `roots` on the session with panic isolation and the batch retry
 /// policy: a budget-exhausted solve is retried up to `retries` times, each
-/// attempt with a diversified solver seed (the same golden-ratio family the
-/// portfolio draws worker seeds from) and a doubled budget
-/// ([`asp::SolveBudget::doubled`] per attempt). `tune` is applied to every
+/// attempt with a diversified solver seed (the attempt number times a golden-ratio
+/// constant, XORed in) and a doubled budget ([`asp::SolveBudget::doubled`] per
+/// attempt). `tune` is applied to every
 /// attempt's solver configuration *before* the retry diversification — the
 /// server threads per-request wire options through it; the batch runner passes
 /// a no-op. Returns the final result and the retries consumed.

@@ -353,9 +353,7 @@ impl<'a> Concretizer<'a> {
 
     /// Configure every option at once from a [`SolveOptions`] value — the site
     /// model, the optional reuse database, and the full solver configuration
-    /// (budget, portfolio, nogood store, seed). This is the preferred entry
-    /// point; the `with_*` builders below are thin forwarders kept so existing
-    /// code and examples compile.
+    /// (budget, nogood store, seed).
     pub fn with_options(mut self, options: SolveOptions<'a>) -> Self {
         self.site = options.site;
         self.database = options.database;
@@ -370,68 +368,6 @@ impl<'a> Concretizer<'a> {
             database: self.database,
             solver: self.solver.clone(),
         }
-    }
-
-    /// Use a specific site configuration.
-    ///
-    /// Deprecated in favor of [`SolveOptions::site`] + [`Concretizer::with_options`];
-    /// kept as a thin forwarder.
-    pub fn with_site(mut self, site: SiteConfig) -> Self {
-        self.site = site;
-        self
-    }
-
-    /// Enable reuse of the given installed-package database / buildcache (Section VI).
-    ///
-    /// Deprecated in favor of [`SolveOptions::database`] +
-    /// [`Concretizer::with_options`]; kept as a thin forwarder.
-    pub fn with_database(mut self, database: &'a Database) -> Self {
-        self.database = Some(database);
-        self
-    }
-
-    /// Use a specific solver configuration (preset, strategy, seed).
-    ///
-    /// Deprecated in favor of [`SolveOptions::solver`] + [`Concretizer::with_options`];
-    /// kept as a thin forwarder.
-    pub fn with_solver_config(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Bound every solve by a [`asp::SolveBudget`] (wall deadline and/or conflict
-    /// limit). An exhausted budget surfaces as [`ConcretizeError::Budget`], carrying
-    /// the best model proven so far (marked non-optimal) when there is one.
-    ///
-    /// Deprecated in favor of [`SolveOptions::budget`] + [`Concretizer::with_options`];
-    /// kept as a thin forwarder.
-    pub fn with_budget(mut self, budget: asp::SolveBudget) -> Self {
-        self.solver.budget = budget.is_bounded().then_some(budget);
-        self
-    }
-
-    /// Race `k` differently-seeded solver configurations per optimizer search and take
-    /// the first winner (`0` or `1` = serial). Results are byte-identical regardless
-    /// of `k` — the portfolio only changes how fast the canonical answer is found.
-    ///
-    /// Deprecated in favor of [`SolveOptions::portfolio`] +
-    /// [`Concretizer::with_options`]; kept as a thin forwarder.
-    pub fn with_portfolio(mut self, k: usize) -> Self {
-        self.solver.portfolio = k;
-        self
-    }
-
-    /// Enable or disable the session's cross-request nogood store (default on):
-    /// provenance-safe clauses learned by one request are transferred to later
-    /// requests with an identical translation. Results are byte-identical either way.
-    /// Only affects sessions created by [`Concretizer::session`]; one-shot solves
-    /// never share clauses.
-    ///
-    /// Deprecated in favor of [`SolveOptions::nogood_store`] +
-    /// [`Concretizer::with_options`]; kept as a thin forwarder.
-    pub fn with_nogood_store(mut self, enabled: bool) -> Self {
-        self.solver.share_nogoods = enabled;
-        self
     }
 
     /// The site configuration in use.
@@ -690,7 +626,9 @@ mod tests {
 
     fn concretize(text: &str) -> Result<Concretization, ConcretizeError> {
         let repo = builtin_repo();
-        Concretizer::new(&repo).with_site(SiteConfig::minimal()).concretize_str(text)
+        Concretizer::new(&repo)
+            .with_options(SolveOptions::new().site(SiteConfig::minimal()))
+            .concretize_str(text)
     }
 
     #[test]

@@ -1,22 +1,17 @@
 //! [`SolveOptions`]: every knob of a concretization in one value.
 //!
-//! Before this module the options of a [`Concretizer`](crate::Concretizer) sprawled across six
-//! `with_*` builder methods; a server carrying options *per request* had no
-//! single value to hold, log, or serialize. `SolveOptions` collapses them:
+//! A [`Concretizer`](crate::Concretizer) takes all of its options as one value, which
+//! a server carrying options *per request* can also hold, log, or serialize:
 //!
 //! ```
 //! use spack_concretizer::{Concretizer, SiteConfig, SolveOptions};
 //! use spack_repo::builtin_repo;
 //!
 //! let repo = builtin_repo();
-//! let options = SolveOptions::new().site(SiteConfig::minimal()).portfolio(2);
+//! let options = SolveOptions::new().site(SiteConfig::minimal()).seed(2);
 //! let result = Concretizer::new(&repo).with_options(options).concretize_str("zlib");
 //! assert!(result.is_ok());
 //! ```
-//!
-//! The old builders remain as thin forwarders (see [`crate::Concretizer::with_site`] and
-//! friends) so existing code keeps compiling, but new code — and everything the
-//! server does — should construct a `SolveOptions`.
 //!
 //! # Wire form
 //!
@@ -24,7 +19,7 @@
 //! neither of which can cross a socket. Its serialized counterpart is
 //! [`crate::server::wire::RequestOptions`]: the site is named by preset
 //! (`"quartz"`, `"lassen"`, `"minimal"`), the database by the `reuse` flag, and the
-//! solver knobs (budget, portfolio, nogood store, seed) travel as plain JSON
+//! solver knobs (budget, nogood store, seed) travel as plain JSON
 //! fields. [`crate::server::wire::RequestOptions::apply`] folds a parsed wire value
 //! onto a base `SolverConfig`, which is exactly what the server does per request.
 
@@ -35,7 +30,7 @@ use crate::SiteConfig;
 
 /// Every option of a concretization, in one place: the site model, the optional
 /// installed-package database for reuse, and the solver configuration (preset,
-/// seed, portfolio width, nogood sharing, solve budget).
+/// seed, nogood sharing, solve budget).
 ///
 /// `Default` is the same configuration [`Concretizer::new`] starts from: the
 /// Quartz-like site, no reuse, default solver. Construct with struct syntax or
@@ -50,8 +45,8 @@ pub struct SolveOptions<'a> {
     pub site: SiteConfig,
     /// The installed-package database / buildcache to reuse from, when any.
     pub database: Option<&'a Database>,
-    /// The solver configuration, including the per-solve budget, the portfolio
-    /// width, and the session nogood-store switch.
+    /// The solver configuration, including the per-solve budget and the session
+    /// nogood-store switch.
     pub solver: SolverConfig,
 }
 
@@ -86,13 +81,6 @@ impl<'a> SolveOptions<'a> {
         self
     }
 
-    /// Race `k` differently-seeded solver configurations per optimizer search
-    /// (`0` or `1` = serial). Results are byte-identical regardless of `k`.
-    pub fn portfolio(mut self, k: usize) -> Self {
-        self.solver.portfolio = k;
-        self
-    }
-
     /// Enable or disable the session's cross-request nogood store (default on).
     /// Results are byte-identical either way.
     pub fn nogood_store(mut self, enabled: bool) -> Self {
@@ -116,19 +104,17 @@ mod tests {
         let options = SolveOptions::default();
         assert!(options.database.is_none());
         assert_eq!(options.site.target_family, SiteConfig::quartz().target_family);
-        assert_eq!(options.solver.portfolio, SolverConfig::default().portfolio);
+        assert_eq!(options.solver.seed, SolverConfig::default().seed);
     }
 
     #[test]
     fn setters_compose() {
         let options = SolveOptions::new()
             .site(SiteConfig::lassen())
-            .portfolio(4)
             .nogood_store(false)
             .seed(7)
             .budget(SolveBudget { wall_deadline: None, conflict_limit: Some(100) });
         assert_eq!(options.site.target_family, "ppc64le");
-        assert_eq!(options.solver.portfolio, 4);
         assert!(!options.solver.share_nogoods);
         assert_eq!(options.solver.seed, 7);
         assert_eq!(options.solver.budget.unwrap().conflict_limit, Some(100));

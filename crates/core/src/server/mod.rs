@@ -420,8 +420,8 @@ fn emit<W: Write>(sink: &Mutex<W>, line: &str) {
 }
 
 /// Execute one solve request on its shard: parse the specs, route by
-/// `(site, reuse)`, apply the per-request wire options (budget, portfolio,
-/// nogood store, seed) on the session's forked control, and classify the result.
+/// `(site, reuse)`, apply the per-request wire options (budget, nogood
+/// store, seed) on the session's forked control, and classify the result.
 fn execute(
     shards: &Shards<'_>,
     config: &ServerConfig,

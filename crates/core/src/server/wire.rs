@@ -117,9 +117,14 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Real requests nest a few
+/// levels; the cap keeps the recursive-descent parser from overflowing its stack on
+/// hostile input such as a line of a million `[`.
+const MAX_NESTING: usize = 128;
+
 /// Parse one JSON document (and nothing else) from `text`.
 pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -132,6 +137,8 @@ pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open (bounded by [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -160,8 +167,18 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(format!(
+                        "nesting deeper than {MAX_NESTING} levels at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -340,8 +357,6 @@ pub struct RequestOptions {
     pub deadline_ms: Option<u64>,
     /// Conflict limit of the solve budget.
     pub conflict_limit: Option<u64>,
-    /// Portfolio width (`0`/`1` = serial); results are byte-identical for any value.
-    pub portfolio: Option<usize>,
     /// Attach the shard's cross-request nogood store to this request (default on);
     /// results are byte-identical either way.
     pub nogood_store: Option<bool>,
@@ -365,9 +380,6 @@ impl RequestOptions {
         }
         if let Some(v) = json.get("conflict_limit") {
             options.conflict_limit = Some(v.as_u64().ok_or("'conflict_limit' must be an integer")?);
-        }
-        if let Some(v) = json.get("portfolio") {
-            options.portfolio = Some(v.as_u64().ok_or("'portfolio' must be an integer")? as usize);
         }
         if let Some(v) = json.get("nogood_store") {
             options.nogood_store = Some(v.as_bool().ok_or("'nogood_store' must be a boolean")?);
@@ -403,9 +415,6 @@ impl RequestOptions {
         if let Some(n) = self.conflict_limit {
             fields.push(format!("\"conflict_limit\": {n}"));
         }
-        if let Some(k) = self.portfolio {
-            fields.push(format!("\"portfolio\": {k}"));
-        }
         if let Some(on) = self.nogood_store {
             fields.push(format!("\"nogood_store\": {on}"));
         }
@@ -432,9 +441,6 @@ impl RequestOptions {
     pub fn apply(&self, cfg: &mut SolverConfig) {
         if let Some(budget) = self.budget() {
             cfg.budget = Some(budget);
-        }
-        if let Some(k) = self.portfolio {
-            cfg.portfolio = k;
         }
         if let Some(on) = self.nogood_store {
             cfg.share_nogoods = on;
@@ -876,6 +882,15 @@ mod tests {
     }
 
     #[test]
+    fn json_nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_NESTING)).is_ok());
+        let err = parse_json(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(parse_json(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
     fn request_parsing_versions_and_tolerance() {
         // Missing "v" means version 1; unknown fields are ignored.
         let req = parse_request(
@@ -913,7 +928,6 @@ mod tests {
             reuse: Some(true),
             deadline_ms: Some(250),
             conflict_limit: Some(1000),
-            portfolio: Some(4),
             nogood_store: Some(false),
             seed: Some(u64::MAX),
             retries: Some(2),
@@ -926,7 +940,6 @@ mod tests {
 
         let mut cfg = SolverConfig::default();
         options.apply(&mut cfg);
-        assert_eq!(cfg.portfolio, 4);
         assert!(!cfg.share_nogoods);
         assert_eq!(cfg.seed, u64::MAX);
         let budget = cfg.budget.unwrap();
@@ -937,7 +950,6 @@ mod tests {
         RequestOptions::default().apply(&mut cfg);
         let base = SolverConfig::default();
         assert_eq!(cfg.seed, base.seed);
-        assert_eq!(cfg.portfolio, base.portfolio);
         assert_eq!(cfg.share_nogoods, base.share_nogoods);
         assert!(cfg.budget.is_none());
     }

@@ -191,7 +191,7 @@ pub struct ConcretizerSession<'a> {
     /// Cross-request nogood store ([`asp::SharedClauseStore`]): provenance-safe
     /// clauses learned by one request are transferred to later requests with an
     /// identical translation (same closure digest). `None` when disabled through
-    /// [`crate::Concretizer::with_nogood_store`]. Results are byte-identical either
+    /// [`crate::SolveOptions::nogood_store`]. Results are byte-identical either
     /// way — the store only changes how fast they are found.
     store: Option<Arc<asp::SharedClauseStore>>,
 }
@@ -407,7 +407,7 @@ impl ConcretizerSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConcretizeError, SiteConfig};
+    use crate::{ConcretizeError, SiteConfig, SolveOptions};
     use spack_repo::builtin_repo;
 
     fn render(result: &Result<Concretization, ConcretizeError>) -> String {
@@ -423,7 +423,8 @@ mod tests {
     #[test]
     fn session_matches_one_shot_solves() {
         let repo = builtin_repo();
-        let concretizer = Concretizer::new(&repo).with_site(SiteConfig::quartz());
+        let concretizer =
+            Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
         let session = concretizer.session().unwrap();
         for spec in ["zlib", "zlib@1.2.8", "hdf5", "example~bzip", "zlib@9.9"] {
             let one = render(&concretizer.concretize_str(spec));
@@ -439,7 +440,8 @@ mod tests {
     #[test]
     fn batch_solves_in_parallel_and_preserves_order() {
         let repo = builtin_repo();
-        let concretizer = Concretizer::new(&repo).with_site(SiteConfig::quartz());
+        let concretizer =
+            Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
         let session = concretizer.session().unwrap();
         let requests: Vec<Vec<spack_spec::Spec>> =
             ["zlib", "zlib@9.9", "hdf5"].iter().map(|s| vec![parse_spec(s).unwrap()]).collect();
@@ -466,7 +468,8 @@ mod tests {
                 .variant_bool("tcl", true, "tcl bindings (name collides with a package)")
                 .build(),
         );
-        let concretizer = Concretizer::new(&repo).with_site(SiteConfig::minimal());
+        let concretizer =
+            Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::minimal()));
         let session = concretizer.session().unwrap();
         for spec in ["app", "app+tcl", "app~tcl"] {
             let one = render(&concretizer.concretize_str(spec));
@@ -483,7 +486,8 @@ mod tests {
         // ground. A newer version shifts preference weights, so this takes the
         // rebuild path — still a patch, not a new session.
         let repo = builtin_repo();
-        let concretizer = Concretizer::new(&repo).with_site(SiteConfig::quartz());
+        let concretizer =
+            Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
         let mut session = concretizer.session().unwrap();
         let before = render(&session.concretize_str("zlib"));
         assert!(matches!(
@@ -499,7 +503,8 @@ mod tests {
         let stats = session.apply_base_delta(&new_repo, None).unwrap();
         assert!(stats.added_facts > 0);
 
-        let fresh_concretizer = Concretizer::new(&new_repo).with_site(SiteConfig::quartz());
+        let fresh_concretizer = Concretizer::new(&new_repo)
+            .with_options(SolveOptions::new().site(SiteConfig::quartz()));
         let fresh = fresh_concretizer.session().unwrap();
         for spec in ["zlib", "zlib@2.0", "zlib@1.2.8", "hdf5", "example~bzip"] {
             let patched = render(&session.concretize_str(spec));
@@ -519,7 +524,8 @@ mod tests {
         // take the cheap in-place continuation path (no rebuild), and post-patch
         // solves must reuse the new records exactly like a fresh session would.
         let repo = builtin_repo();
-        let concretizer = Concretizer::new(&repo).with_site(SiteConfig::quartz());
+        let concretizer =
+            Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
         let mut session = concretizer.session().unwrap();
         assert_eq!(session.stats().installed, 0);
 
@@ -530,8 +536,8 @@ mod tests {
         assert!(!stats.rebuilt, "a pure install must patch in place: {stats:?}");
         assert!(session.stats().installed > 0);
 
-        let fresh_concretizer =
-            Concretizer::new(&new_repo).with_site(SiteConfig::quartz()).with_database(&db);
+        let fresh_concretizer = Concretizer::new(&new_repo)
+            .with_options(SolveOptions::new().site(SiteConfig::quartz()).database(&db));
         let fresh = fresh_concretizer.session().unwrap();
         for spec in ["zlib", "hdf5", "zlib@9.9"] {
             let patched = render(&session.concretize_str(spec));
@@ -545,7 +551,8 @@ mod tests {
     #[test]
     fn base_delta_remove_then_re_add_round_trips() {
         let repo = builtin_repo();
-        let concretizer = Concretizer::new(&repo).with_site(SiteConfig::quartz());
+        let concretizer =
+            Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
         let mut session = concretizer.session().unwrap();
         let original_digest = session.base_digest();
         let original = render(&session.concretize_str("zlib"));
@@ -587,7 +594,8 @@ mod tests {
         // program exactly once, asserted via stats counters — every request grounding
         // is a delta that reuses frozen base instances.
         let repo = builtin_repo();
-        let concretizer = Concretizer::new(&repo).with_site(SiteConfig::quartz());
+        let concretizer =
+            Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
         let session = concretizer.session().unwrap();
         let specs =
             ["zlib", "bzip2", "hdf5", "example", "mpileaks", "zlib@1.2.8", "example~bzip", "hdf5"];

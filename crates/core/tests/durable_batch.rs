@@ -8,7 +8,7 @@ use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use spack_concretizer::{ConcretizeError, Concretizer, SiteConfig};
+use spack_concretizer::{ConcretizeError, Concretizer, SiteConfig, SolveOptions};
 use spack_repo::{synth_repo, SynthConfig};
 
 /// A fresh scratch directory per call, cleaned up on drop (best effort).
@@ -255,11 +255,11 @@ fn wall_deadline_on_a_synth_repo_returns_budget_within_bound() {
     // sibling request on the same session (its budget cleared per-request through
     // concretize_tuned) is completely unaffected.
     let repo = synth_repo(&SynthConfig { packages: 60, ..Default::default() });
-    let concretizer =
-        Concretizer::new(&repo).with_site(SiteConfig::minimal()).with_budget(asp::SolveBudget {
-            wall_deadline: Some(Duration::ZERO),
-            conflict_limit: None,
-        });
+    let concretizer = Concretizer::new(&repo).with_options(
+        SolveOptions::new()
+            .site(SiteConfig::minimal())
+            .budget(asp::SolveBudget { wall_deadline: Some(Duration::ZERO), conflict_limit: None }),
+    );
     let session = concretizer.session().expect("session");
 
     let started = Instant::now();
@@ -287,9 +287,11 @@ fn conflict_limit_partial_is_marked_non_optimal() {
     // Graceful degradation at the library level: the partial model carried by
     // ConcretizeError::Budget is a real, extracted DAG marked non-optimal.
     let repo = spack_repo::builtin_repo();
-    let concretizer = Concretizer::new(&repo)
-        .with_site(SiteConfig::quartz())
-        .with_budget(asp::SolveBudget { wall_deadline: None, conflict_limit: Some(1) });
+    let concretizer = Concretizer::new(&repo).with_options(
+        SolveOptions::new()
+            .site(SiteConfig::quartz())
+            .budget(asp::SolveBudget { wall_deadline: None, conflict_limit: Some(1) }),
+    );
     let session = concretizer.session().expect("session");
     match session.concretize_str("hdf5").expect_err("conflict limit 1 must interrupt hdf5") {
         ConcretizeError::Budget { partial_best: Some(partial), stats } => {

@@ -1,6 +1,7 @@
 //! Integration tests for the `spack-solved` serving layer in `--pipe` mode:
 //! out-of-order completion under a worker pool, shard routing by base digest,
-//! per-request budgets, malformed-request resilience, drain-on-shutdown, and
+//! per-request budgets, malformed-request resilience (including hostile nesting and
+//! retired options from old clients), drain-on-shutdown, and
 //! byte-identity between the server and `spack-solve batch --json`.
 
 use std::io::Cursor;
@@ -314,4 +315,55 @@ fn pipe_responses_are_byte_identical_to_batch_json() {
     batch_lines.sort();
     served_lines.sort();
     assert_eq!(batch_lines, served_lines, "server and batch --json must agree byte-for-byte");
+}
+
+#[test]
+fn deeply_nested_line_gets_a_parse_response_and_the_stream_survives() {
+    // A line of 200,000 `[` used to overflow the recursive JSON parser's stack and
+    // abort the process. The nesting cap turns it into an ordinary parse error, and
+    // the valid request behind it is still answered — through the real binary, so
+    // an abort would show up as a failed exit status and missing lines.
+    let input = format!(
+        "{}\n{{\"v\": 1, \"id\": \"after\", \"specs\": [\"zlib\"]}}\n",
+        "[".repeat(200_000)
+    );
+    let served = Command::new(env!("CARGO_BIN_EXE_spack-solved"))
+        .args(["--pipe", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .and_then(|mut child| {
+            use std::io::Write;
+            child.stdin.take().expect("stdin").write_all(input.as_bytes())?;
+            child.wait_with_output()
+        })
+        .expect("run spack-solved");
+    assert!(served.status.success(), "spack-solved must not abort: {:?}", served.status);
+    let lines: Vec<String> =
+        String::from_utf8(served.stdout).expect("utf8").lines().map(String::from).collect();
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    let deep = response(&lines[0]);
+    assert_eq!(deep.status, wire::SolveStatus::Parse, "{}", lines[0]);
+    assert!(deep.message.expect("parse message").contains("nesting"), "{}", lines[0]);
+    let after = response(&lines[1]);
+    assert_eq!((after.id.as_str(), after.status), ("after", wire::SolveStatus::Ok));
+}
+
+#[test]
+fn old_clients_sending_portfolio_get_the_same_answer() {
+    // Older clients may still send the retired `portfolio` option. Wire v1 ignores
+    // unknown fields, so the answer must be byte-identical to the same request
+    // without it.
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let input = "{\"v\": 1, \"id\": \"x\", \"specs\": [\"hdf5\"], \"options\": {\"portfolio\": 4}}\n\
+                 {\"v\": 1, \"id\": \"x\", \"specs\": [\"hdf5\"]}\n\
+                 {\"v\": 1, \"id\": \"y\", \"specs\": [\"zlib@9.9\"], \"options\": {\"portfolio\": 4}}\n\
+                 {\"v\": 1, \"id\": \"y\", \"specs\": [\"zlib@9.9\"]}\n";
+    let (lines, _) = serve(false, &config, input);
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    assert_eq!(response(&lines[0]).status, wire::SolveStatus::Ok);
+    assert_eq!(lines[0], lines[1], "a portfolio field changed a SAT answer");
+    assert_eq!(response(&lines[2]).status, wire::SolveStatus::Unsat);
+    assert_eq!(lines[2], lines[3], "a portfolio field changed an UNSAT answer");
 }

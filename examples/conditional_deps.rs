@@ -11,7 +11,7 @@
 //! cargo run --release --example conditional_deps
 //! ```
 
-use spack_concretizer::{Concretizer, GreedyConcretizer, SiteConfig};
+use spack_concretizer::{Concretizer, GreedyConcretizer, SiteConfig, SolveOptions};
 use spack_repo::builtin_repo;
 use spack_spec::parse_spec;
 
@@ -47,7 +47,7 @@ fn main() {
 
     // --- the ASP concretizer ----------------------------------------------------------------
     println!("[ASP concretizer — complete and optimal]");
-    let concretizer = Concretizer::new(&repo).with_site(site);
+    let concretizer = Concretizer::new(&repo).with_options(SolveOptions::new().site(site));
     match concretizer.concretize(&[spec]) {
         Ok(result) => {
             let hpctoolkit = result.spec.node("hpctoolkit").expect("root present");

@@ -12,7 +12,7 @@
 //! cargo run --release --example e4s_stack [n_packages] [n_roots]
 //! ```
 
-use spack_concretizer::{Concretizer, SiteConfig};
+use spack_concretizer::{Concretizer, SiteConfig, SolveOptions};
 use spack_repo::{e4s_roots, synth_repo, SynthConfig};
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     );
 
     let site = SiteConfig::quartz();
-    let concretizer = Concretizer::new(&repo).with_site(site);
+    let concretizer = Concretizer::new(&repo).with_options(SolveOptions::new().site(site));
 
     let mut total_nodes = 0usize;
     for root in roots.iter().take(n_roots) {

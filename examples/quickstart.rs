@@ -7,13 +7,14 @@
 //! The optional argument is any spec in the sigil syntax of Table I of the paper, e.g.
 //! `hdf5@1.10.2 +mpi %gcc ^zlib@1.2.8:`. The default is `hdf5`.
 
-use spack_concretizer::{describe_priority, Concretizer, SiteConfig};
+use spack_concretizer::{describe_priority, Concretizer, SiteConfig, SolveOptions};
 use spack_repo::builtin_repo;
 
 fn main() {
     let spec_text = std::env::args().nth(1).unwrap_or_else(|| "hdf5".to_string());
     let repo = builtin_repo();
-    let concretizer = Concretizer::new(&repo).with_site(SiteConfig::quartz());
+    let concretizer =
+        Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
 
     println!("Input spec");
     println!("--------------------------------");

@@ -15,7 +15,7 @@
 //! cargo run --release --example reuse_demo
 //! ```
 
-use spack_concretizer::{Concretizer, SiteConfig};
+use spack_concretizer::{Concretizer, SiteConfig, SolveOptions};
 use spack_repo::builtin_repo;
 use spack_spec::{Compiler, Platform};
 use spack_store::{synthesize_buildcache, BuildcacheConfig, Database};
@@ -45,7 +45,7 @@ fn main() {
 
     // --- 1. hash-based reuse only (the old scheme, Fig. 6a) ------------------------------------
     let no_reuse = Concretizer::new(&repo)
-        .with_site(site.clone())
+        .with_options(SolveOptions::new().site(site.clone()))
         .concretize_str("hdf5")
         .expect("hdf5 concretizes");
     let hash_hits = (0..no_reuse.spec.len())
@@ -61,8 +61,7 @@ fn main() {
 
     // --- 2. reuse as an optimization target (Fig. 6b) -----------------------------------------
     let with_reuse = Concretizer::new(&repo)
-        .with_site(site)
-        .with_database(&buildcache)
+        .with_options(SolveOptions::new().site(site).database(&buildcache))
         .concretize_str("hdf5")
         .expect("hdf5 concretizes with reuse");
     println!("\n[ASP reuse optimization]");

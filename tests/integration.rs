@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use spack_concretizer::{Concretization, Concretizer, SiteConfig};
+use spack_concretizer::{Concretization, Concretizer, SiteConfig, SolveOptions};
 use spack_repo::{builtin_repo, synth_repo, Repository, SynthConfig};
 use spack_spec::{parse_spec, Compiler, Platform, VariantValue};
 use spack_store::{synthesize_buildcache, BuildcacheConfig, Database};
@@ -89,7 +89,7 @@ fn validate(repo: &Repository, result: &Concretization) {
 }
 
 fn quartz_concretizer(repo: &Repository) -> Concretizer<'_> {
-    Concretizer::new(repo).with_site(SiteConfig::quartz())
+    Concretizer::new(repo).with_options(SolveOptions::new().site(SiteConfig::quartz()))
 }
 
 #[test]
@@ -147,7 +147,10 @@ fn compiler_choice_limits_the_target() {
     let repo = builtin_repo();
     let site =
         SiteConfig { compilers: vec![Compiler::new("gcc", "4.8.5")], ..SiteConfig::minimal() };
-    let result = Concretizer::new(&repo).with_site(site).concretize_str("zlib").unwrap();
+    let result = Concretizer::new(&repo)
+        .with_options(SolveOptions::new().site(site))
+        .concretize_str("zlib")
+        .unwrap();
     let zlib = result.spec.node("zlib").unwrap();
     assert_eq!(zlib.compiler, Compiler::new("gcc", "4.8.5"));
     assert_ne!(zlib.target, "skylake");
@@ -192,12 +195,14 @@ fn reuse_prefers_installed_packages_and_respects_constraints() {
     let site = SiteConfig::quartz();
     // Cache the result of a previous concretization — reuse should then be total.
     let mut db = Database::new();
-    let previous = Concretizer::new(&repo).with_site(site.clone()).concretize_str("hdf5").unwrap();
+    let previous = Concretizer::new(&repo)
+        .with_options(SolveOptions::new().site(site.clone()))
+        .concretize_str("hdf5")
+        .unwrap();
     db.add_concrete_spec(&previous.spec);
 
     let with_reuse = Concretizer::new(&repo)
-        .with_site(site.clone())
-        .with_database(&db)
+        .with_options(SolveOptions::new().site(site.clone()).database(&db))
         .concretize_str("hdf5")
         .unwrap();
     assert_eq!(with_reuse.build_count(), 0, "identical request must be fully reused");
@@ -205,8 +210,7 @@ fn reuse_prefers_installed_packages_and_respects_constraints() {
 
     // A conflicting constraint forces a (partial) rebuild.
     let constrained = Concretizer::new(&repo)
-        .with_site(site)
-        .with_database(&db)
+        .with_options(SolveOptions::new().site(site).database(&db))
         .concretize_str("hdf5~shared")
         .unwrap();
     assert!(constrained.build_count() >= 1);
@@ -226,8 +230,7 @@ fn buildcache_scopes_affect_fact_count_not_correctness() {
     for (name, scope) in scopes {
         let scoped = scope.apply(&cache);
         let result = Concretizer::new(&repo)
-            .with_site(site.clone())
-            .with_database(&scoped)
+            .with_options(SolveOptions::new().site(site.clone()).database(&scoped))
             .concretize_str("hdf5")
             .unwrap_or_else(|e| panic!("scope {name}: {e}"));
         validate(&repo, &result);
@@ -241,7 +244,7 @@ fn buildcache_scopes_affect_fact_count_not_correctness() {
 fn synthetic_repository_concretizes_cleanly() {
     let repo = synth_repo(&SynthConfig::small());
     let site = SiteConfig::minimal();
-    let concretizer = Concretizer::new(&repo).with_site(site);
+    let concretizer = Concretizer::new(&repo).with_options(SolveOptions::new().site(site));
     let mut solved = 0;
     for root in spack_repo::e4s_roots(&repo).iter().take(4) {
         let result = concretizer.concretize_str(root).unwrap_or_else(|e| panic!("{root}: {e}"));
@@ -290,12 +293,18 @@ fn identical_requests_are_deterministic() {
 fn store_roundtrip_preserves_reusability() {
     let repo = builtin_repo();
     let site = SiteConfig::quartz();
-    let result = Concretizer::new(&repo).with_site(site.clone()).concretize_str("example").unwrap();
+    let result = Concretizer::new(&repo)
+        .with_options(SolveOptions::new().site(site.clone()))
+        .concretize_str("example")
+        .unwrap();
     let mut db = Database::new();
     let roots = db.add_concrete_spec(&result.spec);
     assert_eq!(roots.len(), 1);
     // The stored root must be findable by exact hash from an identical concretization.
-    let again = Concretizer::new(&repo).with_site(site).concretize_str("example").unwrap();
+    let again = Concretizer::new(&repo)
+        .with_options(SolveOptions::new().site(site))
+        .concretize_str("example")
+        .unwrap();
     let root_index = again.spec.roots[0];
     assert!(db.query_exact(&again.spec, root_index).is_some());
 }

@@ -10,13 +10,13 @@
 //! * Section VI — cmake keeps networking (openssl) even when minimizing builds,
 //! * Fig. 4 — the mpileaks DAG and per-node hashes.
 
-use spack_concretizer::{Concretizer, GreedyConcretizer, GreedyError, SiteConfig};
+use spack_concretizer::{Concretizer, GreedyConcretizer, GreedyError, SiteConfig, SolveOptions};
 use spack_repo::builtin_repo;
 use spack_spec::{parse_spec, VariantValue};
 use spack_store::{synthesize_buildcache, BuildcacheConfig, Database};
 
 fn concretizer(repo: &spack_repo::Repository) -> Concretizer<'_> {
-    Concretizer::new(repo).with_site(SiteConfig::quartz())
+    Concretizer::new(repo).with_options(SolveOptions::new().site(SiteConfig::quartz()))
 }
 
 #[test]
@@ -177,8 +177,7 @@ fn section6_built_packages_keep_their_defaults() {
     )
     .filter(|r| r.name != "cmake" && r.name != "openssl");
     let result = Concretizer::new(&repo)
-        .with_site(site)
-        .with_database(&cache)
+        .with_options(SolveOptions::new().site(site).database(&cache))
         .concretize_str("cmake")
         .unwrap();
     let cmake = result.spec.node("cmake").unwrap();

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use spack_concretizer::{ConcretizeError, Concretizer, SiteConfig};
+use spack_concretizer::{ConcretizeError, Concretizer, SiteConfig, SolveOptions};
 use spack_repo::{synth_repo, SynthConfig};
 use spack_spec::hash::dag_hash;
 use spack_spec::{parse_spec, Spec, VariantValue, Version, VersionConstraint, VersionRange};
@@ -211,7 +211,7 @@ proptest! {
         let repo = synth_repo(&SynthConfig { packages: 30, seed, ..Default::default() });
         let names: Vec<String> = repo.names().map(|s| s.to_string()).collect();
         let root = names[pick % names.len()].clone();
-        let concretizer = Concretizer::new(&repo).with_site(SiteConfig::minimal());
+        let concretizer = Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::minimal()));
         match concretizer.concretize_str(&root) {
             Ok(result) => {
                 prop_assert!(result.spec.contains(&root));

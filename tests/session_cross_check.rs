@@ -7,12 +7,13 @@
 //! contract that the two are *observationally identical*: same DAG (rendered), same
 //! reuse/build partition, same objective vector, and — for unsatisfiable requests —
 //! the same diagnostics, over randomized synthetic repositories shaped like the
-//! bench's `Medium` and `Wide` tiers, with SAT and UNSAT requests interleaved on one
-//! session and batch mode cross-checked against both.
+//! bench's `Medium` and `Wide` tiers and across solver seeds, with SAT and UNSAT
+//! requests interleaved on one session and batch mode cross-checked against both.
 
 use proptest::prelude::*;
 
-use spack_concretizer::{Concretization, ConcretizeError, Concretizer, SiteConfig};
+use asp::SolverConfig;
+use spack_concretizer::{Concretization, ConcretizeError, Concretizer, SiteConfig, SolveOptions};
 use spack_repo::{builtin_repo, synth_repo, SynthConfig};
 use spack_spec::parse_spec;
 use spack_store::{synthesize_buildcache, BuildcacheConfig};
@@ -59,16 +60,18 @@ fn requests_for(repo: &spack_repo::Repository, picks: &[usize]) -> Vec<String> {
     specs
 }
 
-/// Session-mode, batch-mode, and one-shot solves must be observationally identical,
-/// including interleaved SAT and UNSAT requests on one long-lived session.
-fn assert_session_matches_one_shot(repo: &spack_repo::Repository, specs: &[String]) {
-    let concretizer = Concretizer::new(repo).with_site(SiteConfig::minimal());
+/// Session-mode, batch-mode, and one-shot solves must be observationally identical
+/// under the given solver seed, including interleaved SAT and UNSAT requests on one
+/// long-lived session.
+fn assert_session_matches_one_shot(repo: &spack_repo::Repository, seed: u64, specs: &[String]) {
+    let options = SolveOptions::new().site(SiteConfig::minimal()).seed(seed);
+    let concretizer = Concretizer::new(repo).with_options(options);
     let session = concretizer.session().expect("session build");
     // Interleaved sequential requests on ONE session.
     for spec in specs {
         let one = render(&concretizer.concretize_str(spec));
         let ses = render(&session.concretize_str(spec));
-        assert_eq!(one, ses, "spec `{spec}`: session result differs from one-shot");
+        assert_eq!(one, ses, "spec `{spec}` (seed {seed}): session result differs from one-shot");
     }
     // Batch mode on the same session, cross-checked against the one-shot renderings.
     let parsed: Vec<Vec<spack_spec::Spec>> =
@@ -85,6 +88,30 @@ fn assert_session_matches_one_shot(repo: &spack_repo::Repository, specs: &[Strin
     assert_eq!(stats.requests, (specs.len() + parsed.len()) as u64);
 }
 
+/// A synthetic repository with the bench `Scale::Medium` structure (dependency chain
+/// + extra virtuals) at test-friendly size.
+fn medium_shaped_repo(seed: u64) -> spack_repo::Repository {
+    synth_repo(&SynthConfig {
+        packages: 48,
+        chain_depth: 10,
+        extra_virtuals: 2,
+        seed,
+        ..Default::default()
+    })
+}
+
+/// A synthetic repository with the bench `Scale::Wide` structure (high fan-out,
+/// virtual-heavy) at test-friendly size.
+fn wide_shaped_repo(seed: u64) -> spack_repo::Repository {
+    synth_repo(&SynthConfig {
+        packages: 40,
+        max_deps: 8,
+        mpi_fraction: 0.6,
+        seed,
+        ..Default::default()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
@@ -95,15 +122,9 @@ proptest! {
         seed in 0u64..200,
         picks in proptest::collection::vec(0usize..50, 4..7),
     ) {
-        let repo = synth_repo(&SynthConfig {
-            packages: 48,
-            chain_depth: 10,
-            extra_virtuals: 2,
-            seed,
-            ..Default::default()
-        });
+        let repo = medium_shaped_repo(seed);
         let specs = requests_for(&repo, &picks);
-        assert_session_matches_one_shot(&repo, &specs);
+        assert_session_matches_one_shot(&repo, SolverConfig::default().seed, &specs);
     }
 }
 
@@ -117,15 +138,42 @@ proptest! {
         seed in 0u64..200,
         picks in proptest::collection::vec(0usize..50, 4..7),
     ) {
-        let repo = synth_repo(&SynthConfig {
-            packages: 40,
-            max_deps: 8,
-            mpi_fraction: 0.6,
-            seed,
-            ..Default::default()
-        });
+        let repo = wide_shaped_repo(seed);
         let specs = requests_for(&repo, &picks);
-        assert_session_matches_one_shot(&repo, &specs);
+        assert_session_matches_one_shot(&repo, SolverConfig::default().seed, &specs);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Medium-shaped repositories across solver seeds: whatever seed drives the
+    /// descent, session, batch and one-shot solves stay identical.
+    #[test]
+    fn session_matches_one_shot_across_solver_seeds_on_medium_shaped_repos(
+        repo_seed in 0u64..200,
+        solver_seed in 0u64..8,
+        picks in proptest::collection::vec(0usize..50, 3..6),
+    ) {
+        let repo = medium_shaped_repo(repo_seed);
+        let specs = requests_for(&repo, &picks);
+        assert_session_matches_one_shot(&repo, solver_seed, &specs);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Wide-shaped repositories across solver seeds.
+    #[test]
+    fn session_matches_one_shot_across_solver_seeds_on_wide_shaped_repos(
+        repo_seed in 0u64..200,
+        solver_seed in 0u64..8,
+        picks in proptest::collection::vec(0usize..50, 3..6),
+    ) {
+        let repo = wide_shaped_repo(repo_seed);
+        let specs = requests_for(&repo, &picks);
+        assert_session_matches_one_shot(&repo, solver_seed, &specs);
     }
 }
 
@@ -136,7 +184,8 @@ proptest! {
 fn session_matches_one_shot_with_buildcache() {
     let repo = builtin_repo();
     let cache = synthesize_buildcache(&repo, &BuildcacheConfig::default());
-    let concretizer = Concretizer::new(&repo).with_site(SiteConfig::quartz()).with_database(&cache);
+    let concretizer = Concretizer::new(&repo)
+        .with_options(SolveOptions::new().site(SiteConfig::quartz()).database(&cache));
     let session = concretizer.session().expect("session build");
     for spec in ["zlib", "hdf5", "mpileaks", "zlib@9.9", "example~bzip", "netcdf-c ^hdf5~mpi"] {
         let one = render(&concretizer.concretize_str(spec));
@@ -151,7 +200,8 @@ fn session_matches_one_shot_with_buildcache() {
 #[test]
 fn session_grounds_base_once_across_many_requests() {
     let repo = builtin_repo();
-    let concretizer = Concretizer::new(&repo).with_site(SiteConfig::quartz());
+    let concretizer =
+        Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
     let session = concretizer.session().expect("session build");
     let specs = [
         "zlib",

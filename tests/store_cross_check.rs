@@ -1,27 +1,25 @@
-//! The determinism harness for parallel solving.
+//! The determinism harness for the cross-request nogood store.
 //!
-//! Portfolio mode races differently-seeded solver configurations per optimization
-//! level and takes the first winner; the shared nogood store transfers learned
-//! clauses across requests with the same closure digest. Both are *pure
-//! accelerations*: the engine re-derives every returned model (and re-proves every
-//! returned core) on a canonical serial configuration, so results must be
-//! **byte-identical** to serial mode — same DAG, same objective vector, same
-//! reuse/build partition, same diagnostics — regardless of thread timing, portfolio
-//! width, or what the store happens to contain. These tests pin that contract:
+//! A session's shared nogood store transfers provenance-safe learned clauses across
+//! requests with the same closure digest. The transfer is a *pure acceleration*: the
+//! engine re-derives every returned model (and re-proves every returned core) on a
+//! cold-started solver, so results must be **byte-identical** with the store on and
+//! off — same DAG, same objective vector, same reuse/build partition, same
+//! diagnostics — whatever the store happens to contain. These tests pin that
+//! contract:
 //!
-//! * proptests over random synthetic repositories and solver seeds, portfolio-3
-//!   sessions vs serial sessions vs one-shot solves, SAT and UNSAT interleaved on
-//!   one session with the shared store on (its default);
-//! * a store on-vs-off proptest (soundness: transferred clauses change nothing
-//!   observable);
+//! * a store on-vs-off proptest over random synthetic repositories and solver seeds,
+//!   SAT and UNSAT interleaved on one session, every request solved twice so the
+//!   store-on session actually transfers clauses;
+//! * a check that repeated identical requests hit the store and transfer clauses;
 //! * a mutation-style test that a deliberately-corrupted transferred clause is
 //!   caught by the debug-mode canonical-form assertion in the trusted bulk loader;
-//! * a threaded stress test — several OS threads hammering one portfolio session —
-//!   cross-checked against a serial oracle under a watchdog timeout.
+//! * a threaded stress test — several OS threads hammering one store-on session —
+//!   cross-checked against the one-shot oracle under a watchdog timeout.
 
 use proptest::prelude::*;
 
-use spack_concretizer::{Concretization, ConcretizeError, Concretizer, SiteConfig};
+use spack_concretizer::{Concretization, ConcretizeError, Concretizer, SiteConfig, SolveOptions};
 use spack_repo::{builtin_repo, synth_repo, SynthConfig};
 
 /// Render everything a caller can observe about a result, for equality comparison
@@ -67,36 +65,16 @@ fn requests_for(repo: &spack_repo::Repository, picks: &[usize]) -> Vec<String> {
     specs
 }
 
-/// A concretizer over `repo` with the given solver seed and portfolio width.
-fn concretizer(repo: &spack_repo::Repository, seed: u64, portfolio: usize) -> Concretizer<'_> {
-    Concretizer::new(repo)
-        .with_site(SiteConfig::minimal())
-        .with_solver_config(asp::SolverConfig { seed, ..Default::default() })
-        .with_portfolio(portfolio)
-}
-
-/// The determinism contract: one-shot serial, a serial session, and a portfolio-3
-/// session (shared nogood store on, its default) must be observationally identical
-/// on an interleaved SAT/UNSAT request stream.
-fn assert_portfolio_matches_serial(repo: &spack_repo::Repository, seed: u64, specs: &[String]) {
-    let serial = concretizer(repo, seed, 1);
-    let serial_session = serial.session().expect("serial session build");
-    let portfolio_session = concretizer(repo, seed, 3).session().expect("portfolio session build");
-    for spec in specs {
-        let one = render(&serial.concretize_str(spec));
-        let ser = render(&serial_session.concretize_str(spec));
-        let par = render(&portfolio_session.concretize_str(spec));
-        assert_eq!(one, ser, "spec `{spec}` (seed {seed}): serial session differs from one-shot");
-        assert_eq!(one, par, "spec `{spec}` (seed {seed}): portfolio session differs from serial");
-    }
-}
-
 /// Soundness of the cross-request transfer: a session with the shared store
 /// disabled must produce exactly what the default (store-on) session produces.
 fn assert_store_changes_nothing(repo: &spack_repo::Repository, seed: u64, specs: &[String]) {
-    let with_store = concretizer(repo, seed, 1).session().expect("session build");
-    let without_store =
-        concretizer(repo, seed, 1).with_nogood_store(false).session().expect("session build");
+    let options = SolveOptions::new().site(SiteConfig::minimal()).seed(seed);
+    let with_store =
+        Concretizer::new(repo).with_options(options.clone()).session().expect("session build");
+    let without_store = Concretizer::new(repo)
+        .with_options(options.nogood_store(false))
+        .session()
+        .expect("session build");
     for spec in specs {
         // Solve every spec twice so the store-on session actually transfers clauses
         // between identical requests (first publishes, second fetches).
@@ -108,52 +86,6 @@ fn assert_store_changes_nothing(repo: &spack_repo::Repository, seed: u64, specs:
                 "spec `{spec}` (seed {seed}, round {round}): nogood store changed the result"
             );
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Medium-shaped synthetic repositories (dependency chain + extra virtuals),
-    /// across solver seeds: portfolio results are byte-identical to serial.
-    #[test]
-    fn portfolio_matches_serial_on_medium_shaped_repos(
-        repo_seed in 0u64..200,
-        solver_seed in 0u64..8,
-        picks in proptest::collection::vec(0usize..50, 3..6),
-    ) {
-        let repo = synth_repo(&SynthConfig {
-            packages: 48,
-            chain_depth: 10,
-            extra_virtuals: 2,
-            seed: repo_seed,
-            ..Default::default()
-        });
-        let specs = requests_for(&repo, &picks);
-        assert_portfolio_matches_serial(&repo, solver_seed, &specs);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Wide-shaped synthetic repositories (high fan-out, virtual-heavy), across
-    /// solver seeds: portfolio results are byte-identical to serial.
-    #[test]
-    fn portfolio_matches_serial_on_wide_shaped_repos(
-        repo_seed in 0u64..200,
-        solver_seed in 0u64..8,
-        picks in proptest::collection::vec(0usize..50, 3..6),
-    ) {
-        let repo = synth_repo(&SynthConfig {
-            packages: 40,
-            max_deps: 8,
-            mpi_fraction: 0.6,
-            seed: repo_seed,
-            ..Default::default()
-        });
-        let specs = requests_for(&repo, &picks);
-        assert_portfolio_matches_serial(&repo, solver_seed, &specs);
     }
 }
 
@@ -185,8 +117,10 @@ proptest! {
 #[test]
 fn nogood_store_transfers_between_identical_requests() {
     let repo = builtin_repo();
-    let session =
-        Concretizer::new(&repo).with_site(SiteConfig::quartz()).session().expect("session build");
+    let session = Concretizer::new(&repo)
+        .with_options(SolveOptions::new().site(SiteConfig::quartz()))
+        .session()
+        .expect("session build");
     // mpileaks is the builtin root whose optimization reliably learns
     // provenance-safe clauses to publish (small closures can learn none).
     let first = render(&session.concretize_str("mpileaks"));
@@ -196,22 +130,6 @@ fn nogood_store_transfers_between_identical_requests() {
     assert!(stats.store_misses > 0, "the first request must miss the empty store");
     assert!(stats.store_hits > 0, "the repeated request must hit the shared store");
     assert!(stats.store_transferred > 0, "clauses must transfer across requests");
-}
-
-/// The aggregated solve stats stay meaningful under parallelism: the serial winner
-/// seed is deterministic across runs, and a portfolio solve (whatever worker wins
-/// the race) reports the same observable result.
-#[test]
-fn winner_seed_is_deterministic_serially_and_result_invariant_under_racing() {
-    let repo = builtin_repo();
-    let serial = Concretizer::new(&repo).with_site(SiteConfig::quartz());
-    let a = serial.concretize_str("mpileaks").expect("sat");
-    let b = serial.concretize_str("mpileaks").expect("sat");
-    assert_eq!(a.stats.winner_seed, b.stats.winner_seed, "serial winner seed must be stable");
-    assert!(a.stats.conflicts + a.stats.propagations > 0, "stats must be populated");
-    let portfolio = Concretizer::new(&repo).with_site(SiteConfig::quartz()).with_portfolio(3);
-    let c = portfolio.concretize_str("mpileaks").expect("sat");
-    assert_eq!(render(&Ok(a)), render(&Ok(c)), "portfolio result must match serial");
 }
 
 /// Mutation-style soundness check at the public-API level: corrupt a shelved clause
@@ -233,10 +151,10 @@ fn corrupted_transferred_clause_is_caught_in_debug() {
     assert!(outcome.is_err(), "debug-mode trusted load must reject a non-canonical clause");
 }
 
-/// Threaded stress: several OS threads hammer one portfolio-2 session (shared store
-/// on) with a mixed SAT/UNSAT request stream; every result must equal the serial
-/// one-shot oracle, with no panic or deadlock. A watchdog thread bounds the test —
-/// a deadlock fails loudly instead of hanging the suite.
+/// Threaded stress: several OS threads hammer one session (shared store on) with a
+/// mixed SAT/UNSAT request stream; every result must equal the one-shot oracle, with
+/// no panic or deadlock. A watchdog thread bounds the test — a deadlock fails loudly
+/// instead of hanging the suite.
 #[test]
 fn threaded_stress_matches_serial_oracle() {
     const THREADS: usize = 4;
@@ -244,14 +162,12 @@ fn threaded_stress_matches_serial_oracle() {
     let (tx, rx) = std::sync::mpsc::channel::<()>();
     std::thread::spawn(move || {
         let repo = builtin_repo();
-        let serial = Concretizer::new(&repo).with_site(SiteConfig::quartz());
+        let oneshot =
+            Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
         let specs = ["zlib", "hdf5", "zlib@9.9", "mpileaks", "example", "netcdf-c ^hdf5~mpi"];
-        let oracle: Vec<String> = specs.iter().map(|s| render(&serial.concretize_str(s))).collect();
-        let session = Concretizer::new(&repo)
-            .with_site(SiteConfig::quartz())
-            .with_portfolio(2)
-            .session()
-            .expect("portfolio session build");
+        let oracle: Vec<String> =
+            specs.iter().map(|s| render(&oneshot.concretize_str(s))).collect();
+        let session = oneshot.session().expect("session build");
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let (session, specs, oracle) = (&session, &specs, &oracle);
@@ -275,7 +191,7 @@ fn threaded_stress_matches_serial_oracle() {
     match rx.recv_timeout(std::time::Duration::from_secs(600)) {
         Ok(()) => {}
         Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-            panic!("threaded stress timed out — possible deadlock in the portfolio/session path")
+            panic!("threaded stress timed out — possible deadlock in the session path")
         }
         Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
             panic!("a stress thread panicked; see the assertion output above")

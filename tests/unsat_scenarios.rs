@@ -10,7 +10,7 @@
 //! values, conflict directives, compiler/target constraints, compiler–target support,
 //! unjustified `^dep` requirements, unusable providers, and exhausted reuse.
 
-use spack_concretizer::{ConcretizeError, Concretizer, Diagnostic, SiteConfig};
+use spack_concretizer::{ConcretizeError, Concretizer, Diagnostic, SiteConfig, SolveOptions};
 use spack_repo::{builtin_repo, PackageBuilder, Repository};
 use spack_spec::parse_spec;
 use spack_store::{synthesize_buildcache, BuildcacheConfig};
@@ -26,12 +26,12 @@ fn diagnose_with(
     let specs: Vec<_> =
         roots.iter().map(|r| parse_spec(r).expect("scenario specs parse")).collect();
     let cache;
-    let mut concretizer = Concretizer::new(repo).with_site(site);
+    let mut options = SolveOptions::new().site(site);
     if reuse {
         cache = synthesize_buildcache(repo, &BuildcacheConfig::default());
-        concretizer = concretizer.with_database(&cache);
+        options = options.database(&cache);
     }
-    match concretizer.concretize(&specs) {
+    match Concretizer::new(repo).with_options(options).concretize(&specs) {
         Ok(result) => panic!("scenario {roots:?} unexpectedly solved: {}", result.spec),
         Err(ConcretizeError::Unsatisfiable { diagnostics, stats }) => {
             assert!(
@@ -297,7 +297,7 @@ fn second_phase_performs_no_setup_and_no_grounding() {
     // the combined per-phase accounting must carry the (single) grounding.
     let repo = builtin_repo();
     let err = Concretizer::new(&repo)
-        .with_site(SiteConfig::quartz())
+        .with_options(SolveOptions::new().site(SiteConfig::quartz()))
         .concretize_str("netcdf-c ^hdf5~mpi")
         .unwrap_err();
     match err {
@@ -328,7 +328,10 @@ fn unsat_errors_never_fabricate_emptiness() {
     // Display path.
     let repo = builtin_repo();
     for spec in ["zlib@9.9", "netcdf-c ^hdf5~mpi", "zlib ^bzip2", "example%intel"] {
-        match Concretizer::new(&repo).with_site(SiteConfig::quartz()).concretize_str(spec) {
+        match Concretizer::new(&repo)
+            .with_options(SolveOptions::new().site(SiteConfig::quartz()))
+            .concretize_str(spec)
+        {
             Err(ConcretizeError::Unsatisfiable { diagnostics, .. }) => {
                 assert!(!diagnostics.is_empty(), "{spec}: fabricated empty report");
                 let text =
@@ -350,8 +353,10 @@ fn satisfiable_costs_carry_no_error_levels() {
     // diagnostics fold: the reported objective vector of a satisfiable solve must
     // contain only the Table II levels, exactly as before the fold.
     let repo = builtin_repo();
-    let result =
-        Concretizer::new(&repo).with_site(SiteConfig::quartz()).concretize_str("hdf5").unwrap();
+    let result = Concretizer::new(&repo)
+        .with_options(SolveOptions::new().site(SiteConfig::quartz()))
+        .concretize_str("hdf5")
+        .unwrap();
     assert!(
         result.cost.iter().all(|&(p, _)| p < 1000),
         "error levels leaked into the cost vector: {:?}",
@@ -364,7 +369,7 @@ fn satisfiable_costs_carry_no_error_levels() {
 fn display_of_unsatisfiable_carries_the_first_message() {
     let repo = builtin_repo();
     let err = Concretizer::new(&repo)
-        .with_site(SiteConfig::quartz())
+        .with_options(SolveOptions::new().site(SiteConfig::quartz()))
         .concretize_str("zlib@9.9")
         .unwrap_err();
     let text = err.to_string();
