@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use crate::ast::Program;
 use crate::ground::{BaseProgram, GroundError, GroundProgram, GroundStats, Grounder, PatchStats};
 use crate::optimize::{
-    enumerate_models_with_stats, solve_optimal_assuming, OptOutcome, OptStrategy, OptimalModel,
-    OptimizeError, ProbeVerdict, StableProbe,
+    enumerate_models_with_stats, solve_optimal_assuming, OptOutcome, OptimalModel, OptimizeError,
+    ProbeVerdict, StableProbe,
 };
 use crate::parser::{parse_program, ParseError};
 use crate::sat::{Lit, SatConfig, SolveBudgetState};
@@ -187,13 +187,11 @@ impl Drop for BudgetGuard {
     }
 }
 
-/// Solver configuration: preset, optimization strategy, and RNG seed.
+/// Solver configuration: preset, RNG seed, priority floor, nogood sharing and budget.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Search parameter preset.
     pub preset: Preset,
-    /// Optimization strategy.
-    pub strategy: OptStrategy,
     /// Seed for randomized tie-breaking.
     pub seed: u64,
     /// Minimize levels with a priority below this floor are dropped from the
@@ -215,7 +213,6 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             preset: Preset::default(),
-            strategy: OptStrategy::default(),
             seed: 0,
             priority_floor: i64::MIN,
             share_nogoods: true,
@@ -225,7 +222,7 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// Create a configuration from a preset with the default strategy.
+    /// Create a configuration from a preset, with every other setting at its default.
     pub fn preset(preset: Preset) -> Self {
         SolverConfig { preset, ..Default::default() }
     }
@@ -478,8 +475,10 @@ pub struct Stats {
     /// Total learned clauses deleted again by the reduction policy.
     pub deleted: u64,
     /// Clauses replayed from the session clause cache (loop nogoods + provenance-safe
-    /// learned clauses of earlier solves on this grounding) into the most recent
-    /// solve's solvers — the warm-start the shared cache provides.
+    /// learned clauses of earlier solves on this grounding) into the probe solver of
+    /// the most recent [`Control::minimize_core`] call. Zero when that call adopted
+    /// the failed solve's retired solver instead, and never set by a solve: optimizing
+    /// descents start cold and replay nothing.
     pub warm_clauses: u64,
     /// Clauses transferred into this control's clause cache from the cross-request
     /// [`crate::SharedClauseStore`] (zero without a store or on a store miss).
@@ -527,10 +526,11 @@ pub struct Control {
     /// returning unrestricted results would be worse than failing.
     restriction_requested: bool,
     /// The session clause cache for the *current grounding*: loop nogoods and
-    /// provenance-safe learned clauses collected across every solve on this control,
-    /// replayed into each newly built solver so later solves (e.g. the relaxed
-    /// diagnostics re-solve after a failed hard solve) warm-start instead of
-    /// re-deriving program consequences. Invalidated by [`Control::ground`].
+    /// provenance-safe learned clauses collected across every solve on this control.
+    /// Solves only write to it (their descents start cold, so answers never depend
+    /// on it); it warm-starts [`Control::minimize_core`] probes that cannot adopt a
+    /// retired solver, and is published to the cross-request store. Invalidated by
+    /// [`Control::ground`].
     clause_cache: crate::sat::ClauseCache,
     /// Cross-request clause store shared between the controls of one session (see
     /// [`Control::set_shared_store`]): [`Control::ground`] pre-seeds the clause cache
@@ -679,7 +679,8 @@ impl Control {
     /// (same closure digest — same formula, variable ids included), and every solve
     /// publishes its own harvest back. Must be called before [`Control::ground`] to
     /// take effect for that grounding. Results are byte-identical with or without a
-    /// store; transfers only speed the search up.
+    /// store: optimizing solves never read the cache, so a transfer can only
+    /// warm-start a [`Control::minimize_core`] probe.
     pub fn set_shared_store(&mut self, store: Arc<crate::sat::SharedClauseStore>) {
         self.shared_store = Some(store);
     }
@@ -964,7 +965,6 @@ impl Control {
             }
         }
         let mut cache = std::mem::take(&mut self.clause_cache);
-        self.stats.warm_clauses = cache.len() as u64;
         self.stats.budget_exhausted = false;
         let mut retired = None;
         // The guard owns the deadline monitor; dropping it (on every exit path from
@@ -974,7 +974,6 @@ impl Control {
             ground,
             translation,
             &self.config.sat_config(),
-            self.config.strategy,
             &lits,
             &fixed,
             priority_floor,
@@ -1073,17 +1072,21 @@ impl Control {
         let pinned_lits: Vec<Lit> =
             pinned.iter().filter_map(|a| self.assumption_lit(ground, a)).collect();
         let mut cache = std::mem::take(&mut self.clause_cache);
+        self.stats.warm_clauses = 0;
         let mut probe = match retired {
             Some((solver, fixed)) if fixed == pinned_lits => {
                 StableProbe::from_solver(ground, solver)
             }
-            _ => StableProbe::new(
-                ground,
-                translation,
-                &self.config.sat_config(),
-                &pinned_lits,
-                &cache,
-            ),
+            _ => {
+                self.stats.warm_clauses = cache.len() as u64;
+                StableProbe::new(
+                    ground,
+                    translation,
+                    &self.config.sat_config(),
+                    &pinned_lits,
+                    &cache,
+                )
+            }
         };
         // The diagnostics probes honour the same per-solve budget as the solves: an
         // expired budget aborts the minimization (keeping the current core — still a
@@ -1513,20 +1516,31 @@ mod tests {
     }
 
     #[test]
-    fn clause_cache_warm_starts_later_solves() {
+    fn solves_start_cold_and_only_core_probes_replay_the_cache() {
         // a and b support each other; a is also supported through the free choice x.
         // Solving under the assumption a must reject the unstable {a, b} candidate
-        // with a loop nogood; a second solve on the SAME control replays it from the
-        // session clause cache and must not examine unstable candidates again.
+        // with a loop nogood. The nogood lands in the session clause cache, but a
+        // second solve on the SAME control must not replay it: it re-derives it along
+        // the identical trajectory.
         let mut ctl = Control::new(SolverConfig::default());
-        ctl.add_program("a :- b. b :- a. a :- x. { x }. #minimize{ 1@1 : x }.").unwrap();
+        ctl.add_program("a :- b. b :- a. a :- x. { x; c }. :- a, c. #minimize{ 1@1 : x }.")
+            .unwrap();
         ctl.ground().unwrap();
         let a = [Assumption::holds("a", &[])];
+        let trajectory =
+            |s: &Stats| (s.models_examined, s.conflicts, s.solver_runs, s.loop_nogoods);
         assert!(matches!(ctl.solve_with_assumptions(&a).unwrap(), AssumeOutcome::Optimal { .. }));
-        assert!(ctl.stats().loop_nogoods > 0, "first solve must discover the loop nogood");
+        let first = trajectory(ctl.stats());
+        assert!(first.3 > 0, "the first solve must discover the loop nogood");
         assert!(matches!(ctl.solve_with_assumptions(&a).unwrap(), AssumeOutcome::Optimal { .. }));
-        assert!(ctl.stats().warm_clauses > 0, "the cache must seed the second solve");
-        assert_eq!(ctl.stats().loop_nogoods, 0, "the replayed nogood must prevent re-derivation");
+        assert_eq!(trajectory(ctl.stats()), first, "the second solve must repeat the first");
+        assert_eq!(ctl.stats().warm_clauses, 0, "a descent replays nothing");
+        // The last solve was satisfiable, so no retired solver is left to adopt: the
+        // core-minimization probe is built fresh and warm-starts from the cache.
+        let ac = [Assumption::holds("a", &[]), Assumption::holds("c", &[])];
+        let (core, _rounds) = ctl.minimize_core(&ac, &[0, 1], &[]).unwrap();
+        assert_eq!(core, vec![0, 1]);
+        assert!(ctl.stats().warm_clauses > 0, "a fresh probe must replay the cache");
     }
 
     #[test]

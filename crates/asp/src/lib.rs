@@ -75,5 +75,4 @@ pub use control::{
     SolveOutcome, SolverConfig, Stats, Value,
 };
 pub use ground::PatchStats;
-pub use optimize::OptStrategy;
 pub use sat::SharedClauseStore;

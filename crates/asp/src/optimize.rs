@@ -7,25 +7,23 @@
 //! priority level (by adding a weighted-sum upper bound), level by level in decreasing
 //! priority, until the optimum is proved for every level.
 //!
-//! # Determinism under warm starts
+//! # Determinism
 //!
-//! A solve may start warm: its session clause cache can carry loop nogoods and
-//! learned clauses from earlier solves on the same grounding, or clauses transferred
-//! in from sibling requests through the cross-request store. Those clauses steer the
-//! search *trajectory* (incumbent models, the order loop nogoods are found, learned
-//! clauses), so the incumbent is not reproducible across cache states — but the
-//! returned result is, by construction:
+//! Every solve starts cold. The descent replays no clause it did not derive itself in
+//! the same call: between levels a rebuilt solver warm-starts only from a clause cache
+//! local to the call (loop nogoods and the retired solvers' provenance-safe learned
+//! clauses), which starts empty. The caller's session cache is an output only: it
+//! receives the call's harvest at the end, and feeds the cross-request store and
+//! core-minimization probes (which consume nothing but SAT/UNSAT verdicts, so a warm
+//! start cannot change their answers either). The search trajectory is therefore a
+//! function of the problem (translation, fixed literals, assumptions, priority floor)
+//! and the solver configuration alone, so
 //!
 //! * the **cost vector** is the lexicographic optimum, unique whatever the trajectory;
-//! * the **model** is re-derived by a final *canonical extraction* solve — a fresh,
-//!   cold-started solver over (translation, fixed externals, every level pinned at its
-//!   optimal bound), a deterministic function of the problem alone. With all levels
-//!   simultaneously bounded at the optimum `c*`, any stable model found has cost
-//!   exactly `c*` (level 1 cannot go below the global minimum; given equality there,
-//!   level 2 cannot; and so on), so the extraction always succeeds and always returns
-//!   the same model, which is what makes cold and warm solves byte-identical;
-//! * an **unsat core** is either taken from a cold search, or re-proved on one (see
-//!   [`solve_optimal_assuming`]).
+//! * the **model** is the descent's final incumbent, the same on every repetition of
+//!   the solve, whatever earlier solves on the grounding left in the session cache;
+//! * an **unsat core** is the failed-assumption set of the initial (bound-free) run,
+//!   by the same argument.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -57,18 +55,6 @@ pub struct OptimalModel {
     pub sat: SatStats,
 }
 
-/// Strategy used to drive the optimization (mirrors clasp's `--opt-strategy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OptStrategy {
-    /// Model-guided branch and bound, level by level (clasp `bb,lin`).
-    #[default]
-    BranchAndBound,
-    /// Branch and bound with an aggressive first descent: after each improving model the
-    /// bound is set to the model's value minus one for *every* remaining level at once
-    /// (closer in spirit to core-guided descent; still complete).
-    Descent,
-}
-
 /// Outcome of an assumption-aware optimizing solve ([`solve_optimal_assuming`]).
 #[derive(Debug, Clone)]
 pub enum OptOutcome {
@@ -87,10 +73,10 @@ pub enum OptOutcome {
     /// was proven.
     Budget {
         /// The best stable model branch-and-bound had proven when the budget
-        /// expired, with the costs it achieved — *not* guaranteed optimal, and
-        /// (unlike [`OptOutcome::Optimal`]) trajectory-dependent, since the
-        /// canonical re-extraction is skipped under an expired budget. `None` when
-        /// the budget expired before any stable model was found.
+        /// expired, with the costs it achieved — *not* guaranteed optimal. The
+        /// descent is cold, so under a conflict limit the partial is reproducible;
+        /// under a wall deadline it depends on how far the search got in time.
+        /// `None` when the budget expired before any stable model was found.
         partial: Option<Box<OptimalModel>>,
         /// Aggregated solver statistics of the interrupted solve.
         sat: SatStats,
@@ -132,15 +118,13 @@ struct Level {
 /// over, and each iteration merely adds one more linear bound. Only when a level is
 /// proved optimal (its last bound is UNSAT, poisoning the solver) is a fresh solver
 /// built for the next level — seeded with the frozen bounds of the finished levels,
-/// the session clause cache (which carries the retired solvers' provenance-safe
-/// learned clauses), the loop nogoods discovered so far, and the incumbent model's
-/// phases (so the search restarts in the neighbourhood of the best known
-/// assignment).
+/// the clauses this solve derived so far (loop nogoods and the retired solvers'
+/// provenance-safe learned clauses), and the incumbent model's phases (so the search
+/// restarts in the neighbourhood of the best known assignment).
 pub fn solve_optimal(
     ground: &GroundProgram,
     translation: &Translation,
     config: &SatConfig,
-    strategy: OptStrategy,
 ) -> Result<Option<OptimalModel>, OptimizeError> {
     let mut retired = None;
     let mut cache = ClauseCache::default();
@@ -148,7 +132,6 @@ pub fn solve_optimal(
         ground,
         translation,
         config,
-        strategy,
         &[],
         &[],
         i64::MIN,
@@ -185,14 +168,14 @@ pub fn solve_optimal(
 /// and its learned clauses make it a warm probe for follow-up work such as
 /// deletion-based core minimization (see [`StableProbe::from_solver`]).
 ///
-/// `cache` is the session clause cache shared by every solve on this grounding: its
-/// clauses are replayed into each solver built here, and every loop nogood found (plus
-/// the provenance-safe learned clauses of each retiring solver) flows back into it.
+/// `cache` is the session clause cache shared by every solve on this grounding. It is
+/// an output only: nothing in it is replayed here (see the module docs on
+/// determinism), and every loop nogood found plus the provenance-safe learned clauses
+/// of each retiring solver are merged into it when the solve ends.
 ///
 /// `budget` is an optional shared solve budget (see [`SolveBudgetState`]): it is
-/// installed into *every* solver this solve builds — the descent solvers and the
-/// canonical extraction/core re-proof alike — so an armed budget interrupts the solve
-/// within one solver check interval no matter which phase it is in. An interrupted
+/// installed into *every* solver this solve builds, so an armed budget interrupts the
+/// solve within one solver check interval no matter which level it is on. An interrupted
 /// solve returns [`OptOutcome::Budget`], carrying the incumbent model when
 /// branch-and-bound had already proven one (graceful degradation).
 #[allow(clippy::too_many_arguments)]
@@ -200,7 +183,6 @@ pub fn solve_optimal_assuming(
     ground: &GroundProgram,
     translation: &Translation,
     config: &SatConfig,
-    strategy: OptStrategy,
     assumptions: &[Lit],
     fixed: &[Lit],
     priority_floor: i64,
@@ -214,10 +196,9 @@ pub fn solve_optimal_assuming(
     let levels: Vec<Level> =
         collect_levels(ground)?.into_iter().filter(|l| l.priority >= priority_floor).collect();
     let mut stats = RunStats::default();
-    // A warm-started cache (earlier solves, cross-request transfers) makes the search
-    // *trajectory* irreproducible; remember whether one is in play, because an unsat
-    // core is only canonical on a cold start (see the UNSAT arm below).
-    let deterministic_trajectory = cache.is_empty();
+    // The clauses this solve derives: the only warm start its rebuilt solvers get.
+    // Merged into the caller's `cache` on every exit, never seeded from it.
+    let mut derived = ClauseCache::default();
     // Loop nogoods discovered by the stability check are shared across solver runs.
     let mut extra_clauses: Vec<Vec<Lit>> = Vec::new();
     // One occurrence index serves every stability check of this solve.
@@ -226,13 +207,12 @@ pub fn solve_optimal_assuming(
     // Initial model with no objective bounds. The solver stays live across levels: it
     // is only discarded when a level's final (UNSAT) bound poisons it, and only
     // rebuilt lazily when a later level actually needs another run — warm-started
-    // from the session clause cache, the loop nogoods found so far, and the
-    // incumbent's phases. Every objective literal starts phase-biased towards *false*
-    // (clasp's optimization sign heuristic), so even the first model lands near the
-    // cheap end of the search space and the per-level descents start close to the
-    // optimum.
+    // from the clauses derived so far and the incumbent's phases. Every objective
+    // literal starts phase-biased towards *false* (clasp's optimization sign
+    // heuristic), so even the first model lands near the cheap end of the search space
+    // and the per-level descents start close to the optimum.
     let mut live =
-        Some(build_solver(translation, config, fixed, &[], &extra_clauses, cache, budget));
+        Some(build_solver(translation, config, fixed, &[], &extra_clauses, &derived, budget));
     if let Some(solver) = live.as_mut() {
         for level in &levels {
             for &(l, _) in &level.lits {
@@ -249,14 +229,15 @@ pub fn solve_optimal_assuming(
             &mut extra_clauses,
             assumptions,
             &mut stats,
-            cache,
+            &mut derived,
         ) {
             StableOutcome::Model(m) => m,
             StableOutcome::Interrupted => {
                 // The budget expired before even one stable model was found: there
                 // is nothing to degrade to.
                 stats.sat.absorb(&solver.stats);
-                cache.harvest(solver);
+                derived.harvest(solver);
+                cache.merge(derived);
                 return Ok(OptOutcome::Budget { partial: None, sat: stats.sat });
             }
             StableOutcome::Unsat => {
@@ -264,32 +245,9 @@ pub fn solve_optimal_assuming(
                 // failed-assumption set is a genuine unsat core (later UNSATs merely
                 // prove an objective bound optimal and carry no core).
                 stats.sat.absorb(&solver.stats);
-                cache.harvest(solver);
-                let core = if deterministic_trajectory {
-                    // Cold cache: the solver just ran the exact deterministic
-                    // refutation, so its core is the canonical one.
-                    solver.failed_assumptions().to_vec()
-                } else {
-                    // The refuting trajectory was steered by cached clauses, and
-                    // final-conflict cores are trajectory-dependent. Re-prove on a
-                    // fresh cold-started solver — the same search a cold solve would
-                    // have run — so diagnostics never depend on what happened to be
-                    // cached. An expired budget interrupts the re-proof; the live
-                    // solver's core (sound, merely trajectory-dependent) is the
-                    // graceful fallback.
-                    canonical_core(
-                        ground,
-                        translation,
-                        config,
-                        &levels,
-                        fixed,
-                        assumptions,
-                        &mut stats,
-                        cache,
-                        budget,
-                    )
-                    .unwrap_or_else(|| solver.failed_assumptions().to_vec())
-                };
+                derived.harvest(solver);
+                cache.merge(derived);
+                let core = solver.failed_assumptions().to_vec();
                 // Retired solvers feed `StableProbe::from_solver`: uninstall the
                 // budget so an adopter can never observe a stale interrupt.
                 *retired = live.take().map(|mut s| {
@@ -337,7 +295,7 @@ pub fn solve_optimal_assuming(
                 Some(s) => s,
                 None => {
                     // The previous run retired the solver (UNSAT bound). Rebuild with
-                    // every frozen bound, the clause cache (which now carries the
+                    // every frozen bound, the derived clauses (which now carry the
                     // retired solver's provenance-safe learned clauses), and the
                     // loop nogoods, warm-started from the incumbent's phases.
                     let mut s = build_solver(
@@ -346,7 +304,7 @@ pub fn solve_optimal_assuming(
                         fixed,
                         &fixed_bounds,
                         &extra_clauses,
-                        cache,
+                        &derived,
                         budget,
                     );
                     for (v, &val) in best.iter().enumerate() {
@@ -372,24 +330,9 @@ pub fn solve_optimal_assuming(
             // classic descent reaches a zero-cost model just as fast when one exists,
             // and a failed probe would waste a full UNSAT proof (plus a solver
             // rebuild) on levels whose optimum is small but nonzero.
-            let optimistic = !optimistic_failed
-                && current > 2
-                && strategy == OptStrategy::BranchAndBound
-                && live_bounds[li].is_none();
+            let optimistic = !optimistic_failed && current > 2 && live_bounds[li].is_none();
             let bound = if optimistic { 0 } else { current - 1 };
-            match strategy {
-                OptStrategy::BranchAndBound => {
-                    set_level_bound(solver, &mut live_bounds, li, level, bound);
-                }
-                OptStrategy::Descent => {
-                    // Demand improvement on this level and at least no regression on the
-                    // remaining ones simultaneously.
-                    set_level_bound(solver, &mut live_bounds, li, level, bound);
-                    for (lj, l) in levels.iter().enumerate().skip(li + 1) {
-                        set_level_bound(solver, &mut live_bounds, lj, l, best_costs[lj]);
-                    }
-                }
-            }
+            set_level_bound(solver, &mut live_bounds, li, level, bound);
             match run_stable(
                 solver,
                 ground,
@@ -397,7 +340,7 @@ pub fn solve_optimal_assuming(
                 &mut extra_clauses,
                 assumptions,
                 &mut stats,
-                cache,
+                &mut derived,
             ) {
                 StableOutcome::Model(m) => {
                     best_costs = level_costs(&levels, &m);
@@ -406,21 +349,20 @@ pub fn solve_optimal_assuming(
                 StableOutcome::Interrupted => {
                     // Budget expired mid-descent: degrade gracefully to the incumbent
                     // — a genuine stable model satisfying every bound proven so far,
-                    // just not necessarily optimal. No canonical re-extraction (it
-                    // would be interrupted too); under an expired budget the model is
-                    // trajectory-dependent by design.
+                    // just not necessarily optimal.
                     stats.sat.absorb(&solver.stats);
-                    cache.harvest(solver);
+                    derived.harvest(solver);
+                    cache.merge(derived);
                     return Ok(budget_partial(&levels, &best_costs, best, stats));
                 }
                 StableOutcome::Unsat => {
                     // The bound that failed poisons the solver either way, so retire
                     // it (a later run rebuilds on demand — its provenance-safe
-                    // learned clauses live on through the cache). A failed one-step
+                    // learned clauses live on through `derived`). A failed one-step
                     // descent proves the level optimal; a failed zero-probe only
                     // proves the optimum is nonzero — fall back to classic descents.
                     stats.sat.absorb(&solver.stats);
-                    cache.harvest(solver);
+                    derived.harvest(solver);
                     live = None;
                     if optimistic {
                         optimistic_failed = true;
@@ -441,45 +383,9 @@ pub fn solve_optimal_assuming(
     }
     if let Some(solver) = live.as_ref() {
         stats.sat.absorb(&solver.stats);
-        cache.harvest(solver);
+        derived.harvest(solver);
     }
-    drop(live);
-
-    // Canonical model extraction: the incumbent `best` depends on the search
-    // trajectory (which clauses the cache warm-started it with), but the optimal cost
-    // vector `best_costs` does not — it is the unique lexicographic optimum. Re-derive
-    // the returned model on a fresh cold-started solver with every level pinned at its
-    // optimal bound: its inputs are a deterministic function of the problem alone, so
-    // cold and warm-started solves return the same model byte for byte. With all
-    // levels simultaneously bounded at the optimum, any stable model of the pinned
-    // program has exactly the optimal cost (no level can beat its own proven optimum
-    // given equality above it), so the extraction cannot fail; the incumbent stays as
-    // a debug-checked safety net.
-    match extract_canonical(
-        ground,
-        translation,
-        config,
-        &levels,
-        fixed,
-        &fixed_bounds,
-        assumptions,
-        &mut stats,
-        cache,
-        budget,
-    ) {
-        StableOutcome::Model(model) => best = model,
-        StableOutcome::Interrupted => {
-            // The budget expired between the optimality proof and the canonical
-            // re-extraction: the costs are optimal but the returned model would be
-            // trajectory-dependent, so surface the incumbent as a budget partial
-            // rather than breaking the "Optimal implies deterministic" contract.
-            return Ok(budget_partial(&levels, &best_costs, best, stats));
-        }
-        StableOutcome::Unsat => {
-            debug_assert!(false, "extraction under pinned optimal bounds must be satisfiable");
-        }
-    }
-
+    cache.merge(derived);
     Ok(OptOutcome::Optimal(optimal_model(&levels, &best_costs, best, stats)))
 }
 
@@ -511,97 +417,6 @@ fn budget_partial(
 ) -> OptOutcome {
     let sat = stats.sat.clone();
     OptOutcome::Budget { partial: Some(Box::new(optimal_model(levels, costs, model, stats))), sat }
-}
-
-/// Build a fresh cold-started solver over the translation (plus `bounds`), with the
-/// objective literals phase-biased false — the deterministic solver setup shared by
-/// the canonical model extraction and the canonical core re-proof. Nothing
-/// trajectory-dependent (session cache contents, accumulated loop nogoods, incumbent
-/// phases) flows in, which is precisely what makes the result cache-independent.
-fn deterministic_solver(
-    translation: &Translation,
-    config: &SatConfig,
-    levels: &[Level],
-    fixed: &[Lit],
-    bounds: &[LinearSpec],
-    budget: Option<&Arc<SolveBudgetState>>,
-) -> Solver {
-    let empty = ClauseCache::default();
-    let mut solver = build_solver(translation, config, fixed, bounds, &[], &empty, budget);
-    for level in levels {
-        for &(l, _) in &level.lits {
-            solver.set_phase(l.var(), !l.is_pos());
-        }
-    }
-    solver
-}
-
-/// The canonical model extraction run (see [`solve_optimal_assuming`]): one
-/// deterministic stable-model search with every level pinned at its optimum. Loop
-/// nogoods it discovers still flow into the session cache, and its low-level solver
-/// work is absorbed into the aggregate statistics — but its model/nogood counters
-/// stay local, because they describe the deterministic re-derivation of the answer,
-/// not the optimization descent (a warm-started descent that re-derived nothing must
-/// still report zero loop nogoods).
-#[allow(clippy::too_many_arguments)]
-fn extract_canonical(
-    ground: &GroundProgram,
-    translation: &Translation,
-    config: &SatConfig,
-    levels: &[Level],
-    fixed: &[Lit],
-    bounds: &[LinearSpec],
-    assumptions: &[Lit],
-    stats: &mut RunStats,
-    cache: &mut ClauseCache,
-    budget: Option<&Arc<SolveBudgetState>>,
-) -> StableOutcome {
-    let mut solver = deterministic_solver(translation, config, levels, fixed, bounds, budget);
-    let mut checker = StabilityChecker::new(ground);
-    let mut extras: Vec<Vec<Lit>> = Vec::new();
-    let mut local = RunStats::default();
-    let outcome =
-        run_stable(&mut solver, ground, &mut checker, &mut extras, assumptions, &mut local, cache);
-    stats.runs += local.runs;
-    stats.sat.absorb(&solver.stats);
-    cache.harvest(&solver);
-    outcome
-}
-
-/// Re-prove an UNSAT outcome on a fresh cold-started solver and return *its*
-/// failed-assumption core — the same core a cold solve computes, making diagnostics
-/// independent of warm starts and cross-request clause transfers. Returns `None` when
-/// the solve budget expired before the re-proof finished; the caller falls back to a
-/// sound (but trajectory-dependent) core.
-#[allow(clippy::too_many_arguments)]
-fn canonical_core(
-    ground: &GroundProgram,
-    translation: &Translation,
-    config: &SatConfig,
-    levels: &[Level],
-    fixed: &[Lit],
-    assumptions: &[Lit],
-    stats: &mut RunStats,
-    cache: &mut ClauseCache,
-    budget: Option<&Arc<SolveBudgetState>>,
-) -> Option<Vec<Lit>> {
-    let mut solver = deterministic_solver(translation, config, levels, fixed, &[], budget);
-    let mut checker = StabilityChecker::new(ground);
-    let mut extras: Vec<Vec<Lit>> = Vec::new();
-    let mut local = RunStats::default();
-    let outcome =
-        run_stable(&mut solver, ground, &mut checker, &mut extras, assumptions, &mut local, cache);
-    stats.runs += local.runs;
-    stats.sat.absorb(&solver.stats);
-    cache.harvest(&solver);
-    match outcome {
-        StableOutcome::Unsat => Some(solver.failed_assumptions().to_vec()),
-        StableOutcome::Interrupted => None,
-        StableOutcome::Model(_) => {
-            debug_assert!(false, "the re-proof of an UNSAT search must be UNSAT");
-            Some(Vec::new())
-        }
-    }
 }
 
 /// Verdict of one [`StableProbe::check`] query.
@@ -896,7 +711,7 @@ fn build_solver(
     // Program content is provenance-safe; per-solve artifacts (external units,
     // objective bounds) are not — the distinction is what lets learned clauses be
     // exported back into the session cache. The translation (canonicalized once in
-    // `translate`) and the session cache (canonicalized on insert) both honour the
+    // `translate`) and every clause cache (canonicalized on insert) both honour the
     // trusted contract, so every rebuild ingests them on the validation-free bulk
     // path instead of re-sorting and re-checking each clause.
     solver.load_trusted_clauses(translation.clauses.iter().map(Vec::as_slice), true);
@@ -909,9 +724,10 @@ fn build_solver(
     for lin in &translation.linears {
         solver.add_linear_safe(lin.clone());
     }
-    // Session cache: loop nogoods and safe learned clauses from earlier solves on
-    // this grounding (possibly transferred in from sibling requests with the same
-    // closure digest).
+    // Cached program consequences: for a descent, the loop nogoods and safe learned
+    // clauses this solve derived so far; for a core-minimization probe, the session
+    // cache (possibly transferred in from sibling requests with the same closure
+    // digest).
     solver.load_trusted_clauses(cache.clauses().iter().map(Vec::as_slice), true);
     for clause in extra_clauses {
         if !solver.add_clause_safe(clause) {
@@ -1068,14 +884,9 @@ mod tests {
             #minimize{ W@3,P,V : version_weight(P, V, W) }.
             "#,
         );
-        let result = solve_optimal(
-            &ground,
-            &translation,
-            &SatConfig::default(),
-            OptStrategy::BranchAndBound,
-        )
-        .unwrap()
-        .expect("satisfiable");
+        let result = solve_optimal(&ground, &translation, &SatConfig::default())
+            .unwrap()
+            .expect("satisfiable");
         let atoms = true_atoms(&ground, &symbols, &result.model);
         assert!(atoms.contains(&"version(p,v_new)".to_string()), "{atoms:?}");
         assert_eq!(result.cost, vec![(3, 0)]);
@@ -1096,36 +907,12 @@ mod tests {
             #minimize{ W@1,P : low(P, W) }.
             "#,
         );
-        let result = solve_optimal(
-            &ground,
-            &translation,
-            &SatConfig::default(),
-            OptStrategy::BranchAndBound,
-        )
-        .unwrap()
-        .expect("satisfiable");
+        let result = solve_optimal(&ground, &translation, &SatConfig::default())
+            .unwrap()
+            .expect("satisfiable");
         let atoms = true_atoms(&ground, &symbols, &result.model);
         assert!(atoms.contains(&"pick(x)".to_string()));
         assert_eq!(result.cost, vec![(10, 0), (1, 7)]);
-    }
-
-    #[test]
-    fn descent_strategy_matches_bb_result() {
-        let text = r#"
-            1 { pick(x); pick(y); pick(z) } 1.
-            cost(x, 3). cost(y, 1). cost(z, 2).
-            paid(P, W) :- pick(P), cost(P, W).
-            #minimize{ W@1,P : paid(P, W) }.
-        "#;
-        let (ground, translation, symbols) = setup(text);
-        for strategy in [OptStrategy::BranchAndBound, OptStrategy::Descent] {
-            let result = solve_optimal(&ground, &translation, &SatConfig::default(), strategy)
-                .unwrap()
-                .expect("satisfiable");
-            let atoms = true_atoms(&ground, &symbols, &result.model);
-            assert!(atoms.contains(&"pick(y)".to_string()), "{strategy:?}: {atoms:?}");
-            assert_eq!(result.cost, vec![(1, 1)]);
-        }
     }
 
     #[test]
@@ -1154,13 +941,7 @@ mod tests {
             :- p(a).
             "#,
         );
-        let result = solve_optimal(
-            &ground,
-            &translation,
-            &SatConfig::default(),
-            OptStrategy::BranchAndBound,
-        )
-        .unwrap();
+        let result = solve_optimal(&ground, &translation, &SatConfig::default()).unwrap();
         assert!(result.is_none());
     }
 
@@ -1172,14 +953,9 @@ mod tests {
             #minimize{ 4@2,a : always(a) }.
             "#,
         );
-        let result = solve_optimal(
-            &ground,
-            &translation,
-            &SatConfig::default(),
-            OptStrategy::BranchAndBound,
-        )
-        .unwrap()
-        .expect("satisfiable");
+        let result = solve_optimal(&ground, &translation, &SatConfig::default())
+            .unwrap()
+            .expect("satisfiable");
         assert_eq!(result.cost, vec![(2, 4)]);
     }
 
@@ -1188,7 +964,6 @@ mod tests {
     fn solve_on(
         ground: &GroundProgram,
         translation: &Translation,
-        strategy: OptStrategy,
         assumptions: &[Lit],
         cache: &mut ClauseCache,
     ) -> OptOutcome {
@@ -1198,7 +973,6 @@ mod tests {
             ground,
             translation,
             &config,
-            strategy,
             assumptions,
             &[],
             i64::MIN,
@@ -1218,15 +992,14 @@ mod tests {
         Translation::atom_lit(id)
     }
 
-    /// Pins the canonical model extraction: on a program with several optimal models,
-    /// the returned model must not depend on the descent's trajectory — neither on the
-    /// strategy nor on what a warm session cache steered the search towards. The
-    /// positive loops make the first solve cache loop nogoods, so a repeated solve on
-    /// the same cache (a session answering the same request twice) descends along a
-    /// different path. Returning the descent's incumbent instead of re-extracting
-    /// breaks both comparisons.
+    /// Pins the cold descent: on a program with several optimal models, neither the
+    /// returned model nor the search trajectory may depend on what earlier solves left
+    /// in the session cache. The positive loops make the first solve cache loop
+    /// nogoods, so a repeated solve on the same cache (a session answering the same
+    /// request twice) would descend along a different path — and return a different
+    /// optimal model — if the descent replayed the cache.
     #[test]
-    fn optimal_model_is_independent_of_strategy_and_warm_cache() {
+    fn optimal_model_is_independent_of_warm_cache() {
         let (ground, translation, symbols) = setup(
             r#"
             { pick(a); pick(b); pick(c); pick(d); pick(e); pick(f) }.
@@ -1248,29 +1021,28 @@ mod tests {
             #minimize{ 1@1,P : r(P) }.
             "#,
         );
-        let model = |outcome: OptOutcome| match outcome {
-            OptOutcome::Optimal(m) => (true_atoms(&ground, &symbols, &m.model), m.cost),
+        let optimum = |outcome: OptOutcome| match outcome {
+            OptOutcome::Optimal(m) => m,
             other => panic!("expected an optimum, got {other:?}"),
         };
-        for strategy in [OptStrategy::BranchAndBound, OptStrategy::Descent] {
-            let mut cache = ClauseCache::default();
-            let cold = model(solve_on(&ground, &translation, strategy, &[], &mut cache));
-            assert!(!cache.is_empty(), "the cold solve must cache loop nogoods");
-            let warm = model(solve_on(&ground, &translation, strategy, &[], &mut cache));
-            assert_eq!(warm, cold, "{strategy:?}: a warm cache changed the optimal model");
-            let reference = model(solve_on(
-                &ground,
-                &translation,
-                OptStrategy::BranchAndBound,
-                &[],
-                &mut ClauseCache::default(),
-            ));
-            assert_eq!(cold, reference, "{strategy:?}: the strategy changed the optimal model");
-        }
+        let trajectory = |m: &OptimalModel| {
+            (m.models_examined, m.solver_runs, m.conflicts, m.loop_nogoods, m.sat.decisions)
+        };
+        let mut cache = ClauseCache::default();
+        let cold = optimum(solve_on(&ground, &translation, &[], &mut cache));
+        assert!(cold.loop_nogoods > 0, "the cold solve must find loop nogoods");
+        assert!(!cache.is_empty(), "the cold solve must hand its clauses to the cache");
+        let warm = optimum(solve_on(&ground, &translation, &[], &mut cache));
+        assert_eq!(
+            (true_atoms(&ground, &symbols, &warm.model), &warm.cost),
+            (true_atoms(&ground, &symbols, &cold.model), &cold.cost),
+            "a warm cache changed the optimal model"
+        );
+        assert_eq!(trajectory(&warm), trajectory(&cold), "a warm cache changed the descent");
     }
 
-    /// Pins the canonical core re-proof: an unsat core taken from a warm-started
-    /// search must equal the cold search's core. Here `a` and `c` conflict directly
+    /// Pins the cold refutation: an unsat core taken from a search on a warm session
+    /// cache must equal the cold search's core. Here `a` and `c` conflict directly
     /// (found by propagation as soon as `c` is assumed) while `a` and `b` only
     /// conflict through search; a cache warmed by an earlier `[a, b]` refutation
     /// carries the learned `¬a ∨ ¬b`, which makes the live search blame `b` first.
@@ -1294,19 +1066,12 @@ mod tests {
             }
             other => panic!("expected UNSAT, got {other:?}"),
         };
-        let strategy = OptStrategy::BranchAndBound;
-        let cold = core(solve_on(
-            &ground,
-            &translation,
-            strategy,
-            &[a, b, c],
-            &mut ClauseCache::default(),
-        ));
+        let cold = core(solve_on(&ground, &translation, &[a, b, c], &mut ClauseCache::default()));
         let mut warm = ClauseCache::default();
-        let ab = core(solve_on(&ground, &translation, strategy, &[a, b], &mut warm));
+        let ab = core(solve_on(&ground, &translation, &[a, b], &mut warm));
         assert_eq!(ab.len(), 2, "{ab:?}");
         assert!(!warm.is_empty(), "the [a, b] refutation must leave learned clauses");
-        let warmed = core(solve_on(&ground, &translation, strategy, &[a, b, c], &mut warm));
+        let warmed = core(solve_on(&ground, &translation, &[a, b, c], &mut warm));
         assert_eq!(warmed, cold, "a warm cache changed the unsat core");
     }
 }

@@ -39,9 +39,9 @@
 //! clause is safe exactly when every antecedent resolved into it (including the
 //! level-0 assignments it absorbed) is safe — so [`Solver::safe_learned_clauses`]
 //! yields clauses that hold in *every* solve of the same translation. A
-//! [`ClauseCache`] collects them (plus loop nogoods) across the solves of one
-//! grounding and replays them into each newly built solver: later solves warm-start
-//! from everything the earlier ones learned about the program itself.
+//! [`ClauseCache`] collects them (plus loop nogoods) and replays them into newly built
+//! solvers: a solver rebuilt between optimization levels warm-starts from everything
+//! the solve learned about the program itself so far.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -133,9 +133,9 @@ pub enum SearchResult {
     Interrupted,
 }
 
-/// Shared budget accounting for one logical solve (the solvers of every descent step,
-/// the canonical re-extraction and the core minimization probes of one
-/// `Control::solve*` call point at the same instance).
+/// Shared budget accounting for one logical solve (the solvers of every descent step
+/// of one `Control::solve*` call, or the probe of one `Control::minimize_core` call,
+/// point at the same instance).
 ///
 /// The search loop checks the budget once per propagation/conflict round, so an
 /// expired budget is observed within one round — the "one solver check interval" of
@@ -1481,13 +1481,15 @@ impl Solver {
     }
 }
 
-/// A session-scoped cache of clauses that are *consequences of one ground program* —
-/// loop nogoods from the stability check and provenance-safe learned clauses — shared
-/// by every solve on that grounding. Each newly built solver replays the cache, so the
-/// relaxed diagnostics re-solve, core-minimization probes, and later optimization
-/// levels warm-start from everything earlier solves proved about the program instead
-/// of re-deriving it. Invalidated (by the owner) whenever the grounding changes.
-#[derive(Debug, Default)]
+/// A cache of clauses that are *consequences of one ground program* — loop nogoods
+/// from the stability check and provenance-safe learned clauses. One optimizing solve
+/// keeps a cache of its own, which warm-starts the solvers it rebuilds between
+/// optimization levels; at the end it is merged into the session's cache for that
+/// grounding, which warm-starts core-minimization probes (they consume only SAT/UNSAT
+/// verdicts, so a warm start cannot change an answer) and is shared across requests
+/// through the [`SharedClauseStore`]. Invalidated (by the owner) whenever the
+/// grounding changes.
+#[derive(Debug, Default, Clone)]
 pub struct ClauseCache {
     clauses: Vec<Vec<Lit>>,
     seen: FxHashSet<u64>,
@@ -1527,6 +1529,21 @@ impl ClauseCache {
         }
         for c in solver.safe_learned_clauses() {
             self.add(c);
+        }
+    }
+
+    /// Move every clause of `other` into this cache (deduplicated, capped). Into an
+    /// empty cache the clauses move raw: they are canonical by construction, and
+    /// re-canonicalizing them through [`ClauseCache::add`] would cost a sort per
+    /// clause (and mask a corrupted entry that the trusted-load assertion in debug
+    /// builds is meant to catch).
+    pub fn merge(&mut self, other: ClauseCache) {
+        if self.is_empty() {
+            *self = other;
+        } else {
+            for clause in &other.clauses {
+                self.add(clause);
+            }
         }
     }
 
@@ -1578,19 +1595,7 @@ impl SharedClauseStore {
         let transferred = match shelves.get(&key) {
             Some(shelf) if !shelf.is_empty() => {
                 let before = cache.len();
-                if cache.is_empty() {
-                    // Usual case: a freshly reset request cache. Shelved clauses are
-                    // canonical by construction, so copy them raw rather than paying
-                    // `add`'s re-canonicalization per clause (it would also mask a
-                    // corrupted shelf entry that the trusted-load assertion in debug
-                    // builds is meant to catch).
-                    cache.clauses = shelf.clauses.clone();
-                    cache.seen = shelf.seen.clone();
-                } else {
-                    for clause in shelf.clauses() {
-                        cache.add(clause);
-                    }
-                }
+                cache.merge(shelf.clone());
                 cache.len() - before
             }
             _ => {

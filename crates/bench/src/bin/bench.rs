@@ -417,9 +417,8 @@ fn main() -> std::process::ExitCode {
     // ---- unsat_diagnostics: the single-grounding explanation pipeline ---------------------
     // Deliberately infeasible requests: wall-clock covers the failed solve plus core
     // minimization and the relaxed re-solve (which reuses the first solve's ground
-    // program — second-phase grounding must be zero — and warm-starts from its loop
-    // nogoods and provenance-safe learned clauses through the session clause cache);
-    // the stages and counters expose the diagnostics cost per phase.
+    // program — second-phase grounding must be zero — and, like every solve, starts
+    // cold); the stages and counters expose the diagnostics cost per phase.
     for (name, spec) in [("version_pin", "zlib@9.9"), ("variant_pin", "netcdf-c ^hdf5~mpi")] {
         runner.measure("unsat_diagnostics", name, || {
             match Concretizer::new(&builtin)

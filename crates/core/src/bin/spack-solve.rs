@@ -327,7 +327,10 @@ fn print_stats(result: &spack_concretizer::Concretization) {
         "            {} decisions, {} propagations, {} conflicts, {} restarts, {} learned ({} deleted)",
         s.decisions, s.propagations, s.conflicts, s.restarts, s.learned, s.deleted
     );
-    println!("            warm clauses {}, transferred {}", s.warm_clauses, s.transferred_clauses);
+    println!(
+        "            core-probe warm clauses {}, transferred {}",
+        s.warm_clauses, s.transferred_clauses
+    );
 }
 
 /// `spack-solve batch <file>`: one request per line, answered on a single multi-shot

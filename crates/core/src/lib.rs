@@ -528,10 +528,11 @@ fn build_concretization(
 /// The second phase of the diagnostics pipeline, run on the *same* control as the
 /// failed normal solve: minimize the unsat core, flip the `relax_mode` guard true
 /// and re-solve (errors minimized instead of forbidden — no second setup, no
-/// second grounding), and render both into [`Diagnostic`]s. The relaxed solve
-/// warm-starts from the failed hard solve's loop nogoods and provenance-safe learned
-/// clauses through the control's session clause cache
-/// ([`DiagnosticsStats::warm_clauses`] reports how many were replayed).
+/// second grounding), and render both into [`Diagnostic`]s. The core minimization
+/// adopts the failed hard solve's retired solver, or warm-starts a fresh probe from
+/// the control's session clause cache ([`DiagnosticsStats::warm_clauses`] reports how
+/// many clauses it replayed). The relaxed solve starts cold, like every solve, so its
+/// explanation never depends on what the hard solve happened to learn.
 fn explain_unsat(
     roots: &[Spec],
     setup_info: &SetupInfo,
