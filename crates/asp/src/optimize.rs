@@ -30,7 +30,8 @@ use std::sync::Arc;
 
 use crate::ground::GroundProgram;
 use crate::sat::{
-    ClauseCache, LinearSpec, Lit, SatConfig, SatStats, SearchResult, SolveBudgetState, Solver, Var,
+    ClauseArena, ClauseCache, LinearSpec, Lit, SatConfig, SatStats, SearchResult, SolveBudgetState,
+    Solver, Var,
 };
 use crate::stable::StabilityChecker;
 use crate::translate::Translation;
@@ -200,7 +201,7 @@ pub fn solve_optimal_assuming(
     // Merged into the caller's `cache` on every exit, never seeded from it.
     let mut derived = ClauseCache::default();
     // Loop nogoods discovered by the stability check are shared across solver runs.
-    let mut extra_clauses: Vec<Vec<Lit>> = Vec::new();
+    let mut extra_clauses = ClauseArena::new();
     // One occurrence index serves every stability check of this solve.
     let mut checker = StabilityChecker::new(ground);
 
@@ -456,7 +457,9 @@ impl StableProbe {
         fixed: &[Lit],
         cache: &ClauseCache,
     ) -> Self {
-        Self::from_solver(ground, build_solver(translation, config, fixed, &[], &[], cache, None))
+        let solver =
+            build_solver(translation, config, fixed, &[], &ClauseArena::new(), cache, None);
+        Self::from_solver(ground, solver)
     }
 
     /// Adopt an existing solver as the probe — typically the retired solver of a
@@ -557,7 +560,8 @@ pub fn enumerate_models_with_stats(
         return (models, SatStats::default(), examined);
     }
     let empty_cache = ClauseCache::default();
-    let mut solver = build_solver(translation, config, &[], &[], &[], &empty_cache, None);
+    let mut solver =
+        build_solver(translation, config, &[], &[], &ClauseArena::new(), &empty_cache, None);
     let mut checker = StabilityChecker::new(ground);
     loop {
         if models.len() >= limit {
@@ -702,19 +706,21 @@ fn build_solver(
     config: &SatConfig,
     fixed: &[Lit],
     bounds: &[LinearSpec],
-    extra_clauses: &[Vec<Lit>],
+    extra_clauses: &ClauseArena,
     cache: &ClauseCache,
     budget: Option<&Arc<SolveBudgetState>>,
 ) -> Solver {
     let mut solver = Solver::new(translation.num_vars, config.clone());
     solver.set_budget(budget.cloned());
+    let (stored, cached) = (&translation.clauses, cache.clauses());
+    solver.reserve_clauses(stored.len() + cached.len(), stored.num_lits() + cached.num_lits());
     // Program content is provenance-safe; per-solve artifacts (external units,
     // objective bounds) are not — the distinction is what lets learned clauses be
     // exported back into the session cache. The translation (canonicalized once in
     // `translate`) and every clause cache (canonicalized on insert) both honour the
     // trusted contract, so every rebuild ingests them on the validation-free bulk
     // path instead of re-sorting and re-checking each clause.
-    solver.load_trusted_clauses(translation.clauses.iter().map(Vec::as_slice), true);
+    solver.load_trusted_clauses(stored, true);
     // Per-solve truths of `#external` guard atoms, as root-level units.
     for &l in fixed {
         if !solver.add_clause(&[l]) {
@@ -728,7 +734,7 @@ fn build_solver(
     // clauses this solve derived so far; for a core-minimization probe, the session
     // cache (possibly transferred in from sibling requests with the same closure
     // digest).
-    solver.load_trusted_clauses(cache.clauses().iter().map(Vec::as_slice), true);
+    solver.load_trusted_clauses(cached, true);
     for clause in extra_clauses {
         if !solver.add_clause_safe(clause) {
             break;
@@ -769,7 +775,7 @@ fn run_stable(
     solver: &mut Solver,
     ground: &GroundProgram,
     checker: &mut StabilityChecker,
-    extra_clauses: &mut Vec<Vec<Lit>>,
+    extra_clauses: &mut ClauseArena,
     assumptions: &[Lit],
     stats: &mut RunStats,
     cache: &mut ClauseCache,
@@ -798,7 +804,7 @@ fn run_stable(
                         nogood.len()
                     );
                 }
-                extra_clauses.push(nogood.clone());
+                extra_clauses.push(&nogood);
                 cache.add(&nogood);
                 if !solver.add_clause_safe(&nogood) {
                     return StableOutcome::Unsat;

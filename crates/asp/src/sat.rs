@@ -101,6 +101,169 @@ impl fmt::Display for Lit {
     }
 }
 
+/// Clause storage: every clause's literals back to back in one `Vec<Lit>`, plus one
+/// `(start, len)` span per clause — a region allocator in the style of MiniSat's
+/// `ClauseAllocator`. Pushing a clause is an `extend` of the shared buffer, and
+/// dropping the arena frees two allocations instead of one per clause. Clause `i` is
+/// addressed as `arena[i]` (a `[Lit]` slice).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClauseArena {
+    lits: Vec<Lit>,
+    spans: Vec<(u32, u32)>,
+}
+
+impl ClauseArena {
+    /// An empty arena.
+    pub fn new() -> Self {
+        ClauseArena::default()
+    }
+
+    /// Reserve room for `clauses` more clauses holding `lits` more literals.
+    pub(crate) fn reserve(&mut self, clauses: usize, lits: usize) {
+        self.spans.reserve(clauses);
+        self.lits.reserve(lits);
+    }
+
+    /// Number of clauses.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// True when the arena holds no clause.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Total number of literals over all clauses.
+    pub fn num_lits(&self) -> usize {
+        self.lits.len()
+    }
+
+    /// Append a clause verbatim; returns its index.
+    pub(crate) fn push(&mut self, clause: &[Lit]) -> usize {
+        self.push_iter(clause.iter().copied())
+    }
+
+    /// Append a clause from its literals, in order; returns its index.
+    pub(crate) fn push_iter(&mut self, clause: impl IntoIterator<Item = Lit>) -> usize {
+        let start = self.lits.len();
+        self.lits.extend(clause);
+        self.close(start)
+    }
+
+    /// Append a clause in canonical form — literals sorted and deduplicated — unless
+    /// it is a tautology (complementary literals of one variable sort adjacently).
+    /// Returns whether the clause was kept.
+    pub(crate) fn push_canonical(&mut self, clause: impl IntoIterator<Item = Lit>) -> bool {
+        let start = self.lits.len();
+        self.lits.extend(clause);
+        let tail = &mut self.lits[start..];
+        tail.sort_unstable();
+        let mut len = usize::from(!tail.is_empty());
+        for i in 1..tail.len() {
+            if tail[i] != tail[len - 1] {
+                tail[len] = tail[i];
+                len += 1;
+            }
+        }
+        if tail[..len].windows(2).any(|w| w[0] == w[1].negate()) {
+            self.lits.truncate(start);
+            return false;
+        }
+        self.lits.truncate(start + len);
+        self.close(start);
+        true
+    }
+
+    /// Record the literals from `start` to the end of the buffer as one clause.
+    fn close(&mut self, start: usize) -> usize {
+        let end = u32::try_from(self.lits.len()).expect("clause arena exceeds u32::MAX literals");
+        let start = start as u32; // start <= end
+        self.spans.push((start, end - start));
+        self.spans.len() - 1
+    }
+
+    /// Drop every clause from index `len` on.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if let Some(&(start, _)) = self.spans.get(len) {
+            self.lits.truncate(start as usize);
+            self.spans.truncate(len);
+        }
+    }
+
+    /// Keep only the clauses for which `keep(index)` holds, preserving their order.
+    /// The kept literals slide down over the dropped ones, so the buffer holds
+    /// exactly the live clauses afterwards.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let mut write_lit = 0usize;
+        let mut write_clause = 0usize;
+        for ci in 0..self.spans.len() {
+            if !keep(ci) {
+                continue;
+            }
+            let (start, len) = self.spans[ci];
+            self.lits.copy_within(start as usize..(start + len) as usize, write_lit);
+            self.spans[write_clause] = (write_lit as u32, len);
+            write_lit += len as usize;
+            write_clause += 1;
+        }
+        self.lits.truncate(write_lit);
+        self.spans.truncate(write_clause);
+    }
+
+    /// The clauses in index order.
+    pub fn iter(&self) -> ClauseIter<'_> {
+        ClauseIter { lits: &self.lits, spans: self.spans.iter() }
+    }
+}
+
+impl std::ops::Index<usize> for ClauseArena {
+    type Output = [Lit];
+
+    fn index(&self, ci: usize) -> &[Lit] {
+        let (start, len) = self.spans[ci];
+        &self.lits[start as usize..(start + len) as usize]
+    }
+}
+
+impl std::ops::IndexMut<usize> for ClauseArena {
+    fn index_mut(&mut self, ci: usize) -> &mut [Lit] {
+        let (start, len) = self.spans[ci];
+        &mut self.lits[start as usize..(start + len) as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a ClauseArena {
+    type Item = &'a [Lit];
+    type IntoIter = ClauseIter<'a>;
+
+    fn into_iter(self) -> ClauseIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the clauses of a [`ClauseArena`], as literal slices.
+#[derive(Debug, Clone)]
+pub struct ClauseIter<'a> {
+    lits: &'a [Lit],
+    spans: std::slice::Iter<'a, (u32, u32)>,
+}
+
+impl<'a> Iterator for ClauseIter<'a> {
+    type Item = &'a [Lit];
+
+    fn next(&mut self) -> Option<&'a [Lit]> {
+        let &(start, len) = self.spans.next()?;
+        Some(&self.lits[start as usize..(start + len) as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.spans.size_hint()
+    }
+}
+
+impl ExactSizeIterator for ClauseIter<'_> {}
+
 /// Truth value of a variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Value {
@@ -336,7 +499,7 @@ impl SatStats {
 /// The CDCL solver.
 pub struct Solver {
     num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
+    clauses: ClauseArena,
     /// Parallel to `clauses`: learned (deletable) flag.
     clause_learned: Vec<bool>,
     /// Parallel to `clauses`: provenance-safe flag (see the module docs). For learned
@@ -363,7 +526,9 @@ pub struct Solver {
     assignment: Vec<Value>,
     level: Vec<u32>,
     reason: Vec<Reason>,
-    stored_reasons: Vec<Vec<Lit>>,
+    /// Explicit reason clauses of literals forced by linear constraints; truncated
+    /// on backtracking.
+    stored_reasons: ClauseArena,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     /// Parallel to `trail_lim`: `stored_reasons.len()` when each level was opened, so
@@ -382,6 +547,9 @@ pub struct Solver {
     root_conflict: bool,
     /// Persistent scratch for conflict analysis (the literals being resolved).
     analyze_buf: Vec<Lit>,
+    /// Persistent buffer for the clause learned by the last conflict analysis
+    /// (asserting literal first).
+    learn_buf: Vec<Lit>,
     /// Persistent "seen" marker per variable for conflict analysis.
     seen: Vec<bool>,
     /// The unsat core of the last [`Solver::search_with_assumptions`] call that returned
@@ -405,7 +573,7 @@ impl Solver {
         let max_learned = config.learned_limit.max(16);
         Solver {
             num_vars,
-            clauses: Vec::new(),
+            clauses: ClauseArena::new(),
             clause_learned: Vec::new(),
             clause_safe: Vec::new(),
             stored_safe: Vec::new(),
@@ -420,7 +588,7 @@ impl Solver {
             assignment: vec![Value::Unassigned; num_vars],
             level: vec![0; num_vars],
             reason: vec![Reason::Decision; num_vars],
-            stored_reasons: Vec::new(),
+            stored_reasons: ClauseArena::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
             stored_lim: Vec::new(),
@@ -434,6 +602,7 @@ impl Solver {
             stats: SatStats::default(),
             root_conflict: false,
             analyze_buf: Vec::new(),
+            learn_buf: Vec::new(),
             seen: vec![false; num_vars],
             conflict_core: Vec::new(),
             budget: None,
@@ -458,23 +627,7 @@ impl Solver {
     }
 
     fn value_lit(&self, lit: Lit) -> Value {
-        match self.assignment[lit.var() as usize] {
-            Value::Unassigned => Value::Unassigned,
-            Value::True => {
-                if lit.is_pos() {
-                    Value::True
-                } else {
-                    Value::False
-                }
-            }
-            Value::False => {
-                if lit.is_pos() {
-                    Value::False
-                } else {
-                    Value::True
-                }
-            }
-        }
+        lit_value(&self.assignment, lit)
     }
 
     /// Is the literal currently true?
@@ -540,7 +693,7 @@ impl Solver {
                 let ci = self.clauses.len() as u32;
                 self.watches[filtered[0].negate().index()].push(Watch { ci, blocker: filtered[1] });
                 self.watches[filtered[1].negate().index()].push(Watch { ci, blocker: filtered[0] });
-                self.clauses.push(filtered);
+                self.clauses.push(&filtered);
                 self.clause_learned.push(false);
                 self.clause_safe.push(safe);
                 self.clause_activity.push(0.0);
@@ -613,7 +766,7 @@ impl Solver {
                         .push(Watch { ci, blocker: filtered[1] });
                     self.watches[filtered[1].negate().index()]
                         .push(Watch { ci, blocker: filtered[0] });
-                    self.clauses.push(std::mem::take(&mut filtered));
+                    self.clauses.push(&filtered);
                     self.clause_learned.push(false);
                     self.clause_safe.push(clause_safe);
                     self.clause_activity.push(0.0);
@@ -621,6 +774,15 @@ impl Solver {
             }
         }
         true
+    }
+
+    /// Reserve room for `clauses` more stored clauses holding `lits` more literals
+    /// (an upper bound for a bulk load: level-0 simplification only shrinks clauses).
+    pub(crate) fn reserve_clauses(&mut self, clauses: usize, lits: usize) {
+        self.clauses.reserve(clauses, lits);
+        self.clause_learned.reserve(clauses);
+        self.clause_safe.reserve(clauses);
+        self.clause_activity.reserve(clauses);
     }
 
     /// The [`Solver::load_trusted_clauses`] contract check (debug builds only).
@@ -753,9 +915,9 @@ impl Solver {
                     self.root_conflict = true;
                     return SearchResult::Unsat;
                 }
-                let (learned, backtrack_level, safe) = self.analyze(confl);
+                let (backtrack_level, safe) = self.analyze(confl);
                 self.cancel_until(backtrack_level);
-                self.record_learned(learned, safe);
+                self.record_learned(safe);
                 self.decay_activities();
                 conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
                 continue;
@@ -884,7 +1046,7 @@ impl Solver {
         let units = self.safe_units.iter().map(std::slice::from_ref);
         let clauses = (0..self.clauses.len())
             .filter(|&ci| self.clause_learned[ci] && self.clause_safe[ci])
-            .map(|ci| self.clauses[ci].as_slice());
+            .map(|ci| &self.clauses[ci]);
         units.chain(clauses)
     }
 
@@ -1014,33 +1176,30 @@ impl Solver {
             let ci = self.watches[watch_idx][i].ci as usize;
             // The falsified literal is lit.negate(); make sure it is at position 1.
             let false_lit = lit.negate();
-            {
-                let clause = &mut self.clauses[ci];
-                if clause[0] == false_lit {
-                    clause.swap(0, 1);
-                }
+            let clause = &mut self.clauses[ci];
+            if clause[0] == false_lit {
+                clause.swap(0, 1);
             }
             // If the first watch is true, the clause is satisfied: remember it as the
             // blocker for the next visit.
-            let first = self.clauses[ci][0];
-            if self.value_lit(first) == Value::True {
+            let first = clause[0];
+            if lit_value(&self.assignment, first) == Value::True {
                 self.watches[watch_idx][i].blocker = first;
                 i += 1;
                 continue;
             }
             // Look for a new literal to watch.
-            let mut found = false;
-            for k in 2..self.clauses[ci].len() {
-                if self.value_lit(self.clauses[ci][k]) != Value::False {
-                    self.clauses[ci].swap(1, k);
-                    let new_watch = self.clauses[ci][1].negate().index();
-                    self.watches[new_watch].push(Watch { ci: ci as u32, blocker: first });
-                    self.watches[watch_idx].swap_remove(i);
-                    found = true;
+            let mut new_watch = None;
+            for k in 2..clause.len() {
+                if lit_value(&self.assignment, clause[k]) != Value::False {
+                    clause.swap(1, k);
+                    new_watch = Some(clause[1].negate().index());
                     break;
                 }
             }
-            if found {
+            if let Some(w) = new_watch {
+                self.watches[w].push(Watch { ci: ci as u32, blocker: first });
+                self.watches[watch_idx].swap_remove(i);
                 continue;
             }
             // Clause is unit or conflicting.
@@ -1079,20 +1238,16 @@ impl Solver {
                 Some(Value::Unassigned) => {
                     // Force the guard false.
                     let c = condition.unwrap();
-                    let mut clause = self.linear_violation_lits(idx, upper_violated);
-                    clause.push(c.negate());
-                    let rid = self.stored_reasons.len();
-                    self.stored_reasons.push(clause);
-                    self.stored_safe.push(lin_safe);
+                    let rid = self.store_linear_reason(idx, upper_violated, [c.negate()]);
                     self.enqueue(c.negate(), Reason::Stored(rid));
                     return None;
                 }
                 _ => {
                     // Guard true (or absent): conflict.
-                    let mut clause = self.linear_violation_lits(idx, upper_violated);
-                    if let Some(c) = condition {
-                        clause.push(c.negate());
-                    }
+                    let clause =
+                        bound_explanation(&self.linears[idx], &self.assignment, upper_violated)
+                            .chain(condition.map(Lit::negate))
+                            .collect();
                     return Some((clause, lin_safe));
                 }
             }
@@ -1134,28 +1289,16 @@ impl Solver {
             if self.value_lit(lit) != Value::Unassigned || weight == 0 {
                 continue;
             }
+            let guard = condition.map(Lit::negate);
             if sum_true + weight > upper {
-                let mut reason = self.linear_true_lits(idx);
-                if let Some(c) = condition {
-                    reason.push(c.negate());
-                }
-                reason.push(lit.negate());
-                let rid = self.stored_reasons.len();
-                self.stored_reasons.push(reason);
-                self.stored_safe.push(lin_safe);
+                let rid =
+                    self.store_linear_reason(idx, true, guard.into_iter().chain([lit.negate()]));
                 self.enqueue(lit.negate(), Reason::Stored(rid));
                 if let Some(confl) = self.propagate_linear(idx) {
                     return Some(confl);
                 }
             } else if total - sum_false - weight < lower {
-                let mut reason = self.linear_false_lits(idx);
-                if let Some(c) = condition {
-                    reason.push(c.negate());
-                }
-                reason.push(lit);
-                let rid = self.stored_reasons.len();
-                self.stored_reasons.push(reason);
-                self.stored_safe.push(lin_safe);
+                let rid = self.store_linear_reason(idx, false, guard.into_iter().chain([lit]));
                 self.enqueue(lit, Reason::Stored(rid));
                 if let Some(confl) = self.propagate_linear(idx) {
                     return Some(confl);
@@ -1165,53 +1308,39 @@ impl Solver {
         None
     }
 
-    /// Literals explaining a bound violation: negations of true counted literals for an
-    /// upper-bound violation, or the false counted literals for a lower-bound violation.
-    fn linear_violation_lits(&self, idx: usize, upper: bool) -> Vec<Lit> {
+    /// Store the reason clause of a literal forced by linear constraint `idx`: the
+    /// [`bound_explanation`] of the bound at stake followed by `tail`, written
+    /// straight into the reason arena. Returns the reason's index.
+    fn store_linear_reason(
+        &mut self,
+        idx: usize,
+        upper: bool,
+        tail: impl IntoIterator<Item = Lit>,
+    ) -> usize {
         let lin = &self.linears[idx];
-        if upper {
-            lin.lits
-                .iter()
-                .filter(|&&l| self.value_lit(l) == Value::True)
-                .map(|&l| l.negate())
-                .collect()
-        } else {
-            lin.lits.iter().filter(|&&l| self.value_lit(l) == Value::False).copied().collect()
-        }
-    }
-
-    fn linear_true_lits(&self, idx: usize) -> Vec<Lit> {
-        self.linears[idx]
-            .lits
-            .iter()
-            .filter(|&&l| self.value_lit(l) == Value::True)
-            .map(|&l| l.negate())
-            .collect()
-    }
-
-    fn linear_false_lits(&self, idx: usize) -> Vec<Lit> {
-        self.linears[idx]
-            .lits
-            .iter()
-            .filter(|&&l| self.value_lit(l) == Value::False)
-            .copied()
-            .collect()
+        let explanation = bound_explanation(lin, &self.assignment, upper);
+        let rid = self.stored_reasons.push_iter(explanation.chain(tail));
+        self.stored_safe.push(lin.safe);
+        rid
     }
 
     // ---- internal: conflict analysis ---------------------------------------------------
 
-    /// First-UIP conflict analysis. Returns the learned clause (with the asserting
-    /// literal first), the backtrack level, and whether every antecedent resolved into
-    /// the clause was provenance-safe (making the learned clause a program
-    /// consequence, exportable across solves).
+    /// First-UIP conflict analysis. Leaves the learned clause (with the asserting
+    /// literal first) in `learn_buf` and returns the backtrack level and whether every
+    /// antecedent resolved into the clause was provenance-safe (making the learned
+    /// clause a program consequence, exportable across solves).
     ///
     /// Clause-typed conflicts and reasons are resolved by *reference*; the working set
-    /// of literals lives in the persistent `analyze_buf`, and the per-variable `seen`
-    /// markers are cleared incrementally on exit — no allocation per conflict beyond
-    /// the learned clause itself.
-    fn analyze(&mut self, conflict: Conflict) -> (Vec<Lit>, u32, bool) {
+    /// of literals lives in the persistent `analyze_buf`, the learned clause in the
+    /// persistent `learn_buf`, and the per-variable `seen` markers are cleared
+    /// incrementally on exit — no allocation per conflict.
+    fn analyze(&mut self, conflict: Conflict) -> (u32, bool) {
         let current_level = self.decision_level();
-        let mut learned: Vec<Lit> = Vec::new();
+        // Slot 0 is reserved for the asserting literal, filled in at the end.
+        let mut learned = std::mem::take(&mut self.learn_buf);
+        learned.clear();
+        learned.push(Lit(0));
         let mut counter = 0usize;
         let mut trail_index = self.trail.len();
         let mut expand: Vec<Lit> = std::mem::take(&mut self.analyze_buf);
@@ -1296,39 +1425,40 @@ impl Solver {
         for k in trail_index..self.trail.len() {
             self.seen[self.trail[k].var() as usize] = false;
         }
-        for l in &learned {
+        for l in &learned[1..] {
             self.seen[l.var() as usize] = false;
         }
         self.analyze_buf = expand;
-
-        let mut clause = vec![asserting];
-        clause.extend(learned);
+        learned[0] = asserting;
 
         // Backtrack level: second-highest level in the clause.
         let backtrack_level =
-            clause[1..].iter().map(|l| self.level[l.var() as usize]).max().unwrap_or(0);
-        (clause, backtrack_level, safe)
+            learned[1..].iter().map(|l| self.level[l.var() as usize]).max().unwrap_or(0);
+        self.learn_buf = learned;
+        (backtrack_level, safe)
     }
 
-    fn record_learned(&mut self, clause: Vec<Lit>, safe: bool) {
+    /// Store the clause [`Solver::analyze`] left in `learn_buf` and assert it.
+    fn record_learned(&mut self, safe: bool) {
         self.stats.learned += 1;
+        let clause = &mut self.learn_buf;
         debug_assert!(!clause.is_empty());
         if clause.len() == 1 {
             // Asserting unit clause: enqueue at the (already backtracked-to) level.
-            if self.value_lit(clause[0]) == Value::Unassigned {
-                self.enqueue(clause[0], Reason::Decision);
+            let unit = clause[0];
+            if self.value_lit(unit) == Value::Unassigned {
+                self.enqueue(unit, Reason::Decision);
                 if self.trail_lim.is_empty() {
-                    self.var0_safe[clause[0].var() as usize] = safe;
+                    self.var0_safe[unit.var() as usize] = safe;
                 }
             }
             if safe {
-                self.safe_units.push(clause[0]);
+                self.safe_units.push(unit);
             }
             return;
         }
         // Put a literal of the backtrack level second so the watches are correct.
         let idx = self.clauses.len();
-        let mut clause = clause;
         let mut max_level_pos = 1;
         for (i, l) in clause.iter().enumerate().skip(1) {
             if self.level[l.var() as usize] > self.level[clause[max_level_pos].var() as usize] {
@@ -1351,7 +1481,8 @@ impl Solver {
     /// Delete low-activity learned clauses once their number exceeds the cap. Runs at
     /// restarts (decision level 0): clauses locked as reasons of level-0 assignments
     /// and binary clauses are kept; of the rest, everything below the median activity
-    /// goes. Watches are rebuilt and clause-typed reasons remapped.
+    /// goes. The arena is compacted in clause order, watches are rebuilt and
+    /// clause-typed reasons remapped.
     fn reduce_learned(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
         let live = self.clause_learned.iter().filter(|&&l| l).count();
@@ -1373,31 +1504,26 @@ impl Solver {
         let threshold = acts[acts.len() / 2];
 
         let mut remap: Vec<usize> = vec![usize::MAX; self.clauses.len()];
-        let mut kept: Vec<Vec<Lit>> = Vec::with_capacity(self.clauses.len());
-        let mut kept_learned = Vec::with_capacity(self.clauses.len());
-        let mut kept_safe = Vec::with_capacity(self.clauses.len());
-        let mut kept_activity = Vec::with_capacity(self.clauses.len());
-        let mut removed = 0u64;
+        let mut kept = 0usize;
         for ci in 0..self.clauses.len() {
             let deletable = self.clause_learned[ci]
                 && !locked[ci]
                 && self.clauses[ci].len() > 2
                 && self.clause_activity[ci] <= threshold;
             if deletable {
-                removed += 1;
                 continue;
             }
-            remap[ci] = kept.len();
-            kept.push(std::mem::take(&mut self.clauses[ci]));
-            kept_learned.push(self.clause_learned[ci]);
-            kept_safe.push(self.clause_safe[ci]);
-            kept_activity.push(self.clause_activity[ci]);
+            remap[ci] = kept;
+            self.clause_learned[kept] = self.clause_learned[ci];
+            self.clause_safe[kept] = self.clause_safe[ci];
+            self.clause_activity[kept] = self.clause_activity[ci];
+            kept += 1;
         }
-        self.clauses = kept;
-        self.clause_learned = kept_learned;
-        self.clause_safe = kept_safe;
-        self.clause_activity = kept_activity;
-        self.stats.deleted += removed;
+        self.stats.deleted += (self.clauses.len() - kept) as u64;
+        self.clauses.retain(|ci| remap[ci] != usize::MAX);
+        self.clause_learned.truncate(kept);
+        self.clause_safe.truncate(kept);
+        self.clause_activity.truncate(kept);
         // Grow the cap geometrically so reduction stays amortised.
         self.max_learned += self.max_learned / 2;
 
@@ -1416,8 +1542,7 @@ impl Solver {
         for w in &mut self.watches {
             w.clear();
         }
-        for ci in 0..self.clauses.len() {
-            let c = &self.clauses[ci];
+        for (ci, c) in self.clauses.iter().enumerate() {
             let (w0, w1) = (c[0], c[1]);
             self.watches[w0.negate().index()].push(Watch { ci: ci as u32, blocker: w1 });
             self.watches[w1.negate().index()].push(Watch { ci: ci as u32, blocker: w0 });
@@ -1481,6 +1606,33 @@ impl Solver {
     }
 }
 
+/// The value of `lit` under `assignment` (a free function so the propagation loop
+/// can read the assignment while it holds a clause of the arena mutably).
+fn lit_value(assignment: &[Value], lit: Lit) -> Value {
+    match (assignment[lit.var() as usize], lit.is_pos()) {
+        (Value::Unassigned, _) => Value::Unassigned,
+        (Value::True, true) | (Value::False, false) => Value::True,
+        (Value::True, false) | (Value::False, true) => Value::False,
+    }
+}
+
+/// The counted literals of `lin` explaining its upper bound (negations of its true
+/// literals) or its lower bound (its false literals) under `assignment`.
+fn bound_explanation<'a>(
+    lin: &'a Linear,
+    assignment: &'a [Value],
+    upper: bool,
+) -> impl Iterator<Item = Lit> + 'a {
+    let wanted = if upper { Value::True } else { Value::False };
+    lin.lits.iter().filter(move |&&l| lit_value(assignment, l) == wanted).map(move |&l| {
+        if upper {
+            l.negate()
+        } else {
+            l
+        }
+    })
+}
+
 /// A cache of clauses that are *consequences of one ground program* — loop nogoods
 /// from the stability check and provenance-safe learned clauses. One optimizing solve
 /// keeps a cache of its own, which warm-starts the solvers it rebuilds between
@@ -1491,7 +1643,7 @@ impl Solver {
 /// grounding changes.
 #[derive(Debug, Default, Clone)]
 pub struct ClauseCache {
-    clauses: Vec<Vec<Lit>>,
+    clauses: ClauseArena,
     seen: FxHashSet<u64>,
 }
 
@@ -1505,19 +1657,18 @@ impl ClauseCache {
         if clause.is_empty() || self.clauses.len() >= Self::MAX_CLAUSES {
             return;
         }
-        let mut sorted = clause.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        // Drop tautologies so every cached clause satisfies the trusted canonical form
-        // required by `Solver::load_trusted_clauses` (replay skips re-validation).
-        if sorted.windows(2).any(|w| w[0] == w[1].negate()) {
+        // Canonicalize in place at the arena's tail, dropping tautologies, so every
+        // cached clause satisfies the trusted canonical form required by
+        // `Solver::load_trusted_clauses` (replay skips re-validation).
+        if !self.clauses.push_canonical(clause.iter().copied()) {
             return;
         }
         use std::hash::{Hash, Hasher};
+        let last = self.clauses.len() - 1;
         let mut hasher = crate::hasher::FxHasher::default();
-        sorted.hash(&mut hasher);
-        if self.seen.insert(hasher.finish()) {
-            self.clauses.push(sorted);
+        self.clauses[last].hash(&mut hasher);
+        if !self.seen.insert(hasher.finish()) {
+            self.clauses.truncate(last);
         }
     }
 
@@ -1548,7 +1699,7 @@ impl ClauseCache {
     }
 
     /// The cached clauses, for replay into a new solver (all provenance-safe).
-    pub fn clauses(&self) -> &[Vec<Lit>] {
+    pub fn clauses(&self) -> &ClauseArena {
         &self.clauses
     }
 
@@ -1644,7 +1795,7 @@ impl SharedClauseStore {
     #[doc(hidden)]
     pub fn inject_raw_for_tests(&self, key: u64, clause: Vec<Lit>) {
         let mut shelves = self.shelves.write().unwrap();
-        shelves.entry(key).or_default().clauses.push(clause);
+        shelves.entry(key).or_default().clauses.push(&clause);
     }
 }
 
@@ -1811,6 +1962,11 @@ mod tests {
         }
         assert_eq!(s.search(), SearchResult::Unsat);
         assert!(s.stats.deleted > 0, "the reduction policy must have fired");
+        // Compaction reclaims the deleted clauses' space: the arena holds exactly the
+        // live clauses' literals, one span per live clause.
+        let live_lits: usize = s.clauses.iter().map(<[Lit]>::len).sum();
+        assert_eq!(s.clauses.num_lits(), live_lits, "deleted literals left in the arena");
+        assert_eq!(s.clauses.len(), s.clause_learned.len());
 
         // And a satisfiable instance under the same aggressive policy.
         use rand::rngs::StdRng;
@@ -2080,6 +2236,25 @@ mod tests {
     }
 
     #[test]
+    fn clause_arena_canonicalizes_truncates_and_compacts() {
+        let mut arena = ClauseArena::new();
+        assert!(arena.push_canonical([lit(3), lit(1), lit(3)]));
+        assert!(!arena.push_canonical([lit(2), lit(-2)]), "tautology kept");
+        assert_eq!(arena.push(&[lit(-4), lit(2)]), 1);
+        assert!(arena.push_canonical([]));
+        arena.push_iter([lit(5), lit(-1)]);
+        let clauses: Vec<&[Lit]> = arena.iter().collect();
+        assert_eq!(clauses, [&[lit(1), lit(3)][..], &[lit(-4), lit(2)], &[], &[lit(5), lit(-1)]]);
+        arena.retain(|ci| ci != 1);
+        assert_eq!(arena.len(), 3);
+        assert_eq!(arena.num_lits(), 4);
+        assert_eq!(&arena[2], &[lit(5), lit(-1)]);
+        arena.truncate(1);
+        assert_eq!(arena.num_lits(), 2);
+        assert_eq!(arena.iter().collect::<Vec<_>>(), [&[lit(1), lit(3)][..]]);
+    }
+
+    #[test]
     fn clause_cache_deduplicates() {
         let mut cache = ClauseCache::default();
         cache.add(&[lit(1), lit(2)]);
@@ -2229,7 +2404,7 @@ mod tests {
         let mut warm = ClauseCache::default();
         store.fetch_into(1, &mut warm);
         let mut s = Solver::new(3, SatConfig::default());
-        s.load_trusted_clauses(warm.clauses().iter().map(|c| c.as_slice()), true);
+        s.load_trusted_clauses(warm.clauses(), true);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::ground::GroundProgram;
 use crate::hasher::FxHashMap;
-use crate::sat::{LinearSpec, Lit, Var};
+use crate::sat::{ClauseArena, LinearSpec, Lit, Var};
 use crate::symbols::AtomId;
 
 /// The clausal form of a ground program.
@@ -26,8 +26,8 @@ pub struct Translation {
     pub num_vars: usize,
     /// Number of program atoms (atom `i` is SAT variable `i`).
     pub num_atoms: usize,
-    /// All clauses.
-    pub clauses: Vec<Vec<Lit>>,
+    /// All clauses, each in canonical form: sorted, deduplicated, not a tautology.
+    pub clauses: ClauseArena,
     /// All cardinality constraints (from choice bounds).
     pub linears: Vec<LinearSpec>,
 }
@@ -76,15 +76,19 @@ impl Translation {
 }
 
 /// Translate a ground program.
+///
+/// Every clause is canonicalized (sorted, deduplicated, tautologies dropped) as it is
+/// pushed: `Solver::add_clause` performs exactly this normalization before storing a
+/// clause, so canonical clauses produce byte-identical solver state while qualifying
+/// for the linear-time `Solver::load_trusted_clauses` path on every solver build.
 pub fn translate(ground: &GroundProgram) -> Translation {
     let num_atoms = ground.atoms.len();
-    let mut t =
-        Translation { num_vars: num_atoms, num_atoms, clauses: Vec::new(), linears: Vec::new() };
+    let mut t = Translation { num_vars: num_atoms, num_atoms, ..Translation::default() };
 
     // Facts.
     for (id, _) in ground.atoms.iter() {
         if ground.atoms.is_certain(id) {
-            t.clauses.push(vec![Lit::pos(id as Var)]);
+            t.clauses.push_canonical([Lit::pos(id as Var)]);
         }
     }
 
@@ -115,17 +119,16 @@ pub fn translate(ground: &GroundProgram) -> Translation {
         t.num_vars += 1;
         body_aux.insert(key, Lit::pos(v));
         // v -> each body literal
-        let mut reverse = vec![Lit::pos(v)];
         for &p in pos {
-            t.clauses.push(vec![Lit::neg(v), Lit::pos(p as Var)]);
-            reverse.push(Lit::neg(p as Var));
+            t.clauses.push_canonical([Lit::neg(v), Lit::pos(p as Var)]);
         }
         for &n in neg {
-            t.clauses.push(vec![Lit::neg(v), Lit::neg(n as Var)]);
-            reverse.push(Lit::pos(n as Var));
+            t.clauses.push_canonical([Lit::neg(v), Lit::neg(n as Var)]);
         }
         // body literals -> v
-        t.clauses.push(reverse);
+        let body =
+            pos.iter().map(|&p| Lit::neg(p as Var)).chain(neg.iter().map(|&n| Lit::pos(n as Var)));
+        t.clauses.push_canonical(std::iter::once(Lit::pos(v)).chain(body));
         Some(Lit::pos(v))
     };
 
@@ -134,24 +137,18 @@ pub fn translate(ground: &GroundProgram) -> Translation {
         match rule.head {
             None => {
                 // Constraint: not all body literals may hold.
-                let mut clause = Vec::with_capacity(rule.pos.len() + rule.neg.len());
-                for &p in &rule.pos {
-                    clause.push(Lit::neg(p as Var));
-                }
-                for &n in &rule.neg {
-                    clause.push(Lit::pos(n as Var));
-                }
-                t.clauses.push(clause);
+                let pos = rule.pos.iter().map(|&p| Lit::neg(p as Var));
+                t.clauses.push_canonical(pos.chain(rule.neg.iter().map(|&n| Lit::pos(n as Var))));
             }
             Some(head) => {
                 match get_body_lit(&mut t, &rule.pos, &rule.neg) {
                     None => {
                         // Empty body: the head is forced and unconditionally supported.
-                        t.clauses.push(vec![Lit::pos(head as Var)]);
+                        t.clauses.push_canonical([Lit::pos(head as Var)]);
                         supports[head as usize] = None;
                     }
                     Some(b) => {
-                        t.clauses.push(vec![b.negate(), Lit::pos(head as Var)]);
+                        t.clauses.push_canonical([b.negate(), Lit::pos(head as Var)]);
                         if let Some(list) = supports[head as usize].as_mut() {
                             list.push(b);
                         }
@@ -199,27 +196,15 @@ pub fn translate(ground: &GroundProgram) -> Translation {
             None => {} // unconditionally supported
             Some(list) if list.is_empty() => {
                 // No rule can ever derive this atom: it must be false.
-                t.clauses.push(vec![Lit::neg(id as Var)]);
+                t.clauses.push_canonical([Lit::neg(id as Var)]);
             }
             Some(list) => {
-                let mut clause = Vec::with_capacity(list.len() + 1);
-                clause.push(Lit::neg(id as Var));
-                clause.extend_from_slice(list);
-                t.clauses.push(clause);
+                t.clauses.push_canonical(
+                    std::iter::once(Lit::neg(id as Var)).chain(list.iter().copied()),
+                );
             }
         }
     }
-
-    // Canonicalize every clause (sorted, deduplicated, tautologies dropped) once here
-    // instead of per solver build: `Solver::add_clause` performs exactly this
-    // normalization before storing a clause, so pre-canonicalized clauses produce
-    // byte-identical solver state while qualifying for the linear-time
-    // `Solver::load_trusted_clauses` path on every rebuild.
-    t.clauses.retain_mut(|clause| {
-        clause.sort_unstable();
-        clause.dedup();
-        !clause.windows(2).any(|w| w[0] == w[1].negate())
-    });
 
     t
 }

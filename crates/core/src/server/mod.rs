@@ -527,15 +527,82 @@ fn snapshot(shards: &Shards<'_>, config: &ServerConfig, counters: &Counters) -> 
     }
 }
 
-/// Parse one request line and either enqueue it or answer it directly.
-/// Returns `Some(id)` when the line was a `shutdown` request.
+/// Longest request line the transports accept, in bytes (newline excluded). A
+/// longer line is answered with a `parse` response and skipped through its newline
+/// without being buffered, so no client can make the server hold an unbounded line.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The transports' line reader. Unlike [`BufRead::lines`], a line that is not
+/// UTF-8 or exceeds [`MAX_LINE_BYTES`] is not a stream error: it comes back as a
+/// parse-error message, and reading continues with the next line.
+struct LineReader<R> {
+    input: R,
+    buf: Vec<u8>,
+}
+
+impl<R: BufRead> LineReader<R> {
+    fn new(input: R) -> Self {
+        LineReader { input, buf: Vec::new() }
+    }
+
+    /// The next line, trimmed, or the message rejecting it. `None` at end of input
+    /// or on a read error, either of which ends the stream.
+    fn next_line(&mut self) -> Option<Result<&str, String>> {
+        self.buf.clear();
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        match std::io::Read::take(&mut self.input, cap).read_until(b'\n', &mut self.buf) {
+            Ok(0) | Err(_) => return None,
+            Ok(_) => {}
+        }
+        if self.buf.last() == Some(&b'\n') {
+            self.buf.pop();
+        } else if self.buf.len() > MAX_LINE_BYTES {
+            if self.skip_through_newline().is_err() {
+                return None;
+            }
+            return Some(Err(format!("request line longer than {MAX_LINE_BYTES} bytes")));
+        }
+        Some(match std::str::from_utf8(&self.buf) {
+            Ok(text) => Ok(text.trim()),
+            Err(e) => Err(format!("request line is not valid UTF-8: {e}")),
+        })
+    }
+
+    /// Discard input up to and including the next newline (or end of input).
+    fn skip_through_newline(&mut self) -> std::io::Result<()> {
+        loop {
+            let available = match self.input.fill_buf() {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if available.is_empty() {
+                return Ok(());
+            }
+            match available.iter().position(|&b| b == b'\n') {
+                Some(i) => {
+                    self.input.consume(i + 1);
+                    return Ok(());
+                }
+                None => {
+                    let n = available.len();
+                    self.input.consume(n);
+                }
+            }
+        }
+    }
+}
+
+/// Parse one request line (or take the reader's rejection of it) and either
+/// enqueue it or answer it directly. Returns `Some(id)` when the line was a
+/// `shutdown` request.
 fn admit_line<W: Write + Send>(
-    line: &str,
+    line: Result<&str, String>,
     tx: &mpsc::SyncSender<Job<W>>,
     sink: &Arc<Mutex<W>>,
     counters: &Counters,
 ) -> Option<String> {
-    match wire::parse_request(line) {
+    match line.and_then(wire::parse_request) {
         // A malformed line is answered immediately with a parse-status response;
         // the connection stays up and later lines are processed normally.
         Err(message) => {
@@ -600,10 +667,9 @@ where
             let counters = &counters;
             scope.spawn(move || worker_loop(rx, shards, config, counters));
         }
-        for line in input.lines() {
-            let Ok(line) = line else { break };
-            let line = line.trim();
-            if line.is_empty() {
+        let mut reader = LineReader::new(input);
+        while let Some(line) = reader.next_line() {
+            if line == Ok("") {
                 continue;
             }
             if let Some(id) = admit_line(line, &tx, &sink, &counters) {
@@ -665,13 +731,12 @@ pub fn serve_socket(
                     scope.spawn(move || {
                         let Ok(read_half) = stream.try_clone() else { return };
                         let sink = Arc::new(Mutex::new(stream));
-                        for line in BufReader::new(read_half).lines() {
+                        let mut reader = LineReader::new(BufReader::new(read_half));
+                        while let Some(line) = reader.next_line() {
                             if shutdown.load(Ordering::SeqCst) {
                                 break;
                             }
-                            let Ok(line) = line else { break };
-                            let line = line.trim();
-                            if line.is_empty() {
+                            if line == Ok("") {
                                 continue;
                             }
                             if let Some(id) = admit_line(line, &tx, &sink, counters) {
@@ -707,6 +772,22 @@ pub fn serve_socket(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn line_reader_rejects_bad_lines_and_keeps_reading() {
+        let mut input = b" a \n\xff\xfe\n".to_vec();
+        input.extend(std::iter::repeat_n(b'x', MAX_LINE_BYTES));
+        input.push(b'\n');
+        input.extend(std::iter::repeat_n(b'y', MAX_LINE_BYTES + 1));
+        input.extend(b"\nlast");
+        let mut reader = LineReader::new(std::io::Cursor::new(input));
+        assert_eq!(reader.next_line(), Some(Ok("a")));
+        assert!(reader.next_line().unwrap().unwrap_err().contains("UTF-8"));
+        assert_eq!(reader.next_line().map(|l| l.map(str::len)), Some(Ok(MAX_LINE_BYTES)));
+        assert!(reader.next_line().unwrap().unwrap_err().contains("longer than"));
+        assert_eq!(reader.next_line(), Some(Ok("last")));
+        assert_eq!(reader.next_line(), None);
+    }
 
     #[test]
     fn site_names_resolve_and_unknown_is_rejected() {

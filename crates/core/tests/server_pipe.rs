@@ -367,3 +367,34 @@ fn old_clients_sending_portfolio_get_the_same_answer() {
     assert_eq!(response(&lines[2]).status, wire::SolveStatus::Unsat);
     assert_eq!(lines[2], lines[3], "a portfolio field changed an UNSAT answer");
 }
+
+#[test]
+fn non_utf8_and_overlong_lines_get_parse_responses_and_the_stream_survives() {
+    // A line that is not UTF-8 used to end the read loop silently: the server
+    // answered the requests before it and exited 0. It and an overlong line must
+    // each get a `parse` response, and every request after them must be served.
+    let mut input = b"{\"v\": 1, \"id\": \"a\", \"specs\": [\"zlib\"]}\n\xff\xfe\n".to_vec();
+    input.extend(std::iter::repeat_n(b' ', spack_concretizer::server::MAX_LINE_BYTES + 1));
+    input.extend(b"\n{\"v\": 1, \"id\": \"b\", \"specs\": [\"zlib\"]}\n");
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let repo = builtin_repo();
+    let mut out: Vec<u8> = Vec::new();
+    let stats = serve_pipe(&repo, None, &config, Cursor::new(input), &mut out);
+    let lines: Vec<String> =
+        String::from_utf8(out).expect("utf8").lines().map(String::from).collect();
+    assert_eq!(lines.len(), 4, "every line gets an answer: {lines:?}");
+    let responses: Vec<wire::SolveResponse> = lines.iter().map(|l| response(l)).collect();
+    let rejected: Vec<&wire::SolveResponse> =
+        responses.iter().filter(|r| r.status == wire::SolveStatus::Parse).collect();
+    assert_eq!(rejected.len(), 2, "{lines:?}");
+    assert!(rejected.iter().any(|r| r.message.as_deref().unwrap().contains("UTF-8")), "{lines:?}");
+    assert!(rejected.iter().any(|r| r.message.as_deref().unwrap().contains("longer")), "{lines:?}");
+    let mut solved: Vec<&str> = responses
+        .iter()
+        .filter(|r| r.status == wire::SolveStatus::Ok)
+        .map(|r| r.id.as_str())
+        .collect();
+    solved.sort();
+    assert_eq!(solved, ["a", "b"], "the stream must survive bad lines: {lines:?}");
+    assert_eq!(stats.jobs_received, 2);
+}

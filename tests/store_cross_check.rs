@@ -146,7 +146,7 @@ fn corrupted_transferred_clause_is_caught_in_debug() {
     assert_eq!(store.fetch_into(7, &mut cache), 1, "the raw clause must transfer verbatim");
     let outcome = std::panic::catch_unwind(move || {
         let mut solver = Solver::new(4, SatConfig::default());
-        solver.load_trusted_clauses(cache.clauses().iter().map(Vec::as_slice), true)
+        solver.load_trusted_clauses(cache.clauses(), true)
     });
     assert!(outcome.is_err(), "debug-mode trusted load must reject a non-canonical clause");
 }
