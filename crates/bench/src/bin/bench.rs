@@ -3,12 +3,10 @@
 //! ```text
 //! cargo run --release -p bench --bin bench -- [--scale medium] [--full] \
 //!     [--label after] [--out bench.json] [--compare BENCH_baseline_small.json] \
-//!     [--threshold 1.25] [--counter-threshold 1.6] [--session-ratio 0.75] \
-//!     [--patch-ratio 0.5]
+//!     [--threshold 1.25]
 //! ```
 //!
-//! Runs the hot-path benchmark groups of the paper's evaluation (the same groups as the
-//! Criterion benches in `benches/paper.rs`, but in "quick mode": few samples, fixed
+//! Runs the hot-path benchmark groups of the paper's evaluation (few samples, fixed
 //! workloads) and writes a JSON report with, per benchmark, the wall-clock mean/min,
 //! the per-stage times (setup / load / ground / solve), and the engine's
 //! `GroundStats` / `SatStats` counters — plus, for the `unsat_diagnostics` group, the
@@ -36,17 +34,16 @@
 //! 1.25×, overridable via `--threshold` or the `BENCH_GATE_THRESHOLD` environment
 //! variable for slower runner fleets). Next to the wall clock, the gate also compares
 //! the machine-independent engine counters (grounder atoms/rules, solver
-//! conflicts/propagations) with their own threshold (default 1.6×,
-//! `--counter-threshold` / `BENCH_GATE_COUNTER_THRESHOLD`) — an algorithmic
+//! conflicts/propagations) with their own fixed threshold
+//! ([`bench::gate::COUNTER_THRESHOLD`], 1.6×) — an algorithmic
 //! regression trips this even on hardware whose absolute speed no longer matches the
 //! machine that recorded the baseline. Groups absent from the committed baseline are
 //! warned about and skipped, never failed, so adding a group needs no flag-day
 //! baseline refresh. Finally, the gate asserts — within the current run, so no
 //! baseline or machine speed is involved — that session-mode per-request grounding
-//! stays below one-shot grounding by the gated ratio (default 0.75×,
-//! `--session-ratio` / `BENCH_GATE_SESSION_RATIO`), and that one incremental base
-//! patch stays below a full re-freeze by its own within-run ratio (default 0.5×,
-//! `--patch-ratio` / `BENCH_GATE_PATCH_RATIO`). CI runs the small tier against
+//! stays below one-shot grounding by [`bench::gate::SESSION_RATIO`] (0.75×), and that
+//! one incremental base patch stays below a full re-freeze by
+//! [`bench::gate::PATCH_RATIO`] (0.5×). CI runs the small tier against
 //! the committed `BENCH_baseline_small.json` and fails the job on regression.
 //!
 //! The workloads are sized for the *medium* tier by default — large enough that the
@@ -58,7 +55,7 @@ use std::time::{Duration, Instant};
 use asp::SolverConfig;
 use bench::gate::{
     base_patch_gate, compare_against_baseline, parse_report, render_json, session_ground_gate,
-    Record,
+    Record, COUNTER_THRESHOLD, PATCH_RATIO, SESSION_RATIO,
 };
 use bench::{
     chain_closure_program, service_buildcache, wide_join_program, workload_buildcache,
@@ -288,26 +285,14 @@ fn main() -> std::process::ExitCode {
     let label = get("--label").unwrap_or_else(|| "after".to_string());
     let out = get("--out").unwrap_or_else(|| "bench.json".to_string());
     let compare = get("--compare");
-    // Threshold resolution: CLI flag > environment > default. The env overrides let a
-    // slower (or noisier) runner fleet widen the wall-clock gate without editing the
-    // workflow, while the counter gate keeps its own, machine-independent threshold.
-    let env_threshold = |name: &str| std::env::var(name).ok().and_then(|t| t.parse().ok());
+    // Wall-clock threshold resolution: CLI flag > environment > default. The env
+    // override lets a slower (or noisier) runner fleet widen the wall-clock gate
+    // without editing the workflow; the counter and within-run ratio gates are
+    // machine-independent and fixed (`bench::gate` constants).
     let threshold: f64 = get("--threshold")
         .and_then(|t| t.parse().ok())
-        .or_else(|| env_threshold("BENCH_GATE_THRESHOLD"))
+        .or_else(|| std::env::var("BENCH_GATE_THRESHOLD").ok().and_then(|t| t.parse().ok()))
         .unwrap_or(1.25);
-    let counter_threshold: f64 = get("--counter-threshold")
-        .and_then(|t| t.parse().ok())
-        .or_else(|| env_threshold("BENCH_GATE_COUNTER_THRESHOLD"))
-        .unwrap_or(1.6);
-    let session_ratio: f64 = get("--session-ratio")
-        .and_then(|t| t.parse().ok())
-        .or_else(|| env_threshold("BENCH_GATE_SESSION_RATIO"))
-        .unwrap_or(0.75);
-    let patch_ratio: f64 = get("--patch-ratio")
-        .and_then(|t| t.parse().ok())
-        .or_else(|| env_threshold("BENCH_GATE_PATCH_RATIO"))
-        .unwrap_or(0.5);
 
     // Gate runs (--compare) take more samples: the mean of 3 is too noisy to hold a
     // 1.25x threshold, and the gate's verdict must be worth trusting.
@@ -601,9 +586,8 @@ fn main() -> std::process::ExitCode {
     // `patched_solve` prices request latency on a session patched to a universe with
     // a new newest zlib, every answer asserted byte-identical to a fresh freeze of
     // the same universe — the observational-identity contract is part of the
-    // measurement, as in `parallel_solve`. Under `--compare`, `base_patch_gate`
-    // holds the per-patch mean below the re-freeze mean by `--patch-ratio`
-    // (default 0.5x).
+    // measurement. Under `--compare`, `base_patch_gate` holds the per-patch mean
+    // below the re-freeze mean by `PATCH_RATIO` (0.5x).
     let ancient = BaseDelta {
         add_versions: vec![("zlib".to_string(), "0.0.1".to_string())],
         ..BaseDelta::default()
@@ -702,18 +686,23 @@ fn main() -> std::process::ExitCode {
                 return std::process::ExitCode::FAILURE;
             }
         };
-        let baseline = parse_report(&text);
+        let baseline = match parse_report(&text) {
+            Ok(baseline) => baseline,
+            Err(e) => {
+                eprintln!("# cannot parse baseline {baseline_path}: {e}");
+                return std::process::ExitCode::FAILURE;
+            }
+        };
         if baseline.is_empty() {
             eprintln!("# baseline {baseline_path} contains no results");
             return std::process::ExitCode::FAILURE;
         }
         eprintln!(
-            "# regression gate vs {baseline_path} (wall {threshold:.2}x, counters {counter_threshold:.2}x, session ground {session_ratio:.2}x, base patch {patch_ratio:.2}x)"
+            "# regression gate vs {baseline_path} (wall {threshold:.2}x, counters {COUNTER_THRESHOLD:.2}x, session ground {SESSION_RATIO:.2}x, base patch {PATCH_RATIO:.2}x)"
         );
-        let wall =
-            compare_against_baseline(&baseline, &runner.records, threshold, counter_threshold);
-        let sess = session_ground_gate(&runner.records, session_ratio);
-        let patch = base_patch_gate(&runner.records, patch_ratio);
+        let wall = compare_against_baseline(&baseline, &runner.records, threshold);
+        let sess = session_ground_gate(&runner.records);
+        let patch = base_patch_gate(&runner.records);
         if let Err(e) = wall.and(sess).and(patch) {
             eprintln!("# FAIL: {e}");
             return std::process::ExitCode::FAILURE;

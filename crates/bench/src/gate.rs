@@ -10,6 +10,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use spack_concretizer::json::{self, Json};
+
 /// One measured benchmark: identity, wall-clock, stage breakdown, engine counters.
 #[derive(Debug, Clone)]
 pub struct Record {
@@ -48,9 +50,21 @@ pub type Baseline = BTreeMap<(String, String), BaselineEntry>;
 /// regression here is a real algorithmic change, not scheduler noise.
 pub const GATED_COUNTERS: [&str; 4] = ["atoms", "rules", "conflicts", "propagations"];
 
+/// How far the summed [`GATED_COUNTERS`] of a group may grow over the baseline
+/// (beyond an absolute slack of 256) before the gate fails.
+pub const COUNTER_THRESHOLD: f64 = 1.6;
+
+/// The largest session-mode / one-shot ratio of summed per-request grounding time
+/// that [`session_ground_gate`] accepts: sessions must ground at least 25% less.
+pub const SESSION_RATIO: f64 = 0.75;
+
+/// The largest incremental-patch / full-re-freeze time ratio that
+/// [`base_patch_gate`] accepts: a patch must be at least twice as fast.
+pub const PATCH_RATIO: f64 = 0.5;
+
 /// The regression gate: compare this run's per-group mean against a baseline report,
 /// failing when any group regressed beyond `threshold` — and, next to the wall-clock
-/// check, compare the [`GATED_COUNTERS`] deltas against `counter_threshold` so
+/// check, compare the [`GATED_COUNTERS`] deltas against [`COUNTER_THRESHOLD`] so
 /// regressions show even when the runner fleet's absolute speed differs from the
 /// machine that recorded the baseline. Only benches present in both reports count —
 /// a group present in the current run but absent from the baseline is *warned about
@@ -61,7 +75,6 @@ pub fn compare_against_baseline(
     baseline: &Baseline,
     records: &[Record],
     threshold: f64,
-    counter_threshold: f64,
 ) -> Result<(), String> {
     let mut groups: Vec<&str> = Vec::new();
     for r in records {
@@ -118,7 +131,7 @@ pub fn compare_against_baseline(
             // double-digit conflict count) make pure ratios meaningless, while a
             // zero-to-millions jump must still fail — so a counter regresses when it
             // exceeds BOTH the ratio threshold and base + 256.
-            let limit = (base as f64 * counter_threshold).max(base as f64 + 256.0);
+            let limit = (base as f64 * COUNTER_THRESHOLD).max(base as f64 + 256.0);
             if cur as f64 > limit {
                 let cratio = cur as f64 / (base.max(1)) as f64;
                 eprintln!(
@@ -144,7 +157,7 @@ pub fn compare_against_baseline(
     if failed {
         Err(format!(
             "at least one group regressed beyond the wall-clock ({threshold:.2}x) or \
-             counter ({counter_threshold:.2}x) threshold"
+             counter ({COUNTER_THRESHOLD:.2}x) threshold"
         ))
     } else {
         Ok(())
@@ -153,11 +166,11 @@ pub fn compare_against_baseline(
 
 /// The session-throughput gate: within the *current* run, the summed per-request
 /// grounding time of the session-mode mix must stay below the one-shot mix's by
-/// `ratio` (e.g. 0.75 = at least 25% cheaper). Both benches measure the same spec
-/// list on the same machine in the same process, so this gate is self-contained —
-/// it needs no baseline and is immune to fleet-speed drift. Groups without both
-/// benches (e.g. an older report) skip the gate with a warning.
-pub fn session_ground_gate(records: &[Record], ratio: f64) -> Result<(), String> {
+/// [`SESSION_RATIO`]. Both benches measure the same spec list on the same machine in
+/// the same process, so this gate is self-contained — it needs no baseline and is
+/// immune to fleet-speed drift. Groups without both benches (e.g. an older report)
+/// skip the gate with a warning.
+pub fn session_ground_gate(records: &[Record]) -> Result<(), String> {
     let ground_us = |bench: &str| -> Option<u64> {
         records
             .iter()
@@ -172,12 +185,12 @@ pub fn session_ground_gate(records: &[Record], ratio: f64) -> Result<(), String>
     let actual = session as f64 / (oneshot as f64).max(1.0);
     eprintln!(
         "  session_throughput           ground time: one-shot {oneshot}us  session {session}us  \
-         ratio {actual:.2}x (gate {ratio:.2}x)"
+         ratio {actual:.2}x (gate {SESSION_RATIO:.2}x)"
     );
-    if actual > ratio {
+    if actual > SESSION_RATIO {
         Err(format!(
             "session-mode per-request grounding ({session}us) is not below one-shot \
-             ({oneshot}us) by the gated ratio {ratio:.2}"
+             ({oneshot}us) by the gated ratio {SESSION_RATIO:.2}"
         ))
     } else {
         Ok(())
@@ -187,12 +200,12 @@ pub fn session_ground_gate(records: &[Record], ratio: f64) -> Result<(), String>
 /// The base-update gate: within the *current* run, one incremental base patch (the
 /// `base_update/incremental_patch` mean divided by its `patches` counter — the bench
 /// applies a publish + yank round trip per sample) must stay below the
-/// `base_update/full_refreeze` mean by `ratio` (default 0.5 = at least twice as fast
-/// as freezing the post-delta universe from scratch). Both benches run on the same
+/// `base_update/full_refreeze` mean by [`PATCH_RATIO`] (at least twice as fast as
+/// freezing the post-delta universe from scratch). Both benches run on the same
 /// workload in the same process, so like [`session_ground_gate`] this needs no
 /// baseline and is immune to fleet-speed drift. Reports without both benches skip
 /// the gate with a warning.
-pub fn base_patch_gate(records: &[Record], ratio: f64) -> Result<(), String> {
+pub fn base_patch_gate(records: &[Record]) -> Result<(), String> {
     let find = |bench: &str| records.iter().find(|r| r.group == "base_update" && r.bench == bench);
     let (Some(patch), Some(refreeze)) = (find("incremental_patch"), find("full_refreeze")) else {
         eprintln!("  base_update                  WARNING: patch benches missing — gate skipped");
@@ -205,14 +218,14 @@ pub fn base_patch_gate(records: &[Record], ratio: f64) -> Result<(), String> {
     let actual = per_patch / full.max(1e-9);
     eprintln!(
         "  base_update                  per patch {:.1}ms  full re-freeze {:.1}ms  \
-         ratio {actual:.2}x (gate {ratio:.2}x)",
+         ratio {actual:.2}x (gate {PATCH_RATIO:.2}x)",
         per_patch * 1e3,
         full * 1e3
     );
-    if actual > ratio {
+    if actual > PATCH_RATIO {
         Err(format!(
             "an incremental base patch ({:.1}ms) is not below a full re-freeze ({:.1}ms) \
-             by the gated ratio {ratio:.2}",
+             by the gated ratio {PATCH_RATIO:.2}",
             per_patch * 1e3,
             full * 1e3
         ))
@@ -232,22 +245,33 @@ fn baseline_has_counter(baseline: &Baseline, group: &str, records: &[Record], na
     })
 }
 
-/// Parse a report produced by [`render_json`] into a [`Baseline`]. The format is
-/// line-oriented (one result object per line), so a small field scanner is enough —
-/// the workspace deliberately has no JSON dependency.
-pub fn parse_report(text: &str) -> Baseline {
+/// Parse a report produced by [`render_json`] into a [`Baseline`]. Every entry of
+/// `results` needs `group` and `bench` strings and a numeric `mean_s`; counters that
+/// are not unsigned integers are skipped. `Err` names what is malformed.
+pub fn parse_report(text: &str) -> Result<Baseline, String> {
+    let report = json::parse(text).map_err(|e| format!("malformed report: {e}"))?;
+    let results = report
+        .get("results")
+        .and_then(Json::as_array)
+        .ok_or("malformed report: no 'results' array")?;
     let mut map = BTreeMap::new();
-    for line in text.lines() {
-        let (Some(group), Some(bench), Some(mean_s)) = (
-            json_str_field(line, "group"),
-            json_str_field(line, "bench"),
-            json_num_field(line, "mean_s"),
-        ) else {
-            continue;
+    for (i, result) in results.iter().enumerate() {
+        let field = |key: &str| result.get(key).and_then(Json::as_str).map(str::to_string);
+        let (Some(group), Some(bench), Some(mean_s)) =
+            (field("group"), field("bench"), result.get("mean_s").and_then(Json::as_f64))
+        else {
+            return Err(format!("malformed report: result {i} lacks group, bench or mean_s"));
         };
-        map.insert((group, bench), BaselineEntry { mean_s, counters: json_counters(line) });
+        let counters = result
+            .get("counters")
+            .and_then(Json::as_object)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|(name, value)| Some((name.clone(), value.as_u64()?)))
+            .collect();
+        map.insert((group, bench), BaselineEntry { mean_s, counters });
     }
-    map
+    Ok(map)
 }
 
 /// Render a set of records as the line-oriented JSON report the gate parses back.
@@ -291,48 +315,6 @@ pub fn render_json(label: &str, scale: &str, records: &[Record]) -> String {
     s
 }
 
-/// Extract the `"counters": {"name": value, ...}` object of a single-line result.
-fn json_counters(line: &str) -> BTreeMap<String, u64> {
-    let mut map = BTreeMap::new();
-    let Some(start) = line.find("\"counters\": {") else {
-        return map;
-    };
-    let body = &line[start + "\"counters\": {".len()..];
-    let Some(end) = body.find('}') else {
-        return map;
-    };
-    for pair in body[..end].split(',') {
-        let mut halves = pair.splitn(2, ':');
-        let (Some(key), Some(value)) = (halves.next(), halves.next()) else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        if let Ok(v) = value.trim().parse::<u64>() {
-            map.insert(key.to_string(), v);
-        }
-    }
-    map
-}
-
-/// Extract `"key": "value"` from a single-line JSON object rendering.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(line[start..start + end].to_string())
-}
-
-/// Extract `"key": number` from a single-line JSON object rendering.
-fn json_num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,7 +337,7 @@ mod tests {
     }
 
     fn roundtrip(records: &[Record]) -> Baseline {
-        parse_report(&render_json("test", "small", records))
+        parse_report(&render_json("test", "small", records)).expect("a rendered report parses")
     }
 
     #[test]
@@ -370,6 +352,26 @@ mod tests {
     }
 
     #[test]
+    fn committed_baseline_parses() {
+        let text =
+            include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline_small.json"));
+        let baseline = parse_report(text).expect("the committed baseline parses");
+        assert!(!baseline.is_empty());
+        for ((group, bench), entry) in &baseline {
+            assert!(entry.mean_s > 0.0, "{group}/{bench}: mean_s {}", entry.mean_s);
+        }
+    }
+
+    #[test]
+    fn malformed_reports_are_errors() {
+        assert!(parse_report("").is_err());
+        assert!(parse_report(r#"{"label": "x"}"#).is_err());
+        assert!(parse_report(r#"{"results": [{"group": "g", "bench": "b"}]}"#).is_err());
+        let empty = parse_report(r#"{"results": []}"#).expect("no results is well-formed");
+        assert!(empty.is_empty());
+    }
+
+    #[test]
     fn new_groups_warn_and_skip_instead_of_failing() {
         // The committed baseline knows nothing about session_throughput: the gate
         // must pass anyway (no flag-day baseline refresh required to add a group).
@@ -378,17 +380,17 @@ mod tests {
             record("old_group", "b", 0.1, &[("atoms", 1000)]),
             record("session_throughput", "oneshot_mix", 9.9, &[("atoms", 999_999)]),
         ];
-        assert!(compare_against_baseline(&baseline, &current, 1.25, 1.6).is_ok());
+        assert!(compare_against_baseline(&baseline, &current, 1.25).is_ok());
     }
 
     #[test]
     fn wall_clock_regression_fails() {
         let baseline = roundtrip(&[record("g", "b", 0.1, &[])]);
         let current = [record("g", "b", 0.2, &[])];
-        assert!(compare_against_baseline(&baseline, &current, 1.25, 1.6).is_err());
+        assert!(compare_against_baseline(&baseline, &current, 1.25).is_err());
         // Within threshold passes.
         let current = [record("g", "b", 0.11, &[])];
-        assert!(compare_against_baseline(&baseline, &current, 1.25, 1.6).is_ok());
+        assert!(compare_against_baseline(&baseline, &current, 1.25).is_ok());
     }
 
     #[test]
@@ -397,7 +399,7 @@ mod tests {
         // Faster wall clock (a faster machine), but 3x the propagations: algorithmic
         // regression — must fail.
         let current = [record("g", "b", 0.05, &[("propagations", 30_000)])];
-        assert!(compare_against_baseline(&baseline, &current, 1.25, 1.6).is_err());
+        assert!(compare_against_baseline(&baseline, &current, 1.25).is_err());
     }
 
     #[test]
@@ -406,14 +408,14 @@ mod tests {
             record("session_throughput", "oneshot_mix", 1.0, &[("ground_us", 100_000)]),
             record("session_throughput", "session_mix", 1.0, &[("ground_us", 50_000)]),
         ];
-        assert!(session_ground_gate(&ok, 0.75).is_ok());
+        assert!(session_ground_gate(&ok).is_ok());
         let bad = [
             record("session_throughput", "oneshot_mix", 1.0, &[("ground_us", 100_000)]),
             record("session_throughput", "session_mix", 1.0, &[("ground_us", 90_000)]),
         ];
-        assert!(session_ground_gate(&bad, 0.75).is_err());
+        assert!(session_ground_gate(&bad).is_err());
         // Missing benches: skip, never fail.
-        assert!(session_ground_gate(&[], 0.75).is_ok());
+        assert!(session_ground_gate(&[]).is_ok());
     }
 
     #[test]
@@ -423,20 +425,20 @@ mod tests {
             record("base_update", "full_refreeze", 0.1, &[]),
             record("base_update", "incremental_patch", 0.08, &[("patches", 2)]),
         ];
-        assert!(base_patch_gate(&ok, 0.5).is_ok());
+        assert!(base_patch_gate(&ok).is_ok());
         // 60ms per patch vs 100ms: 0.6x fails the 0.5x gate.
         let bad = [
             record("base_update", "full_refreeze", 0.1, &[]),
             record("base_update", "incremental_patch", 0.12, &[("patches", 2)]),
         ];
-        assert!(base_patch_gate(&bad, 0.5).is_err());
+        assert!(base_patch_gate(&bad).is_err());
         // Without the patches counter the mean counts as one patch.
         let one = [
             record("base_update", "full_refreeze", 0.1, &[]),
             record("base_update", "incremental_patch", 0.04, &[]),
         ];
-        assert!(base_patch_gate(&one, 0.5).is_ok());
+        assert!(base_patch_gate(&one).is_ok());
         // Missing benches: skip, never fail.
-        assert!(base_patch_gate(&[], 0.5).is_ok());
+        assert!(base_patch_gate(&[]).is_ok());
     }
 }

@@ -1,10 +1,11 @@
 //! Shared infrastructure for the benchmark harness.
 //!
-//! The binaries in `src/bin` and the Criterion benches in `benches/` reproduce every
-//! table and figure of the paper's evaluation (Section VII). This library provides the
-//! pieces they share: workload construction (synthetic repositories and buildcaches at
-//! several scales), single-solve measurement records, and the cumulative-distribution
-//! helper used for Figures 7d–7h.
+//! The binaries in `src/bin` reproduce every table and figure of the paper's
+//! evaluation (Section VII): `figures` regenerates their data, and `bench` times the
+//! hot-path groups and gates regressions against a committed baseline ([`gate`]).
+//! This library provides the pieces they share: workload construction (synthetic
+//! repositories and buildcaches at several scales), single-solve measurement records,
+//! and the cumulative-distribution helper used for Figures 7d–7h.
 
 #![warn(missing_docs)]
 

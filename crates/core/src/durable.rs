@@ -36,6 +36,7 @@ use asp::hasher::FxHasher;
 use rayon::prelude::*;
 use spack_spec::parse_spec;
 
+use crate::json::{self, Json};
 use crate::server::wire::SolveResponse;
 use crate::session::panic_message;
 use crate::{Concretization, ConcretizeError, ConcretizerSession, ResultClass};
@@ -154,7 +155,7 @@ impl StateDir {
         let manifest = format!(
             "{{\"v\": {FORMAT_VERSION}, \"digest\": \"{digest:016x}\", \"items\": {items}, \
              \"options\": \"{}\"}}\n",
-            json_escape(options)
+            json::escape(options)
         );
         let path = root.join("manifest.json");
         match std::fs::read_to_string(&path) {
@@ -408,89 +409,11 @@ pub fn batch_digest(items: &[(usize, String)], options: &str) -> u64 {
     h.finish()
 }
 
-// ---- hand-rolled JSON (the workspace deliberately has no serde dependency) --------
-
-/// Escape a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`json_escape`]. Returns `None` on a malformed escape.
-pub(crate) fn json_unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
-                }
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Extract `"key": "value"` from a single-line JSON object rendering, honoring
-/// escapes (the value ends at the first unescaped quote).
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let mut end = None;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            end = Some(i);
-            break;
-        }
-    }
-    json_unescape(&rest[..end?])
-}
-
-/// Extract `"key": <unsigned integer>` from a single-line JSON object rendering.
-fn json_uint_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Render a record as a single JSON line ending in a checksum over everything
 /// before it, so truncation and corruption are detectable on load.
 fn render_record(record: &ItemRecord) -> String {
     let dlq = match &record.dlq {
-        Some(entry) => format!("\"{}\"", json_escape(entry)),
+        Some(entry) => format!("\"{}\"", json::escape(entry)),
         None => "null".to_string(),
     };
     let body = format!(
@@ -498,10 +421,10 @@ fn render_record(record: &ItemRecord) -> String {
          \"class\": \"{}\", \"retries\": {}, \"output\": \"{}\", \"dlq\": {dlq}",
         record.index,
         record.lineno,
-        json_escape(&record.spec),
+        json::escape(&record.spec),
         record.class.as_str(),
         record.retries,
-        json_escape(&record.output),
+        json::escape(&record.output),
     );
     let mut h = FxHasher::default();
     h.write(body.as_bytes());
@@ -509,7 +432,8 @@ fn render_record(record: &ItemRecord) -> String {
 }
 
 /// Parse and verify a record rendered by [`render_record`]. `None` means corrupt
-/// (truncated, bit-flipped, or from an incompatible format version).
+/// (truncated, bit-flipped, or from an incompatible format version). The checksum
+/// is verified on the raw text first; only a record that passes is parsed.
 fn parse_record(text: &str) -> Option<ItemRecord> {
     let line = text.strip_suffix('\n')?;
     let (body, tail) = line.rsplit_once(", \"checksum\": \"")?;
@@ -519,18 +443,23 @@ fn parse_record(text: &str) -> Option<ItemRecord> {
     if format!("{:016x}", h.finish()) != checksum {
         return None;
     }
-    if json_uint_field(body, "v")? != FORMAT_VERSION {
+    let record = json::parse(line).ok()?;
+    if record.get("v")?.as_u64()? != FORMAT_VERSION {
         return None;
     }
-    let dlq =
-        if body.ends_with("\"dlq\": null") { None } else { Some(json_str_field(body, "dlq")?) };
+    let uint = |key: &str| record.get(key)?.as_u64();
+    let string = |key: &str| record.get(key)?.as_str().map(str::to_string);
+    let dlq = match record.get("dlq")? {
+        Json::Null => None,
+        entry => Some(entry.as_str()?.to_string()),
+    };
     Some(ItemRecord {
-        index: json_uint_field(body, "index")? as usize,
-        lineno: json_uint_field(body, "lineno")? as usize,
-        spec: json_str_field(body, "spec")?,
-        class: ItemClass::from_wire(&json_str_field(body, "class")?)?,
-        retries: json_uint_field(body, "retries")? as u32,
-        output: json_str_field(body, "output")?,
+        index: usize::try_from(uint("index")?).ok()?,
+        lineno: usize::try_from(uint("lineno")?).ok()?,
+        spec: string("spec")?,
+        class: ItemClass::from_wire(record.get("class")?.as_str()?)?,
+        retries: u32::try_from(uint("retries")?).ok()?,
+        output: string("output")?,
         dlq,
     })
 }
@@ -572,20 +501,68 @@ mod tests {
 
     #[test]
     fn truncated_and_corrupted_records_are_rejected() {
-        let rendered = render_record(&sample_record());
-        // Any truncation is detected (missing newline, cut checksum, cut body).
-        for cut in [1, rendered.len() / 2, rendered.len() - 1] {
-            assert!(parse_record(&rendered[..cut]).is_none(), "cut at {cut} must be corrupt");
+        let record = sample_record();
+        let rendered = render_record(&record);
+        // Every prefix is corrupt (missing newline, cut checksum, cut body).
+        for cut in 0..rendered.len() {
+            if let Some(prefix) = rendered.get(..cut) {
+                assert!(parse_record(prefix).is_none(), "cut at {cut} must be corrupt");
+            }
         }
-        // A single flipped character fails the checksum.
-        let flipped = rendered.replacen("zlib", "zlob", 1);
-        assert!(parse_record(&flipped).is_none(), "bit flip must be corrupt");
+        // Every single-byte change loads as corrupt or, never in practice, as the
+        // same record — and never panics. A change that breaks UTF-8 cannot reach
+        // the parser: `StateDir::load` reads records as strings.
+        let mut changed = rendered.clone().into_bytes();
+        for at in 0..changed.len() {
+            let original = changed[at];
+            for byte in (0..=u8::MAX).filter(|&b| b != original) {
+                changed[at] = byte;
+                if let Ok(text) = std::str::from_utf8(&changed) {
+                    if let Some(loaded) = parse_record(text) {
+                        assert_eq!(loaded, record, "byte {at} changed to {byte:#04x}");
+                    }
+                }
+            }
+            changed[at] = original;
+        }
     }
 
     #[test]
-    fn json_escaping_roundtrips() {
-        for s in ["plain", "with \"quotes\"", "back\\slash", "tab\there\nnewline", "\u{1}ctrl"] {
-            assert_eq!(json_unescape(&json_escape(s)).as_deref(), Some(s), "{s:?}");
+    fn records_written_by_earlier_builds_still_load() {
+        // Rendered by the substring-scanner build of `render_record`: state dirs it
+        // left behind must keep resuming.
+        let golden = [
+            (
+                concat!(r#"{"v": 1, "index": 4, "lineno": 9, "spec": "zlib@\"weird\\spec\"\ttext", "class": "unsat", "retries": 1, "output": "UNSAT  zlib@9.9: no known version\n\u0001café", "dlq": "{\"v\": 1, \"id\": \"4\", \"spec\": \"zlib@9.9\", \"status\": \"unsat\", \"retries\": 1, \"lineno\": 9, \"message\": \"no valid configuration exists\", \"diagnostics\": []}", "checksum": "cc7af5163160c906"}"#, "\n"),
+                ItemRecord {
+                    index: 4,
+                    lineno: 9,
+                    spec: "zlib@\"weird\\spec\"\ttext".to_string(),
+                    class: ItemClass::Unsat,
+                    retries: 1,
+                    output: "UNSAT  zlib@9.9: no known version\n\u{1}caf\u{e9}".to_string(),
+                    dlq: Some(
+                        r#"{"v": 1, "id": "4", "spec": "zlib@9.9", "status": "unsat", "retries": 1, "lineno": 9, "message": "no valid configuration exists", "diagnostics": []}"#
+                            .to_string(),
+                    ),
+                },
+            ),
+            (
+                concat!(r#"{"v": 1, "index": 0, "lineno": 1, "spec": "hdf5 ^mpich", "class": "ok", "retries": 0, "output": "ok     hdf5 ^mpich -> 7 packages (0 reused, 7 to build)", "dlq": null, "checksum": "30de42b80596b515"}"#, "\n"),
+                ItemRecord {
+                    index: 0,
+                    lineno: 1,
+                    spec: "hdf5 ^mpich".to_string(),
+                    class: ItemClass::Ok,
+                    retries: 0,
+                    output: "ok     hdf5 ^mpich -> 7 packages (0 reused, 7 to build)".to_string(),
+                    dlq: None,
+                },
+            ),
+        ];
+        for (text, record) in golden {
+            assert_eq!(parse_record(text).as_ref(), Some(&record));
+            assert_eq!(render_record(&record), text, "the rendering must not drift");
         }
     }
 

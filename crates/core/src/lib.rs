@@ -37,6 +37,7 @@ pub mod durable;
 pub mod extract;
 pub mod facts;
 pub mod greedy;
+pub mod json;
 pub mod options;
 pub mod server;
 pub mod session;

@@ -4,9 +4,9 @@
 //! Every message carries a `"v"` field (currently [`WIRE_VERSION`]); a missing
 //! `"v"` means version 1, any other version is rejected with a parse-error
 //! response. Parsing is **unknown-field tolerant** by construction — messages are
-//! read through a full (hand-rolled — the workspace deliberately has no serde)
-//! JSON parser and only the known fields are extracted, so a newer client can add
-//! fields without breaking an older server and vice versa.
+//! read through the workspace's one JSON parser ([`crate::json`]) and only the
+//! known fields are extracted, so a newer client can add fields without breaking
+//! an older server and vice versa.
 //!
 //! # Requests
 //!
@@ -39,7 +39,7 @@
 
 use asp::{SolveBudget, SolverConfig};
 
-use crate::durable::{json_escape, json_unescape};
+use crate::json::{self, Json};
 use crate::{Concretization, ConcretizeError, Diagnostic, ResultClass, Severity};
 
 /// The wire protocol version stamped into (and required of) every message.
@@ -49,252 +49,6 @@ pub const WIRE_VERSION: u64 = 1;
 /// taxonomy of [`crate::ResultClass`] (`ok`, `unsat`, `parse`, `budget`,
 /// `internal`), shared with the batch exit-code contract and DLQ records.
 pub type SolveStatus = ResultClass;
-
-// ---------------------------------------------------------------------------
-// A minimal JSON value parser (tolerant reader side of the hand-rolled codec).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Crate-internal: the wire types below are the public API.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any integer (i128 covers the full u64 and i64 wire ranges).
-    Int(i128),
-    /// A non-integer number; carried only for tolerance, never produced by us.
-    Float(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(i) => u64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => i64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Deepest array/object nesting [`parse_json`] accepts. Real requests nest a few
-/// levels; the cap keeps the recursive-descent parser from overflowing its stack on
-/// hostile input such as a line of a million `[`.
-const MAX_NESTING: usize = 128;
-
-/// Parse one JSON document (and nothing else) from `text`.
-pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing characters at offset {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects currently open (bounded by [`MAX_NESTING`]).
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth == MAX_NESTING {
-                    return Err(format!(
-                        "nesting deeper than {MAX_NESTING} levels at offset {}",
-                        self.pos
-                    ));
-                }
-                self.depth += 1;
-                let value = if open == b'{' { self.object() } else { self.array() };
-                self.depth -= 1;
-                value
-            }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            Some(b) => Err(format!("unexpected character '{}' at offset {}", b as char, self.pos)),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at offset {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_string())?;
-        if float {
-            text.parse().map(Json::Float).map_err(|_| format!("invalid number '{text}'"))
-        } else {
-            text.parse().map(Json::Int).map_err(|_| format!("invalid number '{text}'"))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        let mut escaped = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8 in string".to_string())?;
-                self.pos += 1;
-                return json_unescape(raw)
-                    .ok_or_else(|| format!("malformed escape in string at offset {start}"));
-            }
-            self.pos += 1;
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -397,14 +151,14 @@ impl RequestOptions {
     ///
     /// [`render`]: RequestOptions::render
     pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&parse_json(text)?)
+        Self::from_json(&json::parse(text)?)
     }
 
     /// Render as a JSON object containing only the set fields.
     pub fn render(&self) -> String {
         let mut fields: Vec<String> = Vec::new();
         if let Some(site) = &self.site {
-            fields.push(format!("\"site\": \"{}\"", json_escape(site)));
+            fields.push(format!("\"site\": \"{}\"", json::escape(site)));
         }
         if let Some(reuse) = self.reuse {
             fields.push(format!("\"reuse\": {reuse}"));
@@ -456,7 +210,7 @@ impl RequestOptions {
 /// `Err` — the server answers those with a `parse`-status response and keeps the
 /// connection alive.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let json = parse_json(line).map_err(|e| format!("malformed request: {e}"))?;
+    let json = json::parse(line).map_err(|e| format!("malformed request: {e}"))?;
     if !matches!(json, Json::Obj(_)) {
         return Err("malformed request: expected a JSON object".to_string());
     }
@@ -645,8 +399,8 @@ impl SolveResponse {
         let mut out = format!(
             "{{\"v\": {WIRE_VERSION}, \"id\": \"{}\", \"spec\": \"{}\", \"status\": \"{}\", \
              \"retries\": {}",
-            json_escape(&self.id),
-            json_escape(&self.spec),
+            json::escape(&self.id),
+            json::escape(&self.spec),
             self.status.as_str(),
             self.retries,
         );
@@ -654,7 +408,7 @@ impl SolveResponse {
             out.push_str(&format!(", \"lineno\": {lineno}"));
         }
         if let Some(message) = &self.message {
-            out.push_str(&format!(", \"message\": \"{}\"", json_escape(message)));
+            out.push_str(&format!(", \"message\": \"{}\"", json::escape(message)));
         }
         let diags: Vec<String> = self.diagnostics.iter().map(render_diagnostic).collect();
         out.push_str(&format!(", \"diagnostics\": [{}]", diags.join(", ")));
@@ -662,10 +416,10 @@ impl SolveResponse {
             let reused: Vec<String> = result
                 .reused
                 .iter()
-                .map(|(p, h)| format!("[\"{}\", \"{}\"]", json_escape(p), json_escape(h)))
+                .map(|(p, h)| format!("[\"{}\", \"{}\"]", json::escape(p), json::escape(h)))
                 .collect();
             let built: Vec<String> =
-                result.built.iter().map(|p| format!("\"{}\"", json_escape(p))).collect();
+                result.built.iter().map(|p| format!("\"{}\"", json::escape(p))).collect();
             let cost: Vec<String> =
                 result.cost.iter().map(|(p, v)| format!("[{p}, {v}]")).collect();
             out.push_str(&format!(
@@ -676,7 +430,7 @@ impl SolveResponse {
                 built.join(", "),
                 cost.join(", "),
                 result.optimal,
-                json_escape(&result.dag),
+                json::escape(&result.dag),
             ));
         }
         out.push('}');
@@ -686,7 +440,7 @@ impl SolveResponse {
     /// Parse a response line rendered by [`SolveResponse::render`] (tolerant of
     /// unknown fields, like all wire parsing).
     pub fn parse(line: &str) -> Result<Self, String> {
-        let json = parse_json(line).map_err(|e| format!("malformed response: {e}"))?;
+        let json = json::parse(line).map_err(|e| format!("malformed response: {e}"))?;
         match json.get("v") {
             None => {}
             Some(v) if v.as_u64() == Some(WIRE_VERSION) => {}
@@ -724,17 +478,17 @@ fn render_diagnostic(d: &Diagnostic) -> String {
         Severity::Note => "note",
     };
     let package = match &d.package {
-        Some(p) => format!("\"{}\"", json_escape(p)),
+        Some(p) => format!("\"{}\"", json::escape(p)),
         None => "null".to_string(),
     };
     let provenance: Vec<String> =
-        d.provenance.iter().map(|p| format!("\"{}\"", json_escape(p))).collect();
+        d.provenance.iter().map(|p| format!("\"{}\"", json::escape(p))).collect();
     format!(
         "{{\"severity\": \"{severity}\", \"priority\": {}, \"code\": \"{}\", \
          \"message\": \"{}\", \"package\": {package}, \"provenance\": [{}]}}",
         d.priority,
-        json_escape(&d.code),
-        json_escape(&d.message),
+        json::escape(&d.code),
+        json::escape(&d.message),
         provenance.join(", ")
     )
 }
@@ -816,7 +570,7 @@ pub fn render_stats_response(id: &str, stats: &super::ServerStats) -> String {
                  \"requests\": {}, \"base_grounds\": {}, \"frozen_instances\": {}, \
                  \"store_hits\": {}, \"store_misses\": {}, \"store_transferred\": {}, \
                  \"patches\": {}, \"refreezes\": {}, \"evictions\": {}",
-                json_escape(&s.site),
+                json::escape(&s.site),
                 s.reuse,
                 s.digest,
                 s.requests,
@@ -830,7 +584,7 @@ pub fn render_stats_response(id: &str, stats: &super::ServerStats) -> String {
                 s.evictions,
             );
             if let Some(reason) = &s.last_refreeze {
-                entry.push_str(&format!(", \"last_refreeze\": \"{}\"", json_escape(reason)));
+                entry.push_str(&format!(", \"last_refreeze\": \"{}\"", json::escape(reason)));
             }
             entry.push('}');
             entry
@@ -840,7 +594,7 @@ pub fn render_stats_response(id: &str, stats: &super::ServerStats) -> String {
         "{{\"v\": {WIRE_VERSION}, \"id\": \"{}\", \"status\": \"ok\", \"stats\": \
          {{\"workers\": {}, \"queue_depth\": {}, \"jobs_received\": {}, \
          \"jobs_completed\": {}, \"shards\": [{}]}}}}",
-        json_escape(id),
+        json::escape(id),
         stats.workers,
         stats.queue_depth,
         stats.jobs_received,
@@ -855,7 +609,7 @@ pub fn render_update_response(id: &str, outcome: &super::UpdateOutcome) -> Strin
     format!(
         "{{\"v\": {WIRE_VERSION}, \"id\": \"{}\", \"status\": \"ok\", \"update\": \
          {{\"shards_patched\": {}, \"shards_refrozen\": {}}}}}",
-        json_escape(id),
+        json::escape(id),
         outcome.patched,
         outcome.refrozen,
     )
@@ -864,31 +618,6 @@ pub fn render_update_response(id: &str, outcome: &super::UpdateOutcome) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_parser_handles_the_basics() {
-        let json =
-            parse_json(r#"{"a": 1, "b": [true, null, "x\n"], "c": {"d": -7}, "e": 1.5}"#).unwrap();
-        assert_eq!(json.get("a").and_then(Json::as_u64), Some(1));
-        let arr = json.get("b").and_then(Json::as_array).unwrap();
-        assert_eq!(arr[0].as_bool(), Some(true));
-        assert_eq!(arr[1], Json::Null);
-        assert_eq!(arr[2].as_str(), Some("x\n"));
-        assert_eq!(json.get("c").unwrap().get("d").and_then(Json::as_i64), Some(-7));
-        assert_eq!(json.get("e"), Some(&Json::Float(1.5)));
-        assert!(parse_json("{").is_err());
-        assert!(parse_json(r#"{"a": 1} trailing"#).is_err());
-        assert!(parse_json("not json").is_err());
-    }
-
-    #[test]
-    fn json_nesting_is_capped() {
-        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
-        assert!(parse_json(&nested(MAX_NESTING)).is_ok());
-        let err = parse_json(&nested(MAX_NESTING + 1)).unwrap_err();
-        assert!(err.contains("nesting deeper than"), "{err}");
-        assert!(parse_json(&"[".repeat(200_000)).is_err());
-    }
 
     #[test]
     fn request_parsing_versions_and_tolerance() {
@@ -988,7 +717,7 @@ mod tests {
 
         let outcome = super::super::UpdateOutcome { patched: 2, refrozen: 1 };
         let line = render_update_response("u1", &outcome);
-        let json = parse_json(&line).unwrap();
+        let json = json::parse(&line).unwrap();
         assert_eq!(json.get("status").and_then(Json::as_str), Some("ok"));
         let update = json.get("update").unwrap();
         assert_eq!(update.get("shards_patched").and_then(Json::as_u64), Some(2));

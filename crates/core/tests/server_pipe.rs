@@ -398,3 +398,29 @@ fn non_utf8_and_overlong_lines_get_parse_responses_and_the_stream_survives() {
     assert_eq!(solved, ["a", "b"], "the stream must survive bad lines: {lines:?}");
     assert_eq!(stats.jobs_received, 2);
 }
+
+#[test]
+fn escaped_ids_are_answered_under_their_decoded_value() {
+    // `\/` and surrogate pairs are valid JSON escapes (Python's `json.dumps` writes
+    // a pair for every character outside the BMP). They used to be rejected, and
+    // the `parse` response carried an empty id the client could not match.
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let input = concat!(
+        r#"{"v": 1, "id": "a\/b", "specs": ["zlib"]}"#,
+        "\n",
+        r#"{"v": 1, "id": "\ud83d\ude00", "specs": ["zlib"]}"#,
+        "\n"
+    );
+    let (lines, _) = serve(false, &config, input);
+    let mut answered: Vec<(String, wire::SolveStatus)> =
+        lines.iter().map(|l| response(l)).map(|r| (r.id, r.status)).collect();
+    answered.sort_by(|a, b| a.0.cmp(&b.0));
+    assert_eq!(
+        answered,
+        [
+            ("a/b".to_string(), wire::SolveStatus::Ok),
+            ("\u{1f600}".to_string(), wire::SolveStatus::Ok)
+        ],
+        "{lines:?}"
+    );
+}
