@@ -15,7 +15,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::ast::Program;
-use crate::ground::{BaseProgram, GroundError, GroundProgram, GroundStats, Grounder, PatchStats};
+use crate::ground::{
+    BaseProgram, Facts, GroundError, GroundProgram, GroundStats, Grounder, PatchStats,
+};
 use crate::optimize::{
     enumerate_models_with_stats, solve_optimal_assuming, OptOutcome, OptimalModel, OptimizeError,
     ProbeVerdict, StableProbe,
@@ -499,7 +501,7 @@ pub struct Control {
     config: SolverConfig,
     symbols: SymbolTable,
     program: Program,
-    facts: Vec<GroundAtom>,
+    facts: Facts,
     ground: Option<GroundProgram>,
     translation: Option<Translation>,
     stats: Stats,
@@ -513,13 +515,10 @@ pub struct Control {
     /// any: [`Control::ground`] then grounds the facts added since the fork as a
     /// *delta* on the base instead of re-grounding from scratch.
     base: Option<Arc<FrozenInner>>,
-    /// Relevance restriction for the next delta grounding (session forks only): base
-    /// atoms mentioning any of these symbols are dropped from this request's view of
-    /// the frozen base. See [`Control::restrict_symbols`].
+    /// Relevance restriction for the next delta grounding (session forks only): the
+    /// excluded fact owners. See [`Control::restrict_symbols`].
     restricted: crate::hasher::FxHashSet<crate::symbols::SymbolId>,
-    /// Integer companions of `restricted` as half-open `[start, end)` ranges, matched
-    /// against *first* arguments only (id-keyed fact schemes). Sorted and merged by
-    /// [`Control::ground`]. See [`Control::restrict_int_ranges`].
+    /// Excluded first-argument integer ranges (see [`Control::restrict_int_ranges`]).
     restricted_ints: Vec<(i64, i64)>,
     /// Was any restriction *requested* (even one whose symbols did not resolve)?
     /// Grounding a non-fork with a requested restriction is a usage error — silently
@@ -569,7 +568,7 @@ impl FrozenControl {
             config: self.inner.config.clone(),
             symbols: self.inner.symbols.clone(),
             program: Program::default(),
-            facts: Vec::new(),
+            facts: Facts::default(),
             ground: None,
             translation: None,
             stats: Stats::default(),
@@ -600,7 +599,7 @@ impl FrozenControl {
     }
 
     /// Patch the frozen base **in place** so it answers subsequent requests exactly
-    /// like a fresh [`Control::freeze_base_partitioned`] of the post-delta universe
+    /// like a fresh [`Control::freeze_base`] of the post-delta universe
     /// would — without dropping the session or re-parsing the program.
     ///
     /// `staged` must be a [`FrozenControl::request`] fork *of this base* carrying the
@@ -610,9 +609,9 @@ impl FrozenControl {
     /// id-exact closure rebuild with frozen-instance remapping when facts were
     /// removed; see [`Grounder::patch_base`]). The fork's symbol table — a superset
     /// clone of the base's, extended with whatever new names the delta interned — is
-    /// adopted wholesale, so old symbol ids keep their meaning. `partition` re-states
-    /// the owner partition for the patched universe (a delta can add or remove
-    /// owners).
+    /// adopted wholesale, so old symbol ids keep their meaning, and so are the fork's
+    /// fact owners. The partition is ignored, as in
+    /// [`Control::freeze_base_partitioned`].
     ///
     /// Fails with [`AspError::Usage`] when `staged` was forked from a different base,
     /// or when the base is still shared — another clone of this `FrozenControl`, or
@@ -621,7 +620,7 @@ impl FrozenControl {
     pub fn patch_base<S: AsRef<str>>(
         &mut self,
         staged: Control,
-        partition: &[S],
+        _partition: &[S],
     ) -> Result<PatchStats, AspError> {
         match &staged.base {
             Some(inner) if Arc::ptr_eq(inner, &self.inner) => {}
@@ -645,9 +644,7 @@ impl FrozenControl {
             )
         })?;
         inner.symbols = symbols;
-        let partition: crate::hasher::FxHashSet<crate::symbols::SymbolId> =
-            partition.iter().filter_map(|s| inner.symbols.lookup(s.as_ref())).collect();
-        Ok(Grounder::new(&mut inner.symbols).patch_base(&mut inner.base, facts, partition)?)
+        Ok(Grounder::new(&mut inner.symbols).patch_base(&mut inner.base, facts)?)
     }
 }
 
@@ -658,7 +655,7 @@ impl Control {
             config,
             symbols: SymbolTable::new(),
             program: Program::default(),
-            facts: Vec::new(),
+            facts: Facts::default(),
             ground: None,
             translation: None,
             stats: Stats::default(),
@@ -685,15 +682,15 @@ impl Control {
         self.shared_store = Some(store);
     }
 
-    /// Restrict this request's view of the frozen base (session forks only): every
-    /// base atom mentioning one of these symbols is dropped before the delta
-    /// grounding, as are the frozen rule instances referencing such atoms. Callers
-    /// use this for *relevance restriction* — dropping everything about packages
-    /// outside a request's dependency closure shrinks the per-request program from
-    /// the whole-universe base to what a from-scratch solve would ground, which is
-    /// what makes a session request cheaper than a one-shot solve rather than larger.
-    /// Symbols the base never interned are ignored. Must be called before
-    /// [`Control::ground`].
+    /// Restrict this request's view of the frozen base (session forks only) by
+    /// excluding fact owners: a base fact is kept when at least one of its emissions
+    /// names none of these owners (see [`Control::set_fact_owners`]), and the request
+    /// grounds exactly what the kept facts derive — the program a fresh [`Control`]
+    /// given only the kept facts would ground. Callers use this for *relevance
+    /// restriction*: excluding every package outside a request's dependency closure
+    /// shrinks the per-request program from the whole-universe base to what a
+    /// one-shot solve of the same roots grounds. Names the base never interned are
+    /// ignored. Must be called before [`Control::ground`].
     pub fn restrict_symbols<I, S>(&mut self, names: I)
     where
         I: IntoIterator<Item = S>,
@@ -707,16 +704,24 @@ impl Control {
         }
     }
 
-    /// Integer companion of [`Control::restrict_symbols`]: base atoms whose *first*
-    /// argument falls into one of these half-open `[start, end)` ranges are dropped
-    /// from this request's view of the frozen base. Intended for id-keyed fact
-    /// schemes (a generalized-condition id in the first argument); callers must
-    /// allocate such ids from a range no other first-position integer uses, so
-    /// exclusion can never hit a weight or priority. Ranges are sorted and merged
-    /// when grounding runs.
+    /// Drop base atoms whose *first* argument is an integer in one of these
+    /// half-open `[start, end)` ranges from this request's view of the frozen base,
+    /// with everything only they derive. Its only remaining caller is the
+    /// benchmark's mirror of the session path (`perfbench/src/trace.rs`), which
+    /// passes the empty list it now gets from `BaseFacts::request_exclusions`; it
+    /// goes when that mirror does.
     pub fn restrict_int_ranges(&mut self, ranges: impl IntoIterator<Item = (i64, i64)>) {
         self.restriction_requested = true;
         self.restricted_ints.extend(ranges.into_iter().filter(|&(s, e)| s < e));
+    }
+
+    /// Set the owners of the facts added from now on: a request that excludes any
+    /// of them ([`Control::restrict_symbols`]) drops those emissions. An empty list
+    /// means global — kept by every request. A fact emitted several times is kept
+    /// when any one emission is.
+    pub fn set_fact_owners<S: AsRef<str>>(&mut self, owners: &[S]) {
+        let owners = owners.iter().map(|o| self.symbols.intern(o.as_ref())).collect();
+        self.facts.set_owners(owners);
     }
 
     /// Parse and add a logic program.
@@ -736,32 +741,15 @@ impl Control {
     /// Ground the program and the facts added so far *once* and freeze the result:
     /// the returned [`FrozenControl`] answers many independent requests, each of which
     /// re-grounds only its own delta facts (clingo's multi-shot `ground`/`solve`
-    /// amortization). The base grounding is complete — phase-1 closure, per-rule
-    /// instance buckets, per-statement minimize tuples — so a request's
-    /// [`Control::ground`] does work proportional to what its facts touch, not to the
-    /// base program.
-    pub fn freeze_base(self) -> Result<FrozenControl, AspError> {
-        self.freeze_base_partitioned::<&str>(&[])
-    }
-
-    /// [`Control::freeze_base`] with an *owner partition*: the frozen base buckets
-    /// its atoms and instances by the first argument symbol belonging to `partition`
-    /// (e.g. every package name), so a request that excludes some owners via
-    /// [`Control::restrict_symbols`] only ever visits the buckets it keeps — the
-    /// per-request restriction cost is proportional to the kept slice, not to the
-    /// whole base. Purely an access-path optimization: results are identical to an
-    /// unpartitioned freeze.
-    pub fn freeze_base_partitioned<S: AsRef<str>>(
-        mut self,
-        partition: &[S],
-    ) -> Result<FrozenControl, AspError> {
+    /// amortization). The base grounding is complete — phase-1 closure, every rule
+    /// instance and minimize condition recorded in full, filed by fact owner — so a
+    /// request's [`Control::ground`] does work proportional to the part of the base
+    /// it keeps and to what its facts touch, not to the whole base program.
+    pub fn freeze_base(mut self) -> Result<FrozenControl, AspError> {
         if self.base.is_some() {
             return Err(AspError::Usage("cannot freeze a per-request control".into()));
         }
-        let partition: crate::hasher::FxHashSet<crate::symbols::SymbolId> =
-            partition.iter().filter_map(|s| self.symbols.lookup(s.as_ref())).collect();
-        let base =
-            Grounder::new(&mut self.symbols).ground_base(&self.program, &self.facts, &partition)?;
+        let base = Grounder::new(&mut self.symbols).ground_base(&self.program, self.facts)?;
         Ok(FrozenControl {
             inner: Arc::new(FrozenInner {
                 config: self.config,
@@ -770,6 +758,16 @@ impl Control {
                 load_time: self.stats.load_time,
             }),
         })
+    }
+
+    /// [`Control::freeze_base`], for callers written against the owner partition
+    /// this used to take. Owner buckets now come from the fact owners
+    /// ([`Control::set_fact_owners`]), so the partition is ignored.
+    pub fn freeze_base_partitioned<S: AsRef<str>>(
+        self,
+        _partition: &[S],
+    ) -> Result<FrozenControl, AspError> {
+        self.freeze_base()
     }
 
     /// Add one input fact.
@@ -787,7 +785,7 @@ impl Control {
 
     /// Number of facts added so far.
     pub fn fact_count(&self) -> usize {
-        self.facts.len()
+        self.facts.atoms.len()
     }
 
     /// An order-sensitive digest of every fact added so far, computed over predicate
@@ -797,7 +795,7 @@ impl Control {
     pub fn fact_digest(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut hasher = crate::hasher::FxHasher::default();
-        for fact in &self.facts {
+        for fact in &self.facts.atoms {
             self.symbols.name(fact.pred).hash(&mut hasher);
             for v in &fact.args {
                 match v {
@@ -831,31 +829,17 @@ impl Control {
             ));
         }
         let ground = match &self.base {
-            Some(inner) => {
-                // Sort and merge the excluded id ranges so the grounder can test
-                // membership with one binary search.
-                self.restricted_ints.sort_unstable();
-                self.restricted_ints.dedup();
-                let mut merged: Vec<(i64, i64)> = Vec::with_capacity(self.restricted_ints.len());
-                for &(s, e) in &self.restricted_ints {
-                    match merged.last_mut() {
-                        Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                        _ => merged.push((s, e)),
-                    }
-                }
-                self.restricted_ints = merged;
-                Grounder::new(&mut self.symbols).ground_delta(
-                    &inner.base,
-                    &self.restricted,
-                    &self.restricted_ints,
-                    &self.facts,
-                )?
-            }
-            None => Grounder::new(&mut self.symbols).ground(&self.program, &self.facts)?,
+            Some(inner) => Grounder::new(&mut self.symbols).ground_delta(
+                &inner.base,
+                &self.restricted,
+                &self.restricted_ints,
+                &self.facts,
+            )?,
+            None => Grounder::new(&mut self.symbols).ground(&self.program, &self.facts.atoms)?,
         };
         let translation = translate(&ground);
         self.stats.ground_time = start.elapsed();
-        self.stats.facts = self.facts.len();
+        self.stats.facts = self.facts.atoms.len();
         self.stats.ground = ground.stats.clone();
         self.stats.variables = translation.num_vars;
         self.stats.clauses = translation.clauses.len();
@@ -1182,6 +1166,12 @@ impl Control {
         self.record_sat_stats(&sat);
         self.stats.models_examined = examined;
         Ok(models.iter().map(|m| self.extract_model(m)).collect())
+    }
+
+    /// The symbol table the ground program's atoms are interned in (render an atom
+    /// with [`GroundAtom::display`]).
+    pub fn symbols(&self) -> &SymbolTable {
+        &self.symbols
     }
 
     /// Statistics for the phases run so far.

@@ -111,26 +111,40 @@ pub struct GroundRule {
     pub neg: Vec<AtomId>,
 }
 
-/// Deduplication index for ground rules: maps a rule's hash to the indices of the
-/// rules already emitted with that hash, comparing in full only on collision. Unlike a
+/// Deduplication index for ground rules: maps a rule's hash to the index of the first
+/// rule emitted with that hash (further rules sharing the hash — genuine collisions —
+/// in `more`), comparing in full only on a hash match. Unlike a
 /// `HashSet<GroundRule>`, this never clones a rule — the emitted list is the only
-/// owner.
+/// owner — and allocates nothing per rule.
 #[derive(Debug, Default)]
 struct RuleDedup {
-    by_hash: FxHashMap<u64, Vec<u32>>,
+    first: FxHashMap<u64, u32>,
+    more: FxHashMap<u64, Vec<u32>>,
 }
 
 impl RuleDedup {
     /// Append `rule` to `rules` unless an identical rule was already emitted.
     fn push_if_new(&mut self, rule: GroundRule, rules: &mut Vec<GroundRule>) {
+        use std::collections::hash_map::Entry;
         use std::hash::{Hash, Hasher};
         let mut hasher = crate::hasher::FxHasher::default();
         rule.hash(&mut hasher);
-        let ids = self.by_hash.entry(hasher.finish()).or_default();
-        if ids.iter().any(|&i| rules[i as usize] == rule) {
-            return;
+        let hash = hasher.finish();
+        match self.first.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(rules.len() as u32);
+            }
+            Entry::Occupied(slot) => {
+                if rules[*slot.get() as usize] == rule {
+                    return;
+                }
+                let more = self.more.entry(hash).or_default();
+                if more.iter().any(|&i| rules[i as usize] == rule) {
+                    return;
+                }
+                more.push(rules.len() as u32);
+            }
         }
-        ids.push(rules.len() as u32);
         rules.push(rule);
     }
 }
@@ -185,7 +199,8 @@ pub struct GroundStats {
     /// [`BaseProgram`] (multi-shot sessions): phase 1 continued semi-naively from the
     /// request's delta facts and only touched rules were re-instantiated.
     pub delta: bool,
-    /// Ground instances reused verbatim from the frozen base (delta groundings only).
+    /// Frozen base instances re-simplified into this grounding instead of being
+    /// re-instantiated (delta groundings only).
     pub reused_rules: usize,
     /// Rules re-instantiated because a delta atom touched one of their literals
     /// (delta groundings only).
@@ -267,8 +282,8 @@ fn atom_sig(atom: &CAtom) -> SigLit {
 /// rule's ground instances: positive and negative body literals, conditional literals
 /// (the atom and its conditions), and choice elements (the atom and its conditions).
 /// Head atoms of normal rules are deliberately absent: a rule derives new head atoms
-/// only when its body matches a delta atom, and an existing head turning certain
-/// leaves the frozen instance semantically inert rather than wrong.
+/// only when its body matches a delta atom, and a frozen record whose head turns
+/// certain is dropped when it is simplified against the request's view.
 fn rule_signature(rule: &CRule) -> Vec<SigLit> {
     let mut sigs = Vec::new();
     sigs.extend(rule.pos.iter().map(atom_sig));
@@ -298,16 +313,6 @@ fn rule_phase1_condition_signature(rule: &CRule) -> Vec<SigLit> {
         }
     }
     sigs
-}
-
-/// The head signature of a normal rule ([`CompiledProgram::head_sigs`]): empty for
-/// constraints and choice rules (choice element atoms are already part of
-/// [`rule_signature`]).
-fn rule_head_signature(rule: &CRule) -> Vec<SigLit> {
-    match &rule.head {
-        CHead::Atom(atom) => vec![atom_sig(atom)],
-        _ => Vec::new(),
-    }
 }
 
 fn minimize_signature(m: &CMinimize) -> Vec<SigLit> {
@@ -365,11 +370,6 @@ pub struct CompiledProgram {
     rule_sigs: Vec<Vec<SigLit>>,
     /// Parallel to `crules`: choice-element condition signatures (phase-1 re-joins).
     rule_p1_sigs: Vec<Vec<SigLit>>,
-    /// Parallel to `crules`: the normal-rule head signature. Request deltas ignore
-    /// heads (see [`rule_signature`]), but a *base* patch cannot: phase 2 drops
-    /// instances whose head atom is certain, so a delta fact landing on a derivable
-    /// head changes the rule's instance set even when no body literal is touched.
-    head_sigs: Vec<Vec<SigLit>>,
     /// Parallel to `cminimize`.
     minimize_sigs: Vec<Vec<SigLit>>,
     /// The `#external` guard atoms of the program text, in declaration order —
@@ -381,55 +381,331 @@ pub struct CompiledProgram {
     text_facts: Vec<GroundAtom>,
 }
 
-/// One frozen minimize condition: `(statement index, tuple key, positive atoms,
-/// negative atoms)`. Kept flat (not pre-aggregated) so a request can merge the
-/// surviving conditions of unaffected statements with freshly ground ones without
-/// double-counting shared tuple keys.
-type TupleEntry = (u32, (i64, i64, Vec<Val>), Vec<AtomId>, Vec<AtomId>);
+impl CompiledProgram {
+    fn is_choice(&self, rule: u32) -> bool {
+        matches!(self.crules[rule as usize].head, CHead::Choice { .. })
+    }
+}
+
+/// Sentinel atom id: no atom — a constraint's head, or a conditional-literal atom
+/// that is not possible.
+const NO_ATOM: AtomId = AtomId::MAX;
+/// Sentinel for a conditional-literal atom that could not be instantiated: the
+/// instance is discarded whenever that element's conditions hold.
+const BAD_ATOM: AtomId = AtomId::MAX - 1;
+/// Header bit of a negated conditional-literal element in a record body.
+const NEGATED: u32 = 1 << 31;
+
+/// A set of owner symbols, sorted and deduplicated. The empty set means *global*.
+pub type OwnerSet = Box<[SymbolId]>;
+
+/// Input facts, each emission under an owner set (see
+/// [`crate::Control::set_fact_owners`]): a request that excludes an owner drops the
+/// emissions naming it, and keeps a fact when any one of its emissions survives.
+#[derive(Debug, Clone)]
+pub struct Facts {
+    /// The facts, one entry per emission (duplicates allowed).
+    pub atoms: Vec<GroundAtom>,
+    /// Parallel to `atoms`: the emission's index into `sets`.
+    owners: Vec<u32>,
+    /// Owner sets, each sorted; index 0 is the empty (global) set.
+    sets: Vec<OwnerSet>,
+    /// Interning index over `sets`.
+    ids: FxHashMap<OwnerSet, u32>,
+    /// The owner set of the facts pushed from now on.
+    current: u32,
+}
+
+impl Default for Facts {
+    fn default() -> Self {
+        let sets = vec![OwnerSet::default()];
+        let ids = sets.iter().map(|s| (s.clone(), 0)).collect();
+        Facts { atoms: Vec::new(), owners: Vec::new(), sets, ids, current: 0 }
+    }
+}
+
+impl Facts {
+    /// Facts without owners: every emission is global.
+    pub fn global(atoms: Vec<GroundAtom>) -> Self {
+        Facts { owners: vec![0; atoms.len()], atoms, ..Facts::default() }
+    }
+
+    /// Emit the facts pushed from now on under `owners` (empty: global).
+    pub fn set_owners(&mut self, mut owners: Vec<SymbolId>) {
+        owners.sort_unstable();
+        owners.dedup();
+        let next = self.sets.len() as u32;
+        self.current = *self.ids.entry(owners.as_slice().into()).or_insert(next);
+        if self.current == next {
+            self.sets.push(owners.into());
+        }
+    }
+
+    /// Add one fact emission under the current owners.
+    pub fn push(&mut self, atom: GroundAtom) {
+        self.atoms.push(atom);
+        self.owners.push(self.current);
+    }
+}
+
+/// One frozen rule instance in full. The body in [`Frozen::arena`] keeps everything
+/// phase 2 would simplify away against the whole base, because a request that
+/// excludes part of the base simplifies it differently:
+///
+/// `npos pos.. nneg neg.. nconj (hdr cond.. atom).. nelem (n cond.. head)..`
+///
+/// — every matched positive atom (certain ones included), every possible candidate of
+/// every negative literal, each conditional-literal element over certain conditions
+/// (`hdr` = condition count, [`NEGATED`] bit; `atom` may be [`NO_ATOM`] or
+/// [`BAD_ATOM`]), and the heads: each choice element over *possible* conditions
+/// (those are the phase-1 derivations of the element atoms), or a normal rule's head
+/// as one element without conditions (none for a constraint).
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    rule: u32,
+    /// Choice rules: the index of the instance's bounds in [`Frozen::bounds`].
+    bounds: u32,
+    off: u32,
+}
+
+/// The frozen instances of a base: rule records and minimize conditions (a record
+/// body without conditional literals and elements, keyed by statement and tuple),
+/// over one arena.
+#[derive(Debug, Default)]
+struct Frozen {
+    records: Vec<Record>,
+    arena: Vec<u32>,
+    bounds: Vec<(Option<i64>, Option<i64>)>,
+    tuples: Vec<(u32, TupleKey, u32)>,
+    /// While recording: the hash of each normal record → its index, so an instance
+    /// recorded twice in full is kept once (see [`Frozen::push_record`]).
+    seen: FxHashMap<u64, u32>,
+}
+
+/// Walk the record body starting at `body[0]`, calling `f(section, slots)` with the
+/// index range of the positive atoms (section 0), of the negative candidates (1), of
+/// each conditional-literal element's conditions and atom (2), and of each choice
+/// element's conditions and head (3). Returns the body's length.
+fn walk(body: &[u32], mut f: impl FnMut(u8, std::ops::Range<usize>)) -> usize {
+    let mut i = 0;
+    for section in 0..2 {
+        let n = body[i] as usize;
+        f(section, i + 1..i + 1 + n);
+        i += 1 + n;
+    }
+    for section in 2..4 {
+        let count = body[i];
+        i += 1;
+        for _ in 0..count {
+            let n = (body[i] & !NEGATED) as usize;
+            f(section, i + 1..i + 2 + n);
+            i += 2 + n;
+        }
+    }
+    i
+}
+
+impl Frozen {
+    /// Record one instance. The positive and negative sections are sorted first, and
+    /// a normal rule instance identical in full to one already recorded for the same
+    /// rule is dropped: it simplifies identically in every view (a symmetric join,
+    /// like `:- p(X), p(Y), X != Y` matched both ways, is recorded once). Choice
+    /// instances are all kept, as phase 2 keeps them.
+    fn push_record(
+        &mut self,
+        rule: usize,
+        bounds: Option<(Option<i64>, Option<i64>)>,
+        body: &mut [u32],
+    ) {
+        let npos = body[0] as usize;
+        body[1..1 + npos].sort_unstable();
+        let nneg = body[1 + npos] as usize;
+        body[2 + npos..2 + npos + nneg].sort_unstable();
+        if bounds.is_none() {
+            use std::collections::hash_map::Entry;
+            use std::hash::{Hash, Hasher};
+            let mut hasher = crate::hasher::FxHasher::default();
+            (rule, &*body).hash(&mut hasher);
+            match self.seen.entry(hasher.finish()) {
+                Entry::Vacant(slot) => {
+                    slot.insert(self.records.len() as u32);
+                }
+                Entry::Occupied(slot) => {
+                    let first = self.records[*slot.get() as usize];
+                    let recorded = &self.arena[first.off as usize..];
+                    if first.rule as usize == rule && recorded.get(..body.len()) == Some(&*body) {
+                        return;
+                    }
+                }
+            }
+        }
+        let bounds = bounds.map_or(0, |b| {
+            self.bounds.push(b);
+            self.bounds.len() as u32 - 1
+        });
+        self.records.push(Record { rule: rule as u32, bounds, off: self.arena.len() as u32 });
+        self.arena.extend_from_slice(body);
+    }
+
+    fn push_tuple(&mut self, stmt: usize, key: TupleKey, pos: &[AtomId], neg: &[AtomId]) {
+        self.tuples.push((stmt as u32, key, self.arena.len() as u32));
+        self.arena.push(pos.len() as u32);
+        self.arena.extend_from_slice(pos);
+        self.arena.push(neg.len() as u32);
+        self.arena.extend_from_slice(neg);
+        self.arena.extend_from_slice(&[0, 0]);
+    }
+
+    /// Move the records and tuples the filters keep into `out`, renaming atoms
+    /// through `remap` when given. Returns the number of records kept.
+    fn transfer(
+        self,
+        out: &mut Frozen,
+        compiled: &CompiledProgram,
+        keep_rule: &[bool],
+        keep_stmt: &[bool],
+        remap: Option<&[AtomId]>,
+    ) -> usize {
+        let Frozen { records, arena, bounds, tuples, .. } = self;
+        // Every atom of an unaffected instance is untouched by the patch, so it has an
+        // image; an instance that does miss one is dropped, as a fresh freeze would.
+        let copy = |out: &mut Frozen, off: u32| {
+            let body = &arena[off as usize..];
+            let start = out.arena.len();
+            out.arena.extend_from_slice(&body[..walk(body, |_, _| {})]);
+            let mut renamed = true;
+            if let Some(remap) = remap {
+                walk(body, |_, slots| {
+                    for slot in &mut out.arena[start + slots.start..start + slots.end] {
+                        if *slot < BAD_ATOM {
+                            *slot = remap[*slot as usize];
+                            renamed &= *slot != NO_ATOM;
+                        }
+                    }
+                });
+            }
+            debug_assert!(renamed, "an unaffected instance references a retracted atom");
+            if !renamed {
+                out.arena.truncate(start);
+                return None;
+            }
+            Some(start as u32)
+        };
+        let mut kept = 0;
+        for rec in records.into_iter().filter(|r| keep_rule[r.rule as usize]) {
+            if let Some(off) = copy(out, rec.off) {
+                let bounds = match compiled.is_choice(rec.rule) {
+                    true => {
+                        out.bounds.push(bounds[rec.bounds as usize]);
+                        out.bounds.len() as u32 - 1
+                    }
+                    false => 0,
+                };
+                out.records.push(Record { rule: rec.rule, bounds, off });
+                kept += 1;
+            }
+        }
+        for (stmt, key, off) in tuples.into_iter().filter(|t| keep_stmt[t.0 as usize]) {
+            if let Some(off) = copy(out, off) {
+                out.tuples.push((stmt, key, off));
+            }
+        }
+        kept
+    }
+}
+
+/// The owner structure of a frozen base, derived from the fact owners and the
+/// frozen instances ([`BaseProgram::reindex`]).
+#[derive(Debug, Default)]
+struct OwnerIndex {
+    /// Atom → the owner sets (indexes) of its fact emissions, CSR like `occ`;
+    /// program-text facts count as one global emission.
+    fact_start: Vec<u32>,
+    fact_owners: Vec<u32>,
+    /// Owner → the facts, records and tuples filed under it.
+    buckets: FxHashMap<SymbolId, Bucket>,
+    /// Everything no owner is known to be required for: visited by every request.
+    global: Bucket,
+    /// Derivation units, one per normal rule record and per choice element: the
+    /// number of distinct atoms each needs, and the atom it derives.
+    unit_need: Vec<u32>,
+    unit_head: Vec<AtomId>,
+    /// Atom → the units it occurs in (CSR: `occ[occ_start[a]..occ_start[a + 1]]`).
+    occ_start: Vec<u32>,
+    occ: Vec<u32>,
+    /// Units that need no atom at all.
+    zero_units: Vec<u32>,
+}
+
+impl OwnerIndex {
+    fn emissions(&self, a: AtomId) -> &[u32] {
+        &self.fact_owners
+            [self.fact_start[a as usize] as usize..self.fact_start[a as usize + 1] as usize]
+    }
+
+    fn bucket(&mut self, owner: Option<SymbolId>) -> &mut Bucket {
+        match owner {
+            Some(o) => self.buckets.entry(o).or_default(),
+            None => &mut self.global,
+        }
+    }
+}
+
+#[derive(Debug, Default)]
+struct Bucket {
+    facts: Vec<AtomId>,
+    records: Vec<u32>,
+    tuples: Vec<u32>,
+}
+
+/// Compressed rows: `list[start[r]..start[r + 1]]` holds the values paired with row
+/// `r`, in `pairs` order (`pairs` is called twice: to count, then to fill).
+fn csr<I: Iterator<Item = (AtomId, u32)>>(
+    rows: usize,
+    pairs: impl Fn() -> I,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; rows + 1];
+    for (r, _) in pairs() {
+        start[r as usize + 1] += 1;
+    }
+    for r in 0..rows {
+        start[r + 1] += start[r];
+    }
+    let mut fill = start.clone();
+    let mut list = vec![0u32; start[rows] as usize];
+    for (r, v) in pairs() {
+        list[fill[r as usize] as usize] = v;
+        fill[r as usize] += 1;
+    }
+    (start, list)
+}
 
 /// A program ground once against its *base* facts — the frozen half of a multi-shot
 /// session. Holds the complete base atom table (whose append-only join indexes double
-/// as the persistent base relation for the semi-naive continuation) plus the frozen
-/// ground instances and minimize conditions. Immutable and `Sync`: many concurrent
+/// as the persistent base relation for the semi-naive continuation) plus every rule
+/// instance and minimize condition in full. Immutable and `Sync`: many concurrent
 /// [`Grounder::ground_delta`] calls may borrow one base.
 ///
-/// # Owner buckets
+/// # Owners
 ///
-/// Everything frozen is bucketed by *owner*: the first argument symbol (scanning an
-/// atom's arguments, or a rule instance's head/positive/negative atoms) that belongs
-/// to the caller-declared **partition** symbol set — `None` (global) when no argument
-/// does. A restricted delta grounding ([`Grounder::ground_delta`]) then visits only
-/// the global bucket and the buckets of non-excluded owners: per-request work is
-/// proportional to the *kept* slice of the base, not to the whole universe. Bucketing
-/// is purely an access-path optimization — every visited atom and instance is still
-/// checked in full against the excluded set, and an atom in a skipped bucket
-/// necessarily mentions its excluded owner, so skipping never changes the result.
-/// With an empty partition everything is global and a request scans the whole base.
+/// Every input fact emission carries an owner set ([`Facts`]). A request that
+/// excludes some owners keeps exactly the facts with at least one emission whose
+/// owners are all kept, and everything those facts derive — the program a fresh
+/// grounding of the kept facts would produce. To keep that per-request work
+/// proportional to the kept part of the base, the base labels every atom with the
+/// owners *all* of its derivations need, and files facts, instances and minimize
+/// conditions under one owner their positive body needs (or as global). A
+/// request visits the global bucket and the buckets of kept owners only: anything
+/// filed under an excluded owner needs an underivable atom.
 #[derive(Debug)]
 pub struct BaseProgram {
     compiled: CompiledProgram,
     atoms: AtomTable,
-    trivially_unsat: bool,
-    /// Owner → base atom ids (ascending; owner = first partition symbol in the args).
-    atom_buckets: FxHashMap<SymbolId, Vec<AtomId>>,
-    /// Atoms with no partition symbol: visited by every request.
-    global_atoms: Vec<AtomId>,
-    /// Owner → `(rule index, instance)` frozen normal rules / constraints.
-    rule_buckets: FxHashMap<SymbolId, Vec<(u32, GroundRule)>>,
-    global_rules: Vec<(u32, GroundRule)>,
-    /// Owner → `(rule index, instance)` frozen choice rules. Choice owners come from
-    /// the *body* only: heads are filtered per request, so an owned head must not
-    /// drop the whole instance into a skippable bucket.
-    choice_buckets: FxHashMap<SymbolId, Vec<(u32, GroundChoice)>>,
-    global_choices: Vec<(u32, GroundChoice)>,
-    /// Owner → frozen minimize conditions.
-    tuple_buckets: FxHashMap<SymbolId, Vec<TupleEntry>>,
-    global_tuples: Vec<TupleEntry>,
-    /// The input fact stream the base was ground from — the diff target of
+    frozen: Frozen,
+    index: OwnerIndex,
+    /// The input facts the base was ground from — the diff target of
     /// [`Grounder::patch_base`].
-    input_facts: Vec<GroundAtom>,
-    /// The partition the owner buckets were built under.
-    partition: crate::hasher::FxHashSet<SymbolId>,
+    input: Facts,
     /// Statistics of the base grounding.
     pub stats: GroundStats,
 }
@@ -442,23 +718,140 @@ impl BaseProgram {
 
     /// Total frozen ground instances (rules + choices) available for reuse.
     pub fn frozen_instances(&self) -> usize {
-        self.rule_buckets.values().map(Vec::len).sum::<usize>()
-            + self.choice_buckets.values().map(Vec::len).sum::<usize>()
-            + self.global_rules.len()
-            + self.global_choices.len()
+        self.frozen.records.len()
     }
-}
 
-/// The owner of an atom under a partition: its first argument symbol that belongs to
-/// the partition set, or `None` (global) when no argument does.
-fn first_partition_sym(
-    atom: &GroundAtom,
-    partition: &crate::hasher::FxHashSet<SymbolId>,
-) -> Option<SymbolId> {
-    atom.args.iter().find_map(|v| match v {
-        Val::Sym(s) if partition.contains(s) => Some(*s),
-        _ => None,
-    })
+    /// Rebuild the [`OwnerIndex`] from the fact owners, the atoms and the frozen
+    /// instances.
+    ///
+    /// An atom's *label* is the set of owners every derivation of it needs: the
+    /// intersection, over its fact emissions and derivation units, of the owners
+    /// each one needs (an emission: its owner set; a unit: the union of its atoms'
+    /// labels; program-text facts and `#external` atoms: none). This is a greatest
+    /// fixpoint, computed by chaotic iteration from "every owner" downwards. It is
+    /// sound — by induction over derivations, an atom derivable from kept facts has
+    /// only kept owners in its label — so a request may skip everything whose label
+    /// names an excluded owner.
+    fn reindex(&mut self) {
+        self.frozen.seen = FxHashMap::default(); // recording is over
+        let n = self.atoms.len();
+        let records = &self.frozen.records;
+        let arena = &self.frozen.arena;
+        let mut index = OwnerIndex::default();
+
+        let input = &self.input;
+        let emissions = || {
+            let facts = input.atoms.iter().zip(input.owners.iter().copied());
+            let text = self.compiled.text_facts.iter().map(|f| (f, 0));
+            facts.chain(text).map(|(f, s)| (self.atoms.get(f).expect("facts are atoms"), s))
+        };
+        (index.fact_start, index.fact_owners) = csr(n, emissions);
+
+        // Derivation units and their atoms.
+        let mut unit_start: Vec<u32> = vec![0];
+        let mut unit_atoms: Vec<AtomId> = Vec::new();
+        let mut buf: Vec<AtomId> = Vec::new();
+        let mut push_unit = |buf: &mut Vec<AtomId>, head: AtomId, index: &mut OwnerIndex| {
+            buf.sort_unstable();
+            buf.dedup();
+            if buf.is_empty() {
+                index.zero_units.push(index.unit_head.len() as u32);
+            }
+            index.unit_need.push(buf.len() as u32);
+            index.unit_head.push(head);
+            unit_atoms.extend_from_slice(buf);
+            unit_start.push(unit_atoms.len() as u32);
+        };
+        for rec in records {
+            let body = &arena[rec.off as usize..];
+            let pos = &body[1..1 + body[0] as usize];
+            walk(body, |section, slots| {
+                if section == 3 {
+                    buf.clear();
+                    buf.extend_from_slice(pos);
+                    buf.extend_from_slice(&body[slots.start..slots.end - 1]);
+                    push_unit(&mut buf, body[slots.end - 1], &mut index);
+                }
+            });
+        }
+        let unit_rows = |u: usize| &unit_atoms[unit_start[u] as usize..unit_start[u + 1] as usize];
+        let units = index.unit_head.len();
+        let (occ_start, occ) =
+            csr(n, || (0..units).flat_map(|u| unit_rows(u).iter().map(move |&a| (a, u as u32))));
+        let (head_start, head_units) =
+            csr(n, || index.unit_head.iter().enumerate().map(|(u, &h)| (h, u as u32)));
+
+        // Labels: the greatest fixpoint, by chaotic iteration in atom order. `None`
+        // is "every owner", the start.
+        let mut label: Vec<Option<OwnerSet>> = vec![None; n];
+        let mut queued = vec![true; n];
+        let mut queue: std::collections::VecDeque<AtomId> = (0..n as AtomId).collect();
+        let mut acc: Vec<SymbolId> = Vec::new();
+        while let Some(a) = queue.pop_front() {
+            let ai = a as usize;
+            queued[ai] = false;
+            // `top`: nothing constrains the atom yet, so it needs every owner.
+            let mut top = true;
+            acc.clear();
+            let sets = index.emissions(a).iter().map(|&s| &*input.sets[s as usize]);
+            for set in sets.chain(self.atoms.is_external(a).then_some(&[][..])) {
+                if std::mem::take(&mut top) {
+                    acc.extend_from_slice(set);
+                } else {
+                    acc.retain(|o| set.binary_search(o).is_ok());
+                }
+            }
+            for &u in &head_units[head_start[ai] as usize..head_start[ai + 1] as usize] {
+                let atoms = unit_rows(u as usize);
+                if !top && acc.is_empty() {
+                    break;
+                } else if atoms.iter().any(|&b| label[b as usize].is_none()) {
+                    continue; // needs every owner so far: constrains nothing yet
+                }
+                let owners = |b: &AtomId| label[*b as usize].as_deref().unwrap_or_default();
+                if std::mem::take(&mut top) {
+                    acc.extend(atoms.iter().flat_map(|b| owners(b).iter().copied()));
+                    acc.sort_unstable();
+                    acc.dedup();
+                } else {
+                    acc.retain(|o| atoms.iter().any(|b| owners(b).binary_search(o).is_ok()));
+                }
+            }
+            let new = (!top).then_some(acc.as_slice());
+            if label[ai].as_deref() != new {
+                label[ai] = new.map(Into::into);
+                for &u in &occ[occ_start[ai] as usize..occ_start[ai + 1] as usize] {
+                    let h = index.unit_head[u as usize];
+                    if !std::mem::replace(&mut queued[h as usize], true) {
+                        queue.push_back(h);
+                    }
+                }
+            }
+        }
+        // File everything under its smallest required owner.
+        let owner = |a: AtomId| label[a as usize].as_ref().and_then(|l| l.first().copied());
+        let body_owner = |off: u32| {
+            let body = &arena[off as usize..];
+            body[1..1 + body[0] as usize].iter().filter_map(|&a| owner(a)).min()
+        };
+        for a in 0..n as AtomId {
+            if !index.emissions(a).is_empty() {
+                index.bucket(owner(a)).facts.push(a);
+            }
+        }
+        for (r, rec) in records.iter().enumerate() {
+            index.bucket(body_owner(rec.off)).records.push(r as u32);
+        }
+        for (t, (_, _, off)) in self.frozen.tuples.iter().enumerate() {
+            index.bucket(body_owner(*off)).tuples.push(t as u32);
+        }
+        index.occ_start = occ_start;
+        index.occ = occ;
+        self.index = index;
+        self.stats.atoms = n;
+        self.stats.choices = records.iter().filter(|r| self.compiled.is_choice(r.rule)).count();
+        self.stats.rules = records.len() - self.stats.choices;
+    }
 }
 
 /// Compiled term: variables resolved to slot indices.
@@ -534,9 +927,12 @@ struct CMinimize {
     nvars: usize,
 }
 
-/// Minimize tuples collected during grounding: `(priority, weight, terms)` keys mapped
-/// to the condition bodies (positive, negative atom lists) under which they are paid.
-type MinimizeTuples = FxHashMap<(i64, i64, Vec<Val>), Vec<(Vec<AtomId>, Vec<AtomId>)>>;
+/// A minimize tuple key: `(priority, weight, terms)`.
+type TupleKey = (i64, i64, Vec<Val>);
+
+/// Minimize tuples collected during grounding: keys mapped to the condition bodies
+/// (positive, negative atom lists) under which they are paid.
+type MinimizeTuples = FxHashMap<TupleKey, Vec<(Vec<AtomId>, Vec<AtomId>)>>;
 
 /// Callback invoked for every complete substitution of a rule's positive body. The
 /// final slice holds, for each positive literal (by its original index), the atom id it
@@ -550,9 +946,21 @@ type OnJoinMatch<'cb, 's> = dyn FnMut(
     ) -> Result<(), GroundError>
     + 'cb;
 
-/// Callback invoked for every complete assignment of a condition list's variables.
+/// Callback invoked for every complete assignment of a condition list's variables,
+/// with the matched condition atoms.
 type OnConditionMatch<'cb> =
-    dyn FnMut(&mut GroundProgram, &[Option<Val>]) -> Result<(), GroundError> + 'cb;
+    dyn FnMut(&mut GroundProgram, &[Option<Val>], &[AtomId]) -> Result<(), GroundError> + 'cb;
+
+/// Receives each minimize condition instance in full: `(key, positive atoms,
+/// possible negative atoms)`.
+type MinimizeSink<'cb> = dyn FnMut(TupleKey, &[AtomId], &[AtomId]) + 'cb;
+
+/// Where phase 2 sends an instance: simplified into the ground program (deduplicated
+/// through the given index), or recorded in full into a frozen base.
+enum Sink<'s> {
+    Emit(&'s mut RuleDedup),
+    Freeze(&'s mut Frozen),
+}
 
 /// The grounder.
 pub struct Grounder<'a> {
@@ -560,12 +968,21 @@ pub struct Grounder<'a> {
     /// Reusable atom buffer for instantiate-then-lookup on the derive path, so
     /// re-deriving an existing atom allocates nothing (see [`AtomTable::intern_ref`]).
     scratch_atom: GroundAtom,
+    /// Reusable record body of the phase-2 instance being processed.
+    record: Vec<u32>,
+    /// Reusable positive / negative / choice-head buffers for simplification.
+    buffers: (Vec<AtomId>, Vec<AtomId>, Vec<AtomId>),
 }
 
 impl<'a> Grounder<'a> {
     /// Create a grounder that interns into the given symbol table.
     pub fn new(symbols: &'a mut SymbolTable) -> Self {
-        Grounder { symbols, scratch_atom: GroundAtom::new(0, Vec::new()) }
+        Grounder {
+            symbols,
+            scratch_atom: GroundAtom::new(0, Vec::new()),
+            record: Vec::new(),
+            buffers: Default::default(),
+        }
     }
 
     /// Ground `program` together with externally supplied input `facts`.
@@ -585,13 +1002,20 @@ impl<'a> Grounder<'a> {
 
         // ---- Phase 2: rule instantiation ----------------------------------------------
         let mut seen_rules: RuleDedup = RuleDedup::default();
-        for rule in &compiled.crules {
-            self.phase2_rule(rule, &mut ground, &mut seen_rules)?;
+        for (ri, rule) in compiled.crules.iter().enumerate() {
+            self.phase2_rule(ri, rule, &mut ground, &mut Sink::Emit(&mut seen_rules))?;
         }
         // Minimize statements.
         let mut tuples: MinimizeTuples = MinimizeTuples::default();
+        let (mut pos, mut neg) = (Vec::new(), Vec::new());
         for m in &compiled.cminimize {
-            self.ground_minimize(m, &ground, &mut tuples)?;
+            let atoms = &ground.atoms;
+            let view = |a: AtomId| Some((a, atoms.is_certain(a)));
+            self.ground_minimize(m, &ground, &mut |key, p, n| {
+                if simplify_condition(p, n, &view, &mut pos, &mut neg) {
+                    tuples.entry(key).or_default().push((pos.clone(), neg.clone()));
+                }
+            })?;
         }
         self.emit_minimize(tuples, &mut ground);
 
@@ -612,235 +1036,136 @@ impl<'a> Grounder<'a> {
 
     /// Ground `program` against the *base* facts only, producing a frozen
     /// [`BaseProgram`] from which many per-request [`Grounder::ground_delta`] calls can
-    /// be answered. The base grounding runs both phases to completion; rule instances
-    /// carry their source-rule index (deduplication is per rule: an instance emitted
-    /// by two different rules must survive in both, because a later delta grounding
-    /// may re-instantiate either rule alone), minimize statements are kept as flat
-    /// condition entries so frozen and re-ground tuples merge without double-counting
-    /// shared keys, and everything is bucketed by owner under `partition` (see the
-    /// [`BaseProgram`] docs).
+    /// be answered. Phase 1 runs to completion; phase 2 records every instance and
+    /// minimize condition in full instead of simplifying it — everything a request
+    /// that excludes part of the base may simplify differently — and files them by
+    /// owner (see [`BaseProgram`]).
     pub fn ground_base(
         mut self,
         program: &Program,
-        facts: &[GroundAtom],
-        partition: &crate::hasher::FxHashSet<SymbolId>,
+        input: Facts,
     ) -> Result<BaseProgram, GroundError> {
         let start = Instant::now();
         let mut ground = GroundProgram::default();
-        let compiled = self.compile(program, facts, &mut ground)?;
+        let compiled = self.compile(program, &input.atoms, &mut ground)?;
 
         let seeds: Vec<AtomId> = ground.atoms.iter().map(|(id, _)| id).collect();
         let rounds = self.fixpoint(&compiled, &mut ground, seeds, true, None)?;
         let phase1_time = start.elapsed();
 
-        // Phase 2, spans recorded per rule.
-        let mut spans: Vec<(usize, usize, usize, usize)> =
-            Vec::with_capacity(compiled.crules.len());
-        for rule in &compiled.crules {
-            let (r0, c0) = (ground.rules.len(), ground.choices.len());
-            let mut seen = RuleDedup::default();
-            self.phase2_rule(rule, &mut ground, &mut seen)?;
-            spans.push((r0, ground.rules.len(), c0, ground.choices.len()));
+        let mut frozen = Frozen::default();
+        for (ri, rule) in compiled.crules.iter().enumerate() {
+            self.phase2_rule(ri, rule, &mut ground, &mut Sink::Freeze(&mut frozen))?;
         }
-        // Minimize statements stay as flat per-statement condition entries; they are
-        // merged and emitted per request (emitting here would bake in
-        // cross-statement tuple aggregation a partial re-grounding could then
-        // double-count).
-        let mut tuple_buckets: FxHashMap<SymbolId, Vec<TupleEntry>> = FxHashMap::default();
-        let mut global_tuples: Vec<TupleEntry> = Vec::new();
-        let mut minimize_total = 0;
         for (mi, m) in compiled.cminimize.iter().enumerate() {
-            let mut tuples = MinimizeTuples::default();
-            self.ground_minimize(m, &ground, &mut tuples)?;
-            minimize_total += tuples.len();
-            let mut sorted: Vec<_> = tuples.into_iter().collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            for (key, bodies) in sorted {
-                for (pos, neg) in bodies {
-                    let owner = pos
-                        .iter()
-                        .chain(neg.iter())
-                        .find_map(|&a| first_partition_sym(ground.atoms.atom(a), partition));
-                    let entry = (mi as u32, key.clone(), pos, neg);
-                    match owner {
-                        Some(o) => tuple_buckets.entry(o).or_default().push(entry),
-                        None => global_tuples.push(entry),
-                    }
-                }
-            }
+            self.ground_minimize(m, &ground, &mut |key, pos, neg| {
+                frozen.push_tuple(mi, key, pos, neg)
+            })?;
         }
-
-        let duration = start.elapsed();
-        let stats = GroundStats {
-            atoms: ground.atoms.len(),
-            rules: ground.rules.len(),
-            choices: ground.choices.len(),
-            minimize: minimize_total,
-            rounds,
-            phase1: phase1_time,
-            phase2: duration - phase1_time,
-            duration,
-            ..GroundStats::default()
-        };
-
-        // Bucket the atoms and (with their source-rule index) the instances.
-        let mut atom_buckets: FxHashMap<SymbolId, Vec<AtomId>> = FxHashMap::default();
-        let mut global_atoms: Vec<AtomId> = Vec::new();
-        for (id, atom) in ground.atoms.iter() {
-            match first_partition_sym(atom, partition) {
-                Some(owner) => atom_buckets.entry(owner).or_default().push(id),
-                None => global_atoms.push(id),
-            }
-        }
-        let mut rule_buckets: FxHashMap<SymbolId, Vec<(u32, GroundRule)>> = FxHashMap::default();
-        let mut global_rules: Vec<(u32, GroundRule)> = Vec::new();
-        let mut choice_buckets: FxHashMap<SymbolId, Vec<(u32, GroundChoice)>> =
-            FxHashMap::default();
-        let mut global_choices: Vec<(u32, GroundChoice)> = Vec::new();
-        let owner_of = |ids: &[AtomId]| -> Option<SymbolId> {
-            ids.iter().find_map(|&a| first_partition_sym(ground.atoms.atom(a), partition))
-        };
-        let mut rules_iter = ground.rules.iter();
-        let mut choices_iter = ground.choices.iter();
-        for (ri, (r0, r1, c0, c1)) in spans.iter().enumerate() {
-            for rule in rules_iter.by_ref().take(r1 - r0) {
-                let owner = rule
-                    .head
-                    .and_then(|h| first_partition_sym(ground.atoms.atom(h), partition))
-                    .or_else(|| owner_of(&rule.pos))
-                    .or_else(|| owner_of(&rule.neg));
-                let entry = (ri as u32, rule.clone());
-                match owner {
-                    Some(o) => rule_buckets.entry(o).or_default().push(entry),
-                    None => global_rules.push(entry),
-                }
-            }
-            for choice in choices_iter.by_ref().take(c1 - c0) {
-                // Body only: an owned *head* is filtered per request, not a reason to
-                // skip the whole instance.
-                let owner = owner_of(&choice.pos).or_else(|| owner_of(&choice.neg));
-                let entry = (ri as u32, choice.clone());
-                match owner {
-                    Some(o) => choice_buckets.entry(o).or_default().push(entry),
-                    None => global_choices.push(entry),
-                }
-            }
-        }
-
-        Ok(BaseProgram {
+        let mut base = BaseProgram {
             compiled,
             atoms: ground.atoms,
-            trivially_unsat: ground.trivially_unsat,
-            atom_buckets,
-            global_atoms,
-            rule_buckets,
-            global_rules,
-            choice_buckets,
-            global_choices,
-            tuple_buckets,
-            global_tuples,
-            input_facts: facts.to_vec(),
-            partition: partition.clone(),
-            stats,
-        })
+            frozen,
+            index: OwnerIndex::default(),
+            input,
+            stats: GroundStats { rounds, phase1: phase1_time, ..GroundStats::default() },
+        };
+        base.reindex();
+        base.stats.minimize = base.frozen.tuples.len();
+        base.stats.duration = start.elapsed();
+        base.stats.phase2 = base.stats.duration - phase1_time;
+        Ok(base)
     }
 
     /// Ground one request's *delta* facts on top of a frozen [`BaseProgram`],
-    /// producing a complete [`GroundProgram`] equivalent to grounding (base facts −
-    /// excluded) + delta facts from scratch:
+    /// producing exactly the program a from-scratch grounding of the kept base facts
+    /// plus the delta facts would produce:
     ///
-    /// 1. **Restriction.** The request's view of the base is built by re-interning
-    ///    every base atom that does not mention a symbol in `excluded` (with the
-    ///    certain/external flags carried over). Callers use this for relevance
-    ///    restriction — e.g. the concretizer excludes every package outside the
-    ///    request's dependency closure, shrinking the per-request program from the
-    ///    whole-repository universe to exactly what a from-scratch solve of this
-    ///    request would ground. With an empty `excluded` set the pass degenerates to
-    ///    a plain copy of the base relation. Atoms are re-interned in base order, so
-    ///    ids are dense and deterministic; the append-only join indexes built by the
-    ///    interning are the persistent base relation for step 2.
-    /// 2. **Semi-naive continuation.** Phase 1 continues the fixpoint from the new
-    ///    fact atoms only: the restricted base closure is already complete (heads
-    ///    derivable from kept atoms mention only kept symbols), so only derivations
-    ///    reachable from delta atoms are computed.
-    /// 3. **Touched-rule re-instantiation.** Every new (or newly-certain) atom marks
-    ///    its `(predicate, first-argument)` discriminator as *touched*; a rule any of
-    ///    whose literals — positive, negative, conditional (atom and conditions), or
-    ///    choice elements — matches a touched discriminator is re-instantiated in
-    ///    full against the restricted relation, all other rules reuse their frozen
-    ///    base instances — remapped, dropping instances whose *head or positive body*
-    ///    references an excluded atom, and simplifying excluded atoms out of
-    ///    *negative* literal lists (an excluded atom is impossible in the restricted
-    ///    program, so `not a` is trivially true — exactly what a from-scratch
-    ///    grounding of the restricted facts would do). Negative and conditional
-    ///    literals force full re-instantiation (not delta-restricted joining)
-    ///    because new atoms can change the *simplification* of instances whose
-    ///    positive body is old.
-    ///
-    /// `excluded_ints` are sorted, non-overlapping half-open `[start, end)` ranges
-    /// matched against *first* arguments only (id-keyed fact schemes).
+    /// 1. **Restriction.** A base fact is kept when one of its emissions names no
+    ///    owner in `excluded` (an atom whose first argument is an integer in an
+    ///    `excluded_ints` range is dropped). One counter-based forward pass over the
+    ///    derivation units of the visited buckets (see [`BaseProgram`]) finds what
+    ///    the kept facts derive; those atoms are re-interned in base order.
+    /// 2. **Semi-naive continuation.** Phase 1 continues from the delta facts only.
+    /// 3. **Touched-rule re-instantiation.** A rule with a literal matching the
+    ///    `(predicate, first-argument)` discriminator of a new (or newly-certain)
+    ///    atom is re-instantiated in full; every other rule's frozen records are
+    ///    simplified against the restricted relation, exactly as phase 2 simplifies
+    ///    a fresh grounding (rules deduplicated program-wide, as it does).
     pub fn ground_delta(
         mut self,
         base: &BaseProgram,
         excluded: &crate::hasher::FxHashSet<SymbolId>,
         excluded_ints: &[(i64, i64)],
-        facts: &[GroundAtom],
+        delta: &Facts,
     ) -> Result<GroundProgram, GroundError> {
         let start = Instant::now();
+        let index = &base.index;
         let mut ground = GroundProgram {
             atoms: AtomTable::new_without_pair_index(),
-            rules: Vec::new(),
-            choices: Vec::new(),
-            minimize: Vec::new(),
-            trivially_unsat: base.trivially_unsat,
-            stats: GroundStats::default(),
+            ..GroundProgram::default()
         };
-        // Restriction pass: re-intern the kept base atoms (global bucket plus the
-        // buckets of non-excluded owners, in base-id order so ids are deterministic).
-        // `remap[base_id]` is the request-local id, or the sentinel for excluded /
-        // skipped atoms. Visited atoms are still checked in full: an atom in a
-        // visited bucket may mention an excluded symbol in a later argument.
-        const EXCLUDED: AtomId = AtomId::MAX;
-        // An atom is dropped when it mentions an excluded symbol anywhere, or an
-        // excluded integer in its *first* argument. The position restriction is what
-        // makes integer exclusion usable for id-keyed facts (`condition(ID, ...)`
-        // schemes put the id first) without ever colliding with ordinary integers
-        // (weights, priorities) in later argument positions — callers must allocate
-        // excludable ids from a range no other first-position integer uses.
-        let keep = |atom: &GroundAtom| {
-            if !excluded_ints.is_empty() {
-                if let Some(Val::Int(i)) = atom.args.first() {
-                    // Ranges are sorted and disjoint: the candidate range is the
-                    // last one starting at or before `i`.
-                    let idx = excluded_ints.partition_point(|&(start, _)| start <= *i);
-                    if idx > 0 && excluded_ints[idx - 1].1 > *i {
-                        return false;
-                    }
+        let dropped = |set: &[SymbolId]| set.iter().any(|o| excluded.contains(o));
+        let set_out: Vec<bool> = base.input.sets.iter().map(|s| dropped(s)).collect();
+        // Integer exclusion matches *first* arguments only.
+        let blocked = |a: AtomId| match base.atoms.atom(a).args.first() {
+            Some(Val::Int(i)) => excluded_ints.iter().any(|&(s, e)| s <= *i && *i < e),
+            _ => false,
+        };
+        let mut owners: Vec<SymbolId> =
+            index.buckets.keys().copied().filter(|s| !excluded.contains(s)).collect();
+        owners.sort_unstable();
+        let visited =
+            || std::iter::once(&index.global).chain(owners.iter().map(|o| &index.buckets[o]));
+
+        // Restriction: the forward pass.
+        let n = base.atoms.len();
+        let mut derived = vec![false; n];
+        let mut certain = vec![false; n];
+        let mut need = index.unit_need.clone();
+        // Every derived atom, in derivation order; `kept[done..]` still propagates.
+        let mut kept: Vec<AtomId> = Vec::new();
+        let mut derive = |a: AtomId, kept: &mut Vec<AtomId>| {
+            if !derived[a as usize] && !blocked(a) {
+                derived[a as usize] = true;
+                kept.push(a);
+            }
+        };
+        for bucket in visited() {
+            for &a in &bucket.facts {
+                if index.emissions(a).iter().any(|&s| !set_out[s as usize]) && !blocked(a) {
+                    certain[a as usize] = true;
+                    derive(a, &mut kept);
                 }
             }
-            excluded.is_empty()
-                || !atom.args.iter().any(|v| matches!(v, Val::Sym(s) if excluded.contains(s)))
-        };
-        let mut visited: Vec<AtomId> = base.global_atoms.clone();
-        let mut owners: Vec<SymbolId> =
-            base.atom_buckets.keys().copied().filter(|s| !excluded.contains(s)).collect();
-        owners.sort_unstable();
-        for o in &owners {
-            visited.extend_from_slice(&base.atom_buckets[o]);
         }
-        visited.sort_unstable();
-        ground.atoms.reserve(visited.len());
-        let mut remap: Vec<AtomId> = vec![EXCLUDED; base.atoms.len()];
-        for &id in &visited {
-            let atom = base.atoms.atom(id);
-            if !keep(atom) {
-                continue;
+        for &a in base.atoms.externals() {
+            derive(a, &mut kept);
+        }
+        for &u in &index.zero_units {
+            derive(index.unit_head[u as usize], &mut kept);
+        }
+        let mut done = 0;
+        while let Some(&a) = kept.get(done) {
+            done += 1;
+            let a = a as usize;
+            for &u in &index.occ[index.occ_start[a] as usize..index.occ_start[a + 1] as usize] {
+                need[u as usize] -= 1;
+                if need[u as usize] == 0 {
+                    derive(index.unit_head[u as usize], &mut kept);
+                }
             }
-            let (nid, _) = ground.atoms.intern(atom.clone());
-            if base.atoms.is_certain(id) {
+        }
+        kept.sort_unstable();
+        const EXCLUDED: AtomId = NO_ATOM;
+        let mut remap: Vec<AtomId> = vec![EXCLUDED; n];
+        ground.atoms.reserve(kept.len());
+        for &a in &kept {
+            let (nid, _) = ground.atoms.intern(base.atoms.atom(a).clone());
+            if certain[a as usize] {
                 ground.atoms.set_certain(nid);
             }
-            remap[id as usize] = nid;
+            remap[a as usize] = nid;
         }
         for &ext in base.atoms.externals() {
             if remap[ext as usize] != EXCLUDED {
@@ -850,7 +1175,10 @@ impl<'a> Grounder<'a> {
 
         let mut touched = TouchSet::default();
         let mut seeds: Vec<AtomId> = Vec::new();
-        for fact in facts {
+        for (fact, &owners) in delta.atoms.iter().zip(&delta.owners) {
+            if dropped(&delta.sets[owners as usize]) {
+                continue;
+            }
             let (id, new) = ground.atoms.intern_ref(fact);
             if new {
                 ground.atoms.set_certain(id);
@@ -867,136 +1195,70 @@ impl<'a> Grounder<'a> {
         let phase1_time = start.elapsed();
 
         // Which rules did the delta touch? Affected rules are re-instantiated in full
-        // against the restricted relation; everything else reuses frozen instances.
+        // against the restricted relation; everything else reuses frozen records.
         let affected: Vec<bool> =
             base.compiled.rule_sigs.iter().map(|sigs| touched.matches_any(sigs)).collect();
-        let mut reused_rules = 0usize;
+        let mut seen = RuleDedup::default();
         let mut delta_rules = 0usize;
         for (ri, rule) in base.compiled.crules.iter().enumerate() {
             if affected[ri] {
                 delta_rules += 1;
-                let mut seen = RuleDedup::default();
-                self.phase2_rule(rule, &mut ground, &mut seen)?;
+                self.phase2_rule(ri, rule, &mut ground, &mut Sink::Emit(&mut seen))?;
             }
         }
-        // A frozen instance survives iff its head and every positive atom are kept;
-        // excluded atoms in *negative* lists are simplified away instead (they are
-        // impossible in the restricted program, so `not a` holds trivially — the
-        // same simplification a from-scratch grounding of the restricted facts
-        // performs).
-        let map = |remap: &[AtomId], ids: &[AtomId], out: &mut Vec<AtomId>| -> bool {
-            out.clear();
-            for &a in ids {
-                let n = remap[a as usize];
-                if n == EXCLUDED {
-                    return false;
+        let mut reused_rules = 0usize;
+        let (mut pos, mut neg, mut heads) = (Vec::new(), Vec::new(), Vec::new());
+        for bucket in visited() {
+            for &r in &bucket.records {
+                let rec = base.frozen.records[r as usize];
+                if affected[rec.rule as usize] {
+                    continue; // re-instantiated above
                 }
-                out.push(n);
-            }
-            true
-        };
-        let map_neg = |remap: &[AtomId], ids: &[AtomId], out: &mut Vec<AtomId>| {
-            out.clear();
-            out.extend(ids.iter().map(|&a| remap[a as usize]).filter(|&n| n != EXCLUDED));
-        };
-        let mut mapped: Vec<AtomId> = Vec::new();
-        let mut mapped2: Vec<AtomId> = Vec::new();
-        {
-            let mut copy_rules = |entries: &[(u32, GroundRule)], ground: &mut GroundProgram| {
-                for (ri, frozen) in entries {
-                    if affected[*ri as usize] {
-                        continue; // re-instantiated above
-                    }
-                    let head = match frozen.head {
-                        Some(h) => match remap[h as usize] {
-                            EXCLUDED => continue,
-                            n => Some(n),
-                        },
-                        None => None,
-                    };
-                    if !map(&remap, &frozen.pos, &mut mapped) {
-                        continue;
-                    }
-                    map_neg(&remap, &frozen.neg, &mut mapped2);
+                let choice = base.compiled.is_choice(rec.rule);
+                let atoms = &ground.atoms;
+                let view = |a: AtomId| match remap[a as usize] {
+                    EXCLUDED => None,
+                    n => Some((n, atoms.is_certain(n))),
+                };
+                let body = &base.frozen.arena[rec.off as usize..];
+                let out = simplify(choice, body, view, &mut pos, &mut neg, &mut heads);
+                if !matches!(out, Simplified::Discarded) {
                     reused_rules += 1;
-                    ground.rules.push(GroundRule {
-                        head,
-                        pos: mapped.clone(),
-                        neg: mapped2.clone(),
-                    });
-                }
-            };
-            copy_rules(&base.global_rules, &mut ground);
-            for o in &owners {
-                if let Some(entries) = base.rule_buckets.get(o) {
-                    copy_rules(entries, &mut ground);
+                    let bounds = choice.then(|| base.frozen.bounds[rec.bounds as usize]);
+                    emit(&mut ground, &mut seen, out, bounds, &pos, &neg, &heads);
                 }
             }
         }
-        {
-            let mut copy_choices = |entries: &[(u32, GroundChoice)], ground: &mut GroundProgram| {
-                for (ri, frozen) in entries {
-                    if affected[*ri as usize] {
-                        continue;
-                    }
-                    if !map(&remap, &frozen.pos, &mut mapped) {
-                        continue;
-                    }
-                    map_neg(&remap, &frozen.neg, &mut mapped2);
-                    // Excluded heads drop out of the choice (their enabling condition
-                    // facts are excluded too); an instance may keep a subset.
-                    let heads: Vec<AtomId> = frozen
-                        .heads
-                        .iter()
-                        .filter_map(|&h| match remap[h as usize] {
-                            EXCLUDED => None,
-                            n => Some(n),
-                        })
-                        .collect();
-                    reused_rules += 1;
-                    ground.choices.push(GroundChoice {
-                        heads,
-                        lower: frozen.lower,
-                        upper: frozen.upper,
-                        pos: mapped.clone(),
-                        neg: mapped2.clone(),
-                    });
-                }
-            };
-            copy_choices(&base.global_choices, &mut ground);
-            for o in &owners {
-                if let Some(entries) = base.choice_buckets.get(o) {
-                    copy_choices(entries, &mut ground);
-                }
-            }
-        }
+        let affected_min: Vec<bool> =
+            base.compiled.minimize_sigs.iter().map(|sigs| touched.matches_any(sigs)).collect();
         let mut tuples: MinimizeTuples = MinimizeTuples::default();
         for (mi, m) in base.compiled.cminimize.iter().enumerate() {
-            if touched.matches_any(&base.compiled.minimize_sigs[mi]) {
-                self.ground_minimize(m, &ground, &mut tuples)?;
+            if affected_min[mi] {
+                let atoms = &ground.atoms;
+                let view = |a: AtomId| Some((a, atoms.is_certain(a)));
+                self.ground_minimize(m, &ground, &mut |key, p, n| {
+                    if simplify_condition(p, n, &view, &mut pos, &mut neg) {
+                        tuples.entry(key).or_default().push((pos.clone(), neg.clone()));
+                    }
+                })?;
             }
         }
-        {
-            let affected_min: Vec<bool> =
-                base.compiled.minimize_sigs.iter().map(|sigs| touched.matches_any(sigs)).collect();
-            let mut copy_tuples = |entries: &[TupleEntry]| {
-                for (mi, key, pos, neg) in entries {
-                    if affected_min[*mi as usize] {
-                        continue; // re-ground above
-                    }
-                    if map(&remap, pos, &mut mapped) {
-                        map_neg(&remap, neg, &mut mapped2);
-                        tuples
-                            .entry(key.clone())
-                            .or_default()
-                            .push((mapped.clone(), mapped2.clone()));
-                    }
+        for bucket in visited() {
+            for &t in &bucket.tuples {
+                let (mi, key, off) = &base.frozen.tuples[t as usize];
+                if affected_min[*mi as usize] {
+                    continue; // re-ground above
                 }
-            };
-            copy_tuples(&base.global_tuples);
-            for o in &owners {
-                if let Some(entries) = base.tuple_buckets.get(o) {
-                    copy_tuples(entries);
+                let view = |a: AtomId| match remap[a as usize] {
+                    EXCLUDED => None,
+                    n => Some((n, ground.atoms.is_certain(n))),
+                };
+                let body = &base.frozen.arena[*off as usize..];
+                let npos = body[0] as usize;
+                let (p, rest) = body[1..].split_at(npos);
+                if simplify_condition(p, &rest[1..1 + rest[0] as usize], &view, &mut pos, &mut neg)
+                {
+                    tuples.entry(key.clone()).or_default().push((pos.clone(), neg.clone()));
                 }
             }
         }
@@ -1020,55 +1282,49 @@ impl<'a> Grounder<'a> {
     }
 
     /// Patch a frozen [`BaseProgram`] **in place** so it becomes equivalent to a
-    /// fresh [`Grounder::ground_base`] of `new_facts` (the complete post-delta input
-    /// fact stream) under `partition`. The streams are diffed as sets of distinct
-    /// atoms (duplicates are irrelevant to grounding) and the cheapest applicable
-    /// strategy runs:
+    /// fresh [`Grounder::ground_base`] of `input` (the complete post-delta input
+    /// facts, owners included). The streams are diffed as sets of distinct atoms
+    /// (duplicates and owners are irrelevant to grounding) and the cheapest
+    /// applicable strategy runs:
     ///
     /// * **Additions only** — the common buildcache-install churn. The semi-naive
     ///   phase-1 fixpoint *continues* from the added facts on top of the existing
     ///   closure (the same machinery as a per-request delta, pointed at the base
-    ///   relation itself). Every rule whose body literals *or head* match a touched
-    ///   discriminator is re-instantiated and its frozen buckets replaced; all other
-    ///   instances survive untouched — the relation only grew, so their atom ids
-    ///   stay valid.
+    ///   relation itself). Every rule whose literals match a touched discriminator
+    ///   is re-recorded; all other records survive untouched — the relation only
+    ///   grew, so their atom ids stay valid.
     /// * **Any removal** — a version yanked, a hash uninstalled. Derivations that
     ///   existed only because of the removed facts must be retracted, which an
     ///   append-only relation cannot express: the possible-atom closure is rebuilt
     ///   from scratch in the exact interning order of a fresh freeze (input facts,
     ///   `#external` guards, program-text facts — so every surviving atom id
-    ///   coincides with a fresh [`Grounder::ground_base`] of `new_facts`), then the
-    ///   frozen instances of *unaffected* rules are remapped onto the new ids while
-    ///   only the rules the diff touched pay phase 2 again.
+    ///   coincides with a fresh [`Grounder::ground_base`] of the same stream), then
+    ///   the records of *unaffected* rules are renamed onto the new ids while only
+    ///   the rules the diff touched pay phase 2 again.
     ///
-    /// Heads participate in affectedness here (unlike request deltas): phase 2
-    /// drops instances whose head atom is certain, so a delta fact landing on a
-    /// derivable head changes a rule's instance set without touching its body.
-    ///
-    /// Either way the patched base answers every subsequent
-    /// [`Grounder::ground_delta`] exactly like a fresh freeze of `new_facts` would;
-    /// only the bucket-internal instance *order* (and, on the additions path, the
-    /// ids of atoms interned after the original freeze) may differ.
+    /// Either way the owner index is rebuilt from the new owners, and the patched
+    /// base answers every subsequent [`Grounder::ground_delta`] exactly like a fresh
+    /// freeze of the stream would; only the record *order* (and, on the additions
+    /// path, the ids of atoms interned after the original freeze) may differ.
     pub fn patch_base(
         mut self,
         base: &mut BaseProgram,
-        new_facts: Vec<GroundAtom>,
-        partition: crate::hasher::FxHashSet<SymbolId>,
+        input: Facts,
     ) -> Result<PatchStats, GroundError> {
         let start = Instant::now();
         let mut stats = PatchStats { atoms_before: base.atoms.len(), ..PatchStats::default() };
         // Distinct-atom diff of the two input streams.
         let mut presence: FxHashMap<&GroundAtom, (bool, bool)> = FxHashMap::default();
-        for f in &base.input_facts {
+        for f in &base.input.atoms {
             presence.entry(f).or_default().0 = true;
         }
-        for f in &new_facts {
+        for f in &input.atoms {
             presence.entry(f).or_default().1 = true;
         }
         stats.removed_facts = presence.values().filter(|&&(old, new)| old && !new).count();
         // Added facts in new-stream first-occurrence order, for determinism.
         let mut added: Vec<GroundAtom> = Vec::new();
-        for f in &new_facts {
+        for f in &input.atoms {
             if let Some(flags) = presence.get_mut(f) {
                 if !flags.0 {
                     flags.0 = true; // consume, so a duplicated new fact is added once
@@ -1080,38 +1336,67 @@ impl<'a> Grounder<'a> {
         stats.added_facts = added.len();
         if stats.removed_facts > 0 {
             stats.rebuilt = true;
-            self.patch_rebuild(base, &new_facts, &partition, &mut stats)?;
+            self.patch_rebuild(base, &input.atoms, &mut stats)?;
         } else if !added.is_empty() {
-            self.patch_additions(base, &added, &partition, &mut stats)?;
+            self.patch_additions(base, &added, &mut stats)?;
         }
-        base.input_facts = new_facts;
-        base.partition = partition;
-        base.stats.atoms = base.atoms.len();
-        base.stats.rules =
-            base.global_rules.len() + base.rule_buckets.values().map(Vec::len).sum::<usize>();
-        base.stats.choices =
-            base.global_choices.len() + base.choice_buckets.values().map(Vec::len).sum::<usize>();
+        base.input = input;
+        base.reindex();
         stats.atoms_after = base.atoms.len();
         stats.duration = start.elapsed();
         Ok(stats)
     }
 
+    /// Re-record the rules and minimize statements a patch touched against the
+    /// patched relation, and move every other record over (renamed through `remap`
+    /// on the rebuild path).
+    fn patch_records(
+        &mut self,
+        base: &mut BaseProgram,
+        ground: &mut GroundProgram,
+        touched: &TouchSet,
+        remap: Option<&[AtomId]>,
+        stats: &mut PatchStats,
+    ) -> Result<(), GroundError> {
+        let compiled = &base.compiled;
+        let affected: Vec<bool> =
+            compiled.rule_sigs.iter().map(|s| touched.matches_any(s)).collect();
+        let affected_min: Vec<bool> =
+            compiled.minimize_sigs.iter().map(|s| touched.matches_any(s)).collect();
+        let mut frozen = Frozen::default();
+        for (ri, rule) in compiled.crules.iter().enumerate() {
+            if affected[ri] {
+                stats.rules_reinstantiated += 1;
+                self.phase2_rule(ri, rule, ground, &mut Sink::Freeze(&mut frozen))?;
+            }
+        }
+        for (mi, m) in compiled.cminimize.iter().enumerate() {
+            if affected_min[mi] {
+                self.ground_minimize(m, ground, &mut |key, pos, neg| {
+                    frozen.push_tuple(mi, key, pos, neg)
+                })?;
+            }
+        }
+        let keep: Vec<bool> = affected.iter().map(|a| !a).collect();
+        let keep_min: Vec<bool> = affected_min.iter().map(|a| !a).collect();
+        let old = std::mem::take(&mut base.frozen);
+        stats.rules_reused = old.transfer(&mut frozen, compiled, &keep, &keep_min, remap);
+        base.frozen = frozen;
+        Ok(())
+    }
+
     /// Additions-only in-place patch: continue the phase-1 fixpoint from the added
-    /// facts, then re-instantiate exactly the touched rules and minimize statements.
+    /// facts, then re-record exactly the touched rules and minimize statements.
     fn patch_additions(
         &mut self,
         base: &mut BaseProgram,
         added: &[GroundAtom],
-        partition: &crate::hasher::FxHashSet<SymbolId>,
         stats: &mut PatchStats,
     ) -> Result<(), GroundError> {
         // Move the base relation into a scratch GroundProgram so the shared fixpoint
         // and phase-2 machinery can run against it; it moves back at the end.
-        let mut ground = GroundProgram {
-            atoms: std::mem::take(&mut base.atoms),
-            trivially_unsat: base.trivially_unsat,
-            ..GroundProgram::default()
-        };
+        let mut ground =
+            GroundProgram { atoms: std::mem::take(&mut base.atoms), ..GroundProgram::default() };
         let old_len = ground.atoms.len();
         let mut touched = TouchSet::default();
         let mut seeds: Vec<AtomId> = Vec::new();
@@ -1122,130 +1407,25 @@ impl<'a> Grounder<'a> {
                 seeds.push(id); // touched by the fixpoint's first delta round
             } else if !ground.atoms.is_certain(id) {
                 // The added fact coincides with a derived atom: it turns certain, and
-                // every frozen instance mentioning it must re-simplify.
+                // every record expanding a conditional literal over it must change.
                 ground.atoms.set_certain(id);
                 touched.touch(ground.atoms.atom(id));
             }
         }
         self.fixpoint(&base.compiled, &mut ground, seeds, false, Some(&mut touched))?;
         stats.atoms_added = ground.atoms.len() - old_len;
-
-        let affected: Vec<bool> = base
-            .compiled
-            .rule_sigs
-            .iter()
-            .zip(&base.compiled.head_sigs)
-            .map(|(body, head)| touched.matches_any(body) || touched.matches_any(head))
-            .collect();
-
-        // Re-instantiate the affected rules against the grown relation (the compiled
-        // program is borrowed here; the buckets are edited afterwards).
-        let mut new_rules: Vec<(u32, GroundRule)> = Vec::new();
-        let mut new_choices: Vec<(u32, GroundChoice)> = Vec::new();
-        for (ri, rule) in base.compiled.crules.iter().enumerate() {
-            if !affected[ri] {
-                continue;
-            }
-            stats.rules_reinstantiated += 1;
-            let mut seen = RuleDedup::default();
-            self.phase2_rule(rule, &mut ground, &mut seen)?;
-            new_rules.extend(ground.rules.drain(..).map(|r| (ri as u32, r)));
-            new_choices.extend(ground.choices.drain(..).map(|c| (ri as u32, c)));
-        }
-        let affected_min: Vec<bool> =
-            base.compiled.minimize_sigs.iter().map(|sigs| touched.matches_any(sigs)).collect();
-        let mut new_tuples: Vec<TupleEntry> = Vec::new();
-        for (mi, m) in base.compiled.cminimize.iter().enumerate() {
-            if !affected_min[mi] {
-                continue;
-            }
-            let mut tuples = MinimizeTuples::default();
-            self.ground_minimize(m, &ground, &mut tuples)?;
-            let mut sorted: Vec<_> = tuples.into_iter().collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            for (key, bodies) in sorted {
-                for (pos, neg) in bodies {
-                    new_tuples.push((mi as u32, key.clone(), pos, neg));
-                }
-            }
-        }
-
-        // Retract the affected rules' frozen instances; everything else survives
-        // verbatim (pre-patch atom ids are stable — the relation only grew).
-        let mut reused = 0usize;
-        for bucket in base.rule_buckets.values_mut() {
-            bucket.retain(|(ri, _)| !affected[*ri as usize]);
-            reused += bucket.len();
-        }
-        base.global_rules.retain(|(ri, _)| !affected[*ri as usize]);
-        reused += base.global_rules.len();
-        for bucket in base.choice_buckets.values_mut() {
-            bucket.retain(|(ri, _)| !affected[*ri as usize]);
-            reused += bucket.len();
-        }
-        base.global_choices.retain(|(ri, _)| !affected[*ri as usize]);
-        reused += base.global_choices.len();
-        stats.rules_reused = reused;
-        for bucket in base.tuple_buckets.values_mut() {
-            bucket.retain(|(mi, ..)| !affected_min[*mi as usize]);
-        }
-        base.global_tuples.retain(|(mi, ..)| !affected_min[*mi as usize]);
-
-        // Bucket the new atoms (per-bucket id order stays ascending: every new id is
-        // larger than any pre-patch id) and the re-instantiated instances.
-        for id in old_len..ground.atoms.len() {
-            let id = id as AtomId;
-            match first_partition_sym(ground.atoms.atom(id), partition) {
-                Some(o) => base.atom_buckets.entry(o).or_default().push(id),
-                None => base.global_atoms.push(id),
-            }
-        }
-        let owner_of = |ids: &[AtomId]| -> Option<SymbolId> {
-            ids.iter().find_map(|&a| first_partition_sym(ground.atoms.atom(a), partition))
-        };
-        for (ri, rule) in new_rules {
-            let owner = rule
-                .head
-                .and_then(|h| first_partition_sym(ground.atoms.atom(h), partition))
-                .or_else(|| owner_of(&rule.pos))
-                .or_else(|| owner_of(&rule.neg));
-            match owner {
-                Some(o) => base.rule_buckets.entry(o).or_default().push((ri, rule)),
-                None => base.global_rules.push((ri, rule)),
-            }
-        }
-        for (ri, choice) in new_choices {
-            let owner = owner_of(&choice.pos).or_else(|| owner_of(&choice.neg));
-            match owner {
-                Some(o) => base.choice_buckets.entry(o).or_default().push((ri, choice)),
-                None => base.global_choices.push((ri, choice)),
-            }
-        }
-        for entry in new_tuples {
-            let owner = entry
-                .2
-                .iter()
-                .chain(entry.3.iter())
-                .find_map(|&a| first_partition_sym(ground.atoms.atom(a), partition));
-            match owner {
-                Some(o) => base.tuple_buckets.entry(o).or_default().push(entry),
-                None => base.global_tuples.push(entry),
-            }
-        }
-
-        base.trivially_unsat = ground.trivially_unsat;
+        self.patch_records(base, &mut ground, &touched, None, stats)?;
         base.atoms = ground.atoms;
         Ok(())
     }
 
     /// Removal-capable patch: rebuild the possible-atom closure from scratch in the
-    /// exact interning order of a fresh freeze, then remap the unaffected frozen
-    /// instances onto the new ids and re-instantiate only the rules the diff touched.
+    /// exact interning order of a fresh freeze, then rename the unaffected records
+    /// onto the new ids and re-record only the rules the diff touched.
     fn patch_rebuild(
         &mut self,
         base: &mut BaseProgram,
         new_facts: &[GroundAtom],
-        partition: &crate::hasher::FxHashSet<SymbolId>,
         stats: &mut PatchStats,
     ) -> Result<(), GroundError> {
         // Mirror `compile()`'s interning order — input facts, `#external` guards,
@@ -1269,9 +1449,8 @@ impl<'a> Grounder<'a> {
         // Diff the closures. Retracted atoms, new atoms, and atoms whose certainty
         // changed all mark their discriminator touched; `remap` carries old → new
         // ids for the survivors.
-        const GONE: AtomId = AtomId::MAX;
         let mut touched = TouchSet::default();
-        let mut remap: Vec<AtomId> = vec![GONE; base.atoms.len()];
+        let mut remap: Vec<AtomId> = vec![NO_ATOM; base.atoms.len()];
         for (old_id, atom) in base.atoms.iter() {
             match ground.atoms.get(atom) {
                 Some(new_id) => {
@@ -1292,174 +1471,10 @@ impl<'a> Grounder<'a> {
                 touched.touch(atom);
             }
         }
-
-        let affected: Vec<bool> = base
-            .compiled
-            .rule_sigs
-            .iter()
-            .zip(&base.compiled.head_sigs)
-            .map(|(body, head)| touched.matches_any(body) || touched.matches_any(head))
-            .collect();
-        let affected_min: Vec<bool> =
-            base.compiled.minimize_sigs.iter().map(|sigs| touched.matches_any(sigs)).collect();
-
-        // Phase 2 for the affected rules and minimize statements against the new
-        // relation.
-        let mut new_rules: Vec<(u32, GroundRule)> = Vec::new();
-        let mut new_choices: Vec<(u32, GroundChoice)> = Vec::new();
-        for (ri, rule) in base.compiled.crules.iter().enumerate() {
-            if !affected[ri] {
-                continue;
-            }
-            stats.rules_reinstantiated += 1;
-            let mut seen = RuleDedup::default();
-            self.phase2_rule(rule, &mut ground, &mut seen)?;
-            new_rules.extend(ground.rules.drain(..).map(|r| (ri as u32, r)));
-            new_choices.extend(ground.choices.drain(..).map(|c| (ri as u32, c)));
-        }
-        let mut new_tuples: Vec<TupleEntry> = Vec::new();
-        for (mi, m) in base.compiled.cminimize.iter().enumerate() {
-            if !affected_min[mi] {
-                continue;
-            }
-            let mut tuples = MinimizeTuples::default();
-            self.ground_minimize(m, &ground, &mut tuples)?;
-            let mut sorted: Vec<_> = tuples.into_iter().collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            for (key, bodies) in sorted {
-                for (pos, neg) in bodies {
-                    new_tuples.push((mi as u32, key.clone(), pos, neg));
-                }
-            }
-        }
-        let mut trivially_unsat = ground.trivially_unsat;
-
-        // Remap the unaffected instances. Every atom they reference matches one of
-        // their rule's signature literals, so it is untouched — present in the new
-        // closure with unchanged certainty — and the remap cannot miss (the
-        // debug_asserts pin that invariant; an instance that does trip one is
-        // dropped, which a fresh freeze would have done too).
-        let old_rules = std::mem::take(&mut base.rule_buckets);
-        let old_global_rules = std::mem::take(&mut base.global_rules);
-        let old_choices = std::mem::take(&mut base.choice_buckets);
-        let old_global_choices = std::mem::take(&mut base.global_choices);
-        let old_tuples = std::mem::take(&mut base.tuple_buckets);
-        let old_global_tuples = std::mem::take(&mut base.global_tuples);
-        let map_ids = |ids: &[AtomId], out: &mut Vec<AtomId>| -> bool {
-            out.clear();
-            for &a in ids {
-                let n = remap[a as usize];
-                if n == GONE {
-                    debug_assert!(false, "unaffected instance references a retracted atom");
-                    return false;
-                }
-                out.push(n);
-            }
-            true
-        };
-        let mut mapped: Vec<AtomId> = Vec::new();
-        let mut mapped2: Vec<AtomId> = Vec::new();
-        for (ri, rule) in old_global_rules.iter().chain(old_rules.values().flatten()) {
-            if affected[*ri as usize] {
-                continue;
-            }
-            let head = match rule.head {
-                Some(h) => match remap[h as usize] {
-                    GONE => {
-                        debug_assert!(false, "unaffected head atom was retracted");
-                        continue;
-                    }
-                    n => Some(n),
-                },
-                None => None,
-            };
-            if !map_ids(&rule.pos, &mut mapped) || !map_ids(&rule.neg, &mut mapped2) {
-                continue;
-            }
-            if head.is_none() && mapped.is_empty() && mapped2.is_empty() {
-                trivially_unsat = true;
-            }
-            stats.rules_reused += 1;
-            new_rules.push((*ri, GroundRule { head, pos: mapped.clone(), neg: mapped2.clone() }));
-        }
-        for (ri, choice) in old_global_choices.iter().chain(old_choices.values().flatten()) {
-            if affected[*ri as usize] {
-                continue;
-            }
-            // Choice heads are part of the rule signature (element atoms), so an
-            // unaffected instance's heads all survive.
-            if !map_ids(&choice.heads, &mut mapped) {
-                continue;
-            }
-            let heads = mapped.clone();
-            if !map_ids(&choice.pos, &mut mapped) || !map_ids(&choice.neg, &mut mapped2) {
-                continue;
-            }
-            stats.rules_reused += 1;
-            new_choices.push((
-                *ri,
-                GroundChoice {
-                    heads,
-                    lower: choice.lower,
-                    upper: choice.upper,
-                    pos: mapped.clone(),
-                    neg: mapped2.clone(),
-                },
-            ));
-        }
-        for (mi, key, pos, neg) in old_global_tuples.iter().chain(old_tuples.values().flatten()) {
-            if affected_min[*mi as usize] {
-                continue;
-            }
-            if !map_ids(pos, &mut mapped) || !map_ids(neg, &mut mapped2) {
-                continue;
-            }
-            new_tuples.push((*mi, key.clone(), mapped.clone(), mapped2.clone()));
-        }
-
-        // Rebucket everything against the new ids.
-        base.atom_buckets.clear();
-        base.global_atoms.clear();
-        for (id, atom) in ground.atoms.iter() {
-            match first_partition_sym(atom, partition) {
-                Some(o) => base.atom_buckets.entry(o).or_default().push(id),
-                None => base.global_atoms.push(id),
-            }
-        }
-        let owner_of = |ids: &[AtomId]| -> Option<SymbolId> {
-            ids.iter().find_map(|&a| first_partition_sym(ground.atoms.atom(a), partition))
-        };
-        for (ri, rule) in new_rules {
-            let owner = rule
-                .head
-                .and_then(|h| first_partition_sym(ground.atoms.atom(h), partition))
-                .or_else(|| owner_of(&rule.pos))
-                .or_else(|| owner_of(&rule.neg));
-            match owner {
-                Some(o) => base.rule_buckets.entry(o).or_default().push((ri, rule)),
-                None => base.global_rules.push((ri, rule)),
-            }
-        }
-        for (ri, choice) in new_choices {
-            let owner = owner_of(&choice.pos).or_else(|| owner_of(&choice.neg));
-            match owner {
-                Some(o) => base.choice_buckets.entry(o).or_default().push((ri, choice)),
-                None => base.global_choices.push((ri, choice)),
-            }
-        }
-        for entry in new_tuples {
-            let owner = entry
-                .2
-                .iter()
-                .chain(entry.3.iter())
-                .find_map(|&a| first_partition_sym(ground.atoms.atom(a), partition));
-            match owner {
-                Some(o) => base.tuple_buckets.entry(o).or_default().push(entry),
-                None => base.global_tuples.push(entry),
-            }
-        }
-
-        base.trivially_unsat = trivially_unsat;
+        // Every atom an unaffected record references matches one of its rule's
+        // signature literals, so it is untouched — present in the new closure — and
+        // the renaming cannot miss.
+        self.patch_records(base, &mut ground, &touched, Some(&remap), stats)?;
         base.atoms = ground.atoms;
         Ok(())
     }
@@ -1512,14 +1527,12 @@ impl<'a> Grounder<'a> {
             .collect::<Result<_, _>>()?;
         let rule_sigs = crules.iter().map(rule_signature).collect();
         let rule_p1_sigs = crules.iter().map(rule_phase1_condition_signature).collect();
-        let head_sigs = crules.iter().map(rule_head_signature).collect();
         let minimize_sigs = cminimize.iter().map(minimize_signature).collect();
         Ok(CompiledProgram {
             crules,
             cminimize,
             rule_sigs,
             rule_p1_sigs,
-            head_sigs,
             minimize_sigs,
             externals,
             text_facts,
@@ -1924,6 +1937,7 @@ impl<'a> Grounder<'a> {
             }
             CHead::Choice { elements, .. } => {
                 let mut scratch = std::mem::take(&mut self.scratch_atom);
+                let mut matched = Vec::new();
                 for elem in elements {
                     let mut local = subst.to_vec();
                     self.expand_conditions(
@@ -1931,8 +1945,9 @@ impl<'a> Grounder<'a> {
                         0,
                         ground,
                         &mut local,
+                        &mut matched,
                         false,
-                        &mut |ground, local| {
+                        &mut |ground, local, _| {
                             if instantiate_into(&elem.atom, local, &mut scratch) {
                                 let (id, new) = ground.atoms.intern_ref(&scratch);
                                 if new {
@@ -1953,9 +1968,10 @@ impl<'a> Grounder<'a> {
 
     fn phase2_rule(
         &mut self,
+        ri: usize,
         rule: &CRule,
         ground: &mut GroundProgram,
-        seen: &mut RuleDedup,
+        sink: &mut Sink<'_>,
     ) -> Result<(), GroundError> {
         // Instances are processed directly in the join callback: the only mutation the
         // processing performs on the atom table is re-interning atoms that phase 1
@@ -1963,198 +1979,174 @@ impl<'a> Grounder<'a> {
         // iteration stays valid and no substitution needs to be copied.
         let mut subst = vec![None; rule.nvars];
         self.join_all(rule, ground, &mut subst, &mut |this, ground, inst, matched| {
-            this.phase2_instance(rule, ground, inst, matched, seen)
+            this.phase2_instance(ri, rule, ground, inst, matched, sink)
         })?;
         Ok(())
     }
 
-    /// Simplify and emit one complete phase-2 substitution of a rule. A `Ok(())` return
-    /// with no emission means the instance was discarded (a body literal contradicted
-    /// by the input facts).
+    /// Record one complete phase-2 substitution of a rule in full (see [`Record`]),
+    /// then either freeze the record or simplify and emit it.
     fn phase2_instance(
+        &mut self,
+        ri: usize,
+        rule: &CRule,
+        ground: &mut GroundProgram,
+        inst: &[Option<Val>],
+        matched: &[AtomId],
+        sink: &mut Sink<'_>,
+    ) -> Result<(), GroundError> {
+        for cmp in &rule.cmps {
+            match eval_cmp(cmp, inst) {
+                Some(true) => {}
+                Some(false) => return Ok(()),
+                None => {
+                    return Err(GroundError {
+                        message: "comparison with unbound variables (unsafe rule)".into(),
+                    })
+                }
+            }
+        }
+        let mut rec = std::mem::take(&mut self.record);
+        rec.clear();
+        let built = self.record_instance(rule, ground, inst, matched, &mut rec);
+        if let Ok(bounds) = built {
+            match sink {
+                Sink::Freeze(frozen) => frozen.push_record(ri, bounds, &mut rec),
+                Sink::Emit(seen) => {
+                    let (mut pos, mut neg, mut heads) = std::mem::take(&mut self.buffers);
+                    let atoms = &ground.atoms;
+                    let view = |a: AtomId| Some((a, atoms.is_certain(a)));
+                    let out =
+                        simplify(bounds.is_some(), &rec, view, &mut pos, &mut neg, &mut heads);
+                    emit(ground, seen, out, bounds, &pos, &neg, &heads);
+                    self.buffers = (pos, neg, heads);
+                }
+            }
+        }
+        self.record = rec;
+        built.map(|_| ())
+    }
+
+    /// Write the record body of one instance into `rec`; returns a choice's bounds.
+    #[allow(clippy::type_complexity)]
+    fn record_instance(
         &mut self,
         rule: &CRule,
         ground: &mut GroundProgram,
         inst: &[Option<Val>],
         matched: &[AtomId],
-        seen: &mut RuleDedup,
-    ) -> Result<(), GroundError> {
-        {
-            // Comparisons.
-            for cmp in &rule.cmps {
-                match eval_cmp(cmp, inst) {
-                    Some(true) => {}
-                    Some(false) => return Ok(()),
-                    None => {
-                        return Err(GroundError {
-                            message: "comparison with unbound variables (unsafe rule)".into(),
-                        })
-                    }
-                }
-            }
-            // Positive body: drop certain atoms, keep the rest. The join already
-            // matched each literal against a concrete atom — use its id directly.
-            let mut pos = Vec::new();
-            for &id in matched {
-                if !ground.atoms.is_certain(id) {
-                    pos.push(id);
-                }
-            }
-            // Negative body.
-            let mut neg = Vec::new();
-            for a in &rule.neg {
-                if !self.add_negative_literal(a, inst, ground, &mut neg)? {
-                    return Ok(());
-                }
-            }
-            // Conditional literals expand to conjunctions over certain condition facts.
-            for cond in &rule.conds {
-                let mut local = inst.to_vec();
-                let mut ok = true;
-                let mut extra_pos = Vec::new();
-                let mut extra_neg = Vec::new();
-                let mut scratch = std::mem::take(&mut self.scratch_atom);
-                self.expand_conditions(
-                    &cond.conditions,
-                    0,
-                    ground,
-                    &mut local,
-                    true,
-                    &mut |ground, local| {
-                        if !ok {
-                            return Ok(());
-                        }
-                        match instantiate_into(&cond.atom, local, &mut scratch) {
-                            true => {
-                                match ground.atoms.get(&scratch) {
-                                    Some(id) => {
-                                        if cond.negated {
-                                            if ground.atoms.is_certain(id) {
-                                                ok = false;
-                                            } else {
-                                                extra_neg.push(id);
-                                            }
-                                        } else if !ground.atoms.is_certain(id) {
-                                            extra_pos.push(id);
-                                        }
-                                    }
-                                    None => {
-                                        // Atom can never be true.
-                                        if !cond.negated {
-                                            ok = false;
-                                        }
-                                    }
-                                }
-                            }
-                            false => ok = false,
-                        }
-                        Ok(())
-                    },
-                )?;
-                self.scratch_atom = scratch;
-                if !ok {
-                    return Ok(());
-                }
-                pos.extend(extra_pos);
-                neg.extend(extra_neg);
-            }
-
-            pos.sort_unstable();
-            pos.dedup();
-            neg.sort_unstable();
-            neg.dedup();
-
-            match &rule.head {
-                CHead::None => {
-                    if pos.is_empty() && neg.is_empty() {
-                        ground.trivially_unsat = true;
-                    }
-                    let gr = GroundRule { head: None, pos, neg };
-                    seen.push_if_new(gr, &mut ground.rules);
-                }
-                CHead::Atom(atom) => {
-                    let mut scratch = std::mem::take(&mut self.scratch_atom);
-                    let ok = instantiate_into(atom, inst, &mut scratch);
-                    if !ok {
-                        self.scratch_atom = scratch;
-                        return Err(GroundError {
-                            message: "unsafe rule: head variables not bound".into(),
-                        });
-                    }
-                    let (id, _) = ground.atoms.intern_ref(&scratch);
-                    self.scratch_atom = scratch;
-                    if ground.atoms.is_certain(id) {
-                        return Ok(());
-                    }
-                    let gr = GroundRule { head: Some(id), pos, neg };
-                    seen.push_if_new(gr, &mut ground.rules);
-                }
-                CHead::Choice { lower, upper, elements } => {
-                    let lower = match lower {
-                        Some(t) => Some(eval_int(t, inst).ok_or_else(|| GroundError {
-                            message: "choice lower bound must be an integer".into(),
-                        })?),
-                        None => None,
-                    };
-                    let upper = match upper {
-                        Some(t) => Some(eval_int(t, inst).ok_or_else(|| GroundError {
-                            message: "choice upper bound must be an integer".into(),
-                        })?),
-                        None => None,
-                    };
-                    let mut heads = Vec::new();
-                    let mut scratch = std::mem::take(&mut self.scratch_atom);
-                    for elem in elements {
-                        let mut local = inst.to_vec();
-                        self.expand_conditions(
-                            &elem.conditions,
-                            0,
-                            ground,
-                            &mut local,
-                            true,
-                            &mut |ground, local| {
-                                if instantiate_into(&elem.atom, local, &mut scratch) {
-                                    let (id, _) = ground.atoms.intern_ref(&scratch);
-                                    heads.push(id);
-                                }
-                                Ok(())
-                            },
-                        )?;
-                    }
-                    self.scratch_atom = scratch;
-                    heads.sort_unstable();
-                    heads.dedup();
-                    ground.choices.push(GroundChoice { heads, lower, upper, pos, neg });
-                }
-            }
+        rec: &mut Vec<u32>,
+    ) -> Result<Option<(Option<i64>, Option<i64>)>, GroundError> {
+        // Positive body: the join matched each literal against a concrete atom.
+        rec.push(matched.len() as u32);
+        rec.extend_from_slice(matched);
+        let at = rec.len();
+        rec.push(0);
+        for a in &rule.neg {
+            self.negative_candidates(a, inst, ground, rec)?;
         }
-        Ok(())
+        rec[at] = (rec.len() - at - 1) as u32;
+        // Conditional literals expand to conjunctions over certain condition facts.
+        let at = rec.len();
+        rec.push(0);
+        let mut scratch = std::mem::take(&mut self.scratch_atom);
+        let mut conds: Vec<AtomId> = Vec::new();
+        for cond in &rule.conds {
+            let mut local = inst.to_vec();
+            self.expand_conditions(
+                &cond.conditions,
+                0,
+                ground,
+                &mut local,
+                &mut conds,
+                true,
+                &mut |ground, local, conditions| {
+                    let atom = match instantiate_into(&cond.atom, local, &mut scratch) {
+                        true => ground.atoms.get(&scratch).unwrap_or(NO_ATOM),
+                        false => BAD_ATOM,
+                    };
+                    let negated = if cond.negated { NEGATED } else { 0 };
+                    rec.push(conditions.len() as u32 | negated);
+                    rec.extend_from_slice(conditions);
+                    rec.push(atom);
+                    rec[at] += 1;
+                    Ok(())
+                },
+            )?;
+        }
+        let result = match &rule.head {
+            CHead::None => {
+                rec.push(0);
+                Ok(None)
+            }
+            CHead::Atom(atom) => {
+                if instantiate_into(atom, inst, &mut scratch) {
+                    rec.extend_from_slice(&[1, 0, ground.atoms.intern_ref(&scratch).0]);
+                    Ok(None)
+                } else {
+                    Err(GroundError { message: "unsafe rule: head variables not bound".into() })
+                }
+            }
+            CHead::Choice { lower, upper, elements } => {
+                let bound = |t: &Option<CTerm>, which: &str| {
+                    t.as_ref()
+                        .map(|t| {
+                            eval_int(t, inst).ok_or_else(|| GroundError {
+                                message: format!("choice {which} bound must be an integer"),
+                            })
+                        })
+                        .transpose()
+                };
+                let bounds = (bound(lower, "lower")?, bound(upper, "upper")?);
+                // Elements expand over *possible* conditions: these are the
+                // derivations phase 1 used; simplification keeps the certain ones.
+                rec.push(0);
+                let at = rec.len() - 1;
+                for elem in elements {
+                    let mut local = inst.to_vec();
+                    self.expand_conditions(
+                        &elem.conditions,
+                        0,
+                        ground,
+                        &mut local,
+                        &mut conds,
+                        false,
+                        &mut |ground, local, conditions| {
+                            if instantiate_into(&elem.atom, local, &mut scratch) {
+                                rec.push(conditions.len() as u32);
+                                rec.extend_from_slice(conditions);
+                                rec.push(ground.atoms.intern_ref(&scratch).0);
+                                rec[at] += 1;
+                            }
+                            Ok(())
+                        },
+                    )?;
+                }
+                Ok(Some(bounds))
+            }
+        };
+        self.scratch_atom = scratch;
+        result
     }
 
-    /// Returns false when the rule instance must be discarded (negative literal on a fact).
-    fn add_negative_literal(
+    /// Append every possible candidate of a negative literal to `rec`. A wildcard
+    /// (`not hash(P, _)`, "no instance exists") enumerates the possible atoms matching
+    /// the bound arguments, narrowed through the sharpest index they admit.
+    fn negative_candidates(
         &mut self,
         atom: &CAtom,
         inst: &[Option<Val>],
         ground: &GroundProgram,
-        neg: &mut Vec<AtomId>,
-    ) -> Result<bool, GroundError> {
-        // Wildcards in negative literals mean "no instance exists": `not hash(P, _)`.
+        rec: &mut Vec<u32>,
+    ) -> Result<(), GroundError> {
         if atom.args.iter().any(|a| matches!(a, CTerm::Wildcard)) {
-            // Enumerate the possible atoms of the predicate matching the bound
-            // arguments, narrowed through the sharpest index the bound arguments
-            // admit. `ground` is borrowed immutably here, so the candidate slice can
-            // be iterated in place — no copy.
             let (key, _) = best_key(atom, inst, &ground.atoms);
             for &cand in key_slice(&ground.atoms, &key) {
                 if atom_matches_bound(atom, inst, ground.atoms.atom(cand)) {
-                    if ground.atoms.is_certain(cand) {
-                        return Ok(false);
-                    }
-                    neg.push(cand);
+                    rec.push(cand);
                 }
             }
-            return Ok(true);
+            return Ok(());
         }
         let mut scratch = std::mem::take(&mut self.scratch_atom);
         let ok = instantiate_into(atom, inst, &mut scratch);
@@ -2165,14 +2157,8 @@ impl<'a> Grounder<'a> {
                 message: "unsafe rule: negative literal with unbound variables".into(),
             });
         }
-        match found {
-            None => Ok(true), // atom impossible: `not a` trivially true
-            Some(id) if ground.atoms.is_certain(id) => Ok(false),
-            Some(id) => {
-                neg.push(id);
-                Ok(true)
-            }
-        }
+        rec.extend(found);
+        Ok(())
     }
 
     // ---- joins -------------------------------------------------------------------------
@@ -2302,19 +2288,22 @@ impl<'a> Grounder<'a> {
     }
 
     /// Expand a list of condition atoms (which must match input facts when
-    /// `certain_only`, or any possible atom during phase 1) over all groundings,
-    /// calling `on_match` for each complete assignment of the condition variables.
+    /// `certain_only`, or any possible atom otherwise) over all groundings, calling
+    /// `on_match` for each complete assignment of the condition variables together
+    /// with the atoms matched (`matched` is the stack of those; empty on entry).
+    #[allow(clippy::too_many_arguments)]
     fn expand_conditions(
         &mut self,
         conditions: &[CAtom],
         index: usize,
         ground: &mut GroundProgram,
         subst: &mut Vec<Option<Val>>,
+        matched: &mut Vec<AtomId>,
         certain_only: bool,
         on_match: &mut OnConditionMatch<'_>,
     ) -> Result<(), GroundError> {
         if index == conditions.len() {
-            return on_match(ground, subst);
+            return on_match(ground, subst, matched);
         }
         let atom = &conditions[index];
         let (key, snapshot_len) = best_key(atom, subst, &ground.atoms);
@@ -2325,14 +2314,17 @@ impl<'a> Grounder<'a> {
                 continue;
             }
             if let Some(nb) = match_into_subst(&ground.atoms, cand, atom, subst, &mut touched) {
+                matched.push(cand);
                 self.expand_conditions(
                     conditions,
                     index + 1,
                     ground,
                     subst,
+                    matched,
                     certain_only,
                     on_match,
                 )?;
+                matched.pop();
                 for &slot in &touched[..nb] {
                     subst[slot] = None;
                 }
@@ -2343,14 +2335,16 @@ impl<'a> Grounder<'a> {
 
     // ---- minimize -----------------------------------------------------------------------
 
+    /// Ground one minimize statement: `sink` receives every condition instance in
+    /// full (callers simplify it against their view, see [`simplify_condition`]).
     fn ground_minimize(
         &mut self,
         m: &CMinimize,
         ground: &GroundProgram,
-        tuples: &mut MinimizeTuples,
+        sink: &mut MinimizeSink<'_>,
     ) -> Result<(), GroundError> {
         let mut subst = vec![None; m.nvars];
-        self.join_minimize(m, 0, ground, &mut subst, tuples)
+        self.join_minimize(m, 0, ground, &mut subst, sink)
     }
 
     /// Join a minimize statement's positive conditions over the possible atoms,
@@ -2362,7 +2356,7 @@ impl<'a> Grounder<'a> {
         index: usize,
         ground: &GroundProgram,
         subst: &mut Vec<Option<Val>>,
-        tuples: &mut MinimizeTuples,
+        sink: &mut MinimizeSink<'_>,
     ) -> Result<(), GroundError> {
         if index < m.pos.len() {
             let atom = &m.pos[index];
@@ -2370,7 +2364,7 @@ impl<'a> Grounder<'a> {
             let mut touched = [0usize; MAX_ARITY];
             for &cand in key_slice(&ground.atoms, &key) {
                 if let Some(nb) = match_into_subst(&ground.atoms, cand, atom, subst, &mut touched) {
-                    self.join_minimize(m, index + 1, ground, subst, tuples)?;
+                    self.join_minimize(m, index + 1, ground, subst, sink)?;
                     for &slot in &touched[..nb] {
                         subst[slot] = None;
                     }
@@ -2378,62 +2372,39 @@ impl<'a> Grounder<'a> {
             }
             return Ok(());
         }
-        {
-            let subst = &*subst;
-            // Complete substitution: evaluate comparisons, weight, priority, terms.
-            let mut ok = true;
-            for cmp in &m.cmps {
-                if eval_cmp(cmp, subst) != Some(true) {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                return Ok(());
-            }
-            let weight = eval_int(&m.weight, subst).ok_or_else(|| GroundError {
-                message: "minimize weight must evaluate to an integer".into(),
-            })?;
-            let priority = eval_int(&m.priority, subst).ok_or_else(|| GroundError {
-                message: "minimize priority must evaluate to an integer".into(),
-            })?;
-            let terms: Vec<Val> =
-                m.terms.iter().map(|t| eval_term(t, subst)).collect::<Option<_>>().ok_or_else(
-                    || GroundError { message: "minimize tuple terms must be bound".into() },
-                )?;
-            // Collect condition atoms (dropping certain ones).
-            let mut pos = Vec::new();
-            let mut skip = false;
-            let mut scratch = std::mem::take(&mut self.scratch_atom);
-            for a in &m.pos {
-                assert!(instantiate_into(a, subst, &mut scratch), "bound by join");
-                let id = ground.atoms.get(&scratch).expect("possible");
-                if !ground.atoms.is_certain(id) {
-                    pos.push(id);
-                }
-            }
-            let mut neg = Vec::new();
-            for a in &m.neg {
-                if !instantiate_into(a, subst, &mut scratch) {
-                    self.scratch_atom = scratch;
-                    return Err(GroundError {
-                        message: "negative minimize condition with unbound variables".into(),
-                    });
-                }
-                match ground.atoms.get(&scratch) {
-                    None => {}
-                    Some(id) if ground.atoms.is_certain(id) => {
-                        skip = true;
-                    }
-                    Some(id) => neg.push(id),
-                }
-            }
-            self.scratch_atom = scratch;
-            if skip {
-                return Ok(());
-            }
-            tuples.entry((priority, weight, terms)).or_default().push((pos, neg));
+        let subst = &*subst;
+        // Complete substitution: evaluate comparisons, weight, priority, terms.
+        if m.cmps.iter().any(|cmp| eval_cmp(cmp, subst) != Some(true)) {
+            return Ok(());
         }
+        let weight = eval_int(&m.weight, subst).ok_or_else(|| GroundError {
+            message: "minimize weight must evaluate to an integer".into(),
+        })?;
+        let priority = eval_int(&m.priority, subst).ok_or_else(|| GroundError {
+            message: "minimize priority must evaluate to an integer".into(),
+        })?;
+        let terms: Vec<Val> =
+            m.terms.iter().map(|t| eval_term(t, subst)).collect::<Option<_>>().ok_or_else(
+                || GroundError { message: "minimize tuple terms must be bound".into() },
+            )?;
+        let mut scratch = std::mem::take(&mut self.scratch_atom);
+        let mut pos = Vec::with_capacity(m.pos.len());
+        for a in &m.pos {
+            assert!(instantiate_into(a, subst, &mut scratch), "bound by join");
+            pos.push(ground.atoms.get(&scratch).expect("possible"));
+        }
+        let mut neg = Vec::new();
+        for a in &m.neg {
+            if !instantiate_into(a, subst, &mut scratch) {
+                self.scratch_atom = scratch;
+                return Err(GroundError {
+                    message: "negative minimize condition with unbound variables".into(),
+                });
+            }
+            neg.extend(ground.atoms.get(&scratch));
+        }
+        self.scratch_atom = scratch;
+        sink((priority, weight, terms), &pos, &neg);
         Ok(())
     }
 
@@ -2464,6 +2435,142 @@ impl<'a> Grounder<'a> {
                 ground.rules.push(GroundRule { head: Some(aux), pos, neg });
             }
             ground.minimize.push(GroundMinimize { priority, weight, condition: Some(aux) });
+        }
+    }
+}
+
+// ---- phase-2 simplification ------------------------------------------------------------
+
+/// What a full instance simplifies to under a view of the atom table.
+enum Simplified {
+    /// A body literal is contradicted (or the head is certain): no instance.
+    Discarded,
+    /// A normal rule (`Some(head)`) or a constraint (`None`).
+    Rule(Option<AtomId>),
+    /// A choice rule; its heads are in the `heads` buffer.
+    Choice,
+}
+
+/// Simplify a condition (`pos`, `neg`: every matched positive atom, every possible
+/// negative candidate) against a view, exactly as gringo does (Fig. 3): certain
+/// positive atoms are dropped, an impossible one discards the condition; impossible
+/// negative atoms are dropped, a certain one discards it. `view(a)` is `None` when `a`
+/// is impossible in the view, else its id there and whether it is certain.
+fn simplify_condition<V: Fn(AtomId) -> Option<(AtomId, bool)>>(
+    pos: &[AtomId],
+    neg: &[AtomId],
+    view: &V,
+    out_pos: &mut Vec<AtomId>,
+    out_neg: &mut Vec<AtomId>,
+) -> bool {
+    out_pos.clear();
+    out_neg.clear();
+    for &b in pos {
+        match view(b) {
+            None => return false,
+            Some((id, false)) => out_pos.push(id),
+            Some((_, true)) => {}
+        }
+    }
+    for &c in neg {
+        match view(c) {
+            None => {}
+            Some((id, false)) => out_neg.push(id),
+            Some((_, true)) => return false,
+        }
+    }
+    true
+}
+
+/// Simplify one full instance record (see [`Record`]) against a view: the condition
+/// first, then the conditional-literal elements whose conditions are certain in the
+/// view (a non-negated element on an impossible atom, or a negated one on a certain
+/// atom, discards the instance), then the head (a certain head discards a normal
+/// rule; a choice keeps the elements whose conditions are certain).
+fn simplify<V: Fn(AtomId) -> Option<(AtomId, bool)>>(
+    choice: bool,
+    body: &[u32],
+    view: V,
+    pos: &mut Vec<AtomId>,
+    neg: &mut Vec<AtomId>,
+    heads: &mut Vec<AtomId>,
+) -> Simplified {
+    let npos = body[0] as usize;
+    let nneg = body[1 + npos] as usize;
+    if !simplify_condition(&body[1..1 + npos], &body[2 + npos..2 + npos + nneg], &view, pos, neg) {
+        return Simplified::Discarded;
+    }
+    let certain = |a: AtomId| matches!(view(a), Some((_, true)));
+    let mut discarded = false;
+    heads.clear();
+    walk(body, |section, slots| {
+        if section < 2 || discarded {
+            return;
+        }
+        let (conditions, atom) = (&body[slots.start..slots.end - 1], body[slots.end - 1]);
+        if !conditions.iter().all(|&c| certain(c)) {
+            return;
+        }
+        let seen = match atom {
+            BAD_ATOM => return discarded = true,
+            NO_ATOM => None,
+            a => view(a),
+        };
+        let negated = body[slots.start - 1] & NEGATED != 0;
+        match (section, seen, negated) {
+            // A normal rule's head: certain (the instance is redundant) or not
+            // derivable (no instance).
+            (3, Some((_, true)), _) | (3, None, _) if !choice => discarded = true,
+            (3, Some((id, _)), _) => heads.push(id),
+            (3, None, _) => {}
+            (_, None, false) | (_, Some((_, true)), true) => discarded = true,
+            (_, None, true) | (_, Some((_, true)), false) => {}
+            (_, Some((id, false)), true) => neg.push(id),
+            (_, Some((id, false)), false) => pos.push(id),
+        }
+    });
+    if discarded {
+        return Simplified::Discarded;
+    }
+    for ids in [pos, neg, heads] {
+        ids.sort_unstable();
+        ids.dedup();
+    }
+    match choice {
+        true => Simplified::Choice,
+        false => Simplified::Rule(heads.first().copied()),
+    }
+}
+
+/// Add one simplified instance to a ground program: rules deduplicated through
+/// `seen`, an empty constraint marking the program trivially unsatisfiable.
+fn emit(
+    ground: &mut GroundProgram,
+    seen: &mut RuleDedup,
+    out: Simplified,
+    bounds: Option<(Option<i64>, Option<i64>)>,
+    pos: &[AtomId],
+    neg: &[AtomId],
+    heads: &[AtomId],
+) {
+    match out {
+        Simplified::Discarded => {}
+        Simplified::Rule(head) => {
+            if head.is_none() && pos.is_empty() && neg.is_empty() {
+                ground.trivially_unsat = true;
+            }
+            let rule = GroundRule { head, pos: pos.to_vec(), neg: neg.to_vec() };
+            seen.push_if_new(rule, &mut ground.rules);
+        }
+        Simplified::Choice => {
+            let (lower, upper) = bounds.expect("choice records carry bounds");
+            ground.choices.push(GroundChoice {
+                heads: heads.to_vec(),
+                lower,
+                upper,
+                pos: pos.to_vec(),
+                neg: neg.to_vec(),
+            });
         }
     }
 }
@@ -2945,25 +3052,28 @@ mod tests {
     #[test]
     fn restriction_simplifies_excluded_negative_literals() {
         // `a :- b, not c("x").` with c("x") possible-but-uncertain: the frozen
-        // instance carries neg=[c("x")]. Excluding "x" must KEEP the instance with
-        // the now-impossible negative literal simplified away — exactly what a
-        // from-scratch grounding of the restricted facts would emit — so `a` stays
-        // derivable.
+        // instance carries neg=[c("x")]. Excluding the owner of the fact `d` that
+        // makes c("x") possible must KEEP the instance with the now-impossible
+        // negative literal simplified away — exactly what a from-scratch grounding of
+        // the kept facts would emit — so `a` stays derivable.
         let program = parse_program(
             r#"
             a :- b, not c("x").
             { c("x") } :- d.
-            b. d.
+            b.
             "#,
         )
         .unwrap();
         let mut symbols = SymbolTable::new();
-        let base = Grounder::new(&mut symbols)
-            .ground_base(&program, &[], &crate::hasher::FxHashSet::default())
-            .unwrap();
-        let x = symbols.lookup("x").unwrap();
+        let d = fact(&mut symbols, "d", &[]);
+        let x = symbols.intern("x");
+        let mut input = Facts::default();
+        input.set_owners(vec![x]);
+        input.push(d);
+        let base = Grounder::new(&mut symbols).ground_base(&program, input).unwrap();
         let excluded: crate::hasher::FxHashSet<SymbolId> = [x].into_iter().collect();
-        let ground = Grounder::new(&mut symbols).ground_delta(&base, &excluded, &[], &[]).unwrap();
+        let none = &Facts::default();
+        let ground = Grounder::new(&mut symbols).ground_delta(&base, &excluded, &[], none).unwrap();
         let a_id = ground
             .atoms
             .iter()
@@ -2976,9 +3086,10 @@ mod tests {
             .find(|r| r.head == Some(a_id))
             .expect("the instance deriving `a` must survive the restriction");
         assert!(rule.neg.is_empty(), "impossible negative literal must be dropped: {rule:?}");
+        assert!(ground.atoms.iter().all(|(_, at)| at.display(&symbols).to_string() != "d"));
         // And without any exclusion the negative literal stays.
         let ground = Grounder::new(&mut symbols)
-            .ground_delta(&base, &crate::hasher::FxHashSet::default(), &[], &[])
+            .ground_delta(&base, &crate::hasher::FxHashSet::default(), &[], none)
             .unwrap();
         let a_id = ground
             .atoms
@@ -3052,6 +3163,26 @@ mod tests {
         )
     }
 
+    fn freeze(symbols: &mut SymbolTable, program: &Program, facts: &[GroundAtom]) -> BaseProgram {
+        Grounder::new(symbols).ground_base(program, Facts::global(facts.to_vec())).unwrap()
+    }
+
+    fn patch(
+        symbols: &mut SymbolTable,
+        base: &mut BaseProgram,
+        facts: &[GroundAtom],
+    ) -> PatchStats {
+        Grounder::new(symbols).patch_base(base, Facts::global(facts.to_vec())).unwrap()
+    }
+
+    /// The unrestricted request view of a base, rendered.
+    fn view(symbols: &mut SymbolTable, base: &BaseProgram) -> String {
+        let none = crate::hasher::FxHashSet::default();
+        let ground =
+            Grounder::new(symbols).ground_delta(base, &none, &[], &Facts::default()).unwrap();
+        render_ground(&ground, symbols)
+    }
+
     const PATCH_TEST_PROGRAM: &str = r#"
         r(X) :- p(X), not q(X).
         { s(X) } :- p(X).
@@ -3066,20 +3197,12 @@ mod tests {
         let f_a = fact(&mut symbols, "p", &["a"]);
         let f_b = fact(&mut symbols, "p", &["b"]);
         let f_q = fact(&mut symbols, "q", &["a"]);
-        let none = crate::hasher::FxHashSet::default();
-        let mut patched = Grounder::new(&mut symbols)
-            .ground_base(&program, std::slice::from_ref(&f_a), &none)
-            .unwrap();
-        let stats = Grounder::new(&mut symbols)
-            .patch_base(&mut patched, vec![f_a.clone(), f_b.clone(), f_q.clone()], none.clone())
-            .unwrap();
+        let mut patched = freeze(&mut symbols, &program, std::slice::from_ref(&f_a));
+        let stats = patch(&mut symbols, &mut patched, &[f_a.clone(), f_b.clone(), f_q.clone()]);
         assert!(!stats.rebuilt, "pure additions must not rebuild");
         assert_eq!((stats.added_facts, stats.removed_facts), (2, 0));
-        let fresh =
-            Grounder::new(&mut symbols).ground_base(&program, &[f_a, f_b, f_q], &none).unwrap();
-        let ga = Grounder::new(&mut symbols).ground_delta(&patched, &none, &[], &[]).unwrap();
-        let gb = Grounder::new(&mut symbols).ground_delta(&fresh, &none, &[], &[]).unwrap();
-        assert_eq!(render_ground(&ga, &symbols), render_ground(&gb, &symbols));
+        let fresh = freeze(&mut symbols, &program, &[f_a, f_b, f_q]);
+        assert_eq!(view(&mut symbols, &patched), view(&mut symbols, &fresh));
     }
 
     #[test]
@@ -3088,60 +3211,44 @@ mod tests {
         let mut symbols = SymbolTable::new();
         let f_a = fact(&mut symbols, "p", &["a"]);
         let f_b = fact(&mut symbols, "p", &["b"]);
-        let none = crate::hasher::FxHashSet::default();
-        let mut patched = Grounder::new(&mut symbols)
-            .ground_base(&program, &[f_a.clone(), f_b.clone()], &none)
-            .unwrap();
+        let mut patched = freeze(&mut symbols, &program, &[f_a.clone(), f_b.clone()]);
         // Remove p(b): the rebuild path must reproduce a fresh freeze of [p(a)]
         // exactly, down to the atom ids.
-        let stats = Grounder::new(&mut symbols)
-            .patch_base(&mut patched, vec![f_a.clone()], none.clone())
-            .unwrap();
+        let stats = patch(&mut symbols, &mut patched, std::slice::from_ref(&f_a));
         assert!(stats.rebuilt, "a removal must rebuild the closure");
-        let fresh = Grounder::new(&mut symbols)
-            .ground_base(&program, std::slice::from_ref(&f_a), &none)
-            .unwrap();
+        let fresh = freeze(&mut symbols, &program, std::slice::from_ref(&f_a));
         assert_eq!(patched.atoms.len(), fresh.atoms.len());
         for (id, atom) in fresh.atoms.iter() {
             assert_eq!(patched.atoms.atom(id), atom, "atom ids must coincide after a rebuild");
             assert_eq!(patched.atoms.is_certain(id), fresh.atoms.is_certain(id));
         }
-        let ga = Grounder::new(&mut symbols).ground_delta(&patched, &none, &[], &[]).unwrap();
-        let gb = Grounder::new(&mut symbols).ground_delta(&fresh, &none, &[], &[]).unwrap();
-        assert_eq!(render_ground(&ga, &symbols), render_ground(&gb, &symbols));
+        assert_eq!(view(&mut symbols, &patched), view(&mut symbols, &fresh));
         // Re-add p(b): the additions path must restore observational equality with a
         // fresh freeze of the original fact set (removal-then-re-add round trip).
-        Grounder::new(&mut symbols)
-            .patch_base(&mut patched, vec![f_a.clone(), f_b.clone()], none.clone())
-            .unwrap();
-        let fresh2 = Grounder::new(&mut symbols).ground_base(&program, &[f_a, f_b], &none).unwrap();
-        let ga = Grounder::new(&mut symbols).ground_delta(&patched, &none, &[], &[]).unwrap();
-        let gb = Grounder::new(&mut symbols).ground_delta(&fresh2, &none, &[], &[]).unwrap();
-        assert_eq!(render_ground(&ga, &symbols), render_ground(&gb, &symbols));
+        patch(&mut symbols, &mut patched, &[f_a.clone(), f_b.clone()]);
+        let fresh2 = freeze(&mut symbols, &program, &[f_a, f_b]);
+        assert_eq!(view(&mut symbols, &patched), view(&mut symbols, &fresh2));
     }
 
     #[test]
     fn patch_base_retracts_instances_whose_head_turns_certain() {
-        // `h :- p.` freezes as the body-less instance `h.` (p is certain, h is
-        // derivable-but-uncertain). A patch that adds `h` as an input fact makes the
-        // head certain, and phase 2 drops certain-headed instances — the patched
-        // base must agree with a fresh freeze even though no *body* literal of the
-        // rule is touched (this is what `head_sigs` exists for).
+        // `h :- p.` is the body-less instance `h.` while p is certain and h is
+        // derivable-but-uncertain. A patch that adds `h` as an input fact makes the
+        // head certain, and phase 2 drops certain-headed instances: the patched base
+        // must answer like a fresh freeze, without the instance. (Its record stays:
+        // a request that excludes the fact `h` needs it back.)
         let program = parse_program("h :- p.").unwrap();
         let mut symbols = SymbolTable::new();
         let p = fact(&mut symbols, "p", &[]);
         let h = fact(&mut symbols, "h", &[]);
-        let none = crate::hasher::FxHashSet::default();
-        let mut patched = Grounder::new(&mut symbols)
-            .ground_base(&program, std::slice::from_ref(&p), &none)
-            .unwrap();
+        let mut patched = freeze(&mut symbols, &program, std::slice::from_ref(&p));
         assert_eq!(patched.frozen_instances(), 1);
-        Grounder::new(&mut symbols)
-            .patch_base(&mut patched, vec![p.clone(), h.clone()], none.clone())
-            .unwrap();
-        let fresh = Grounder::new(&mut symbols).ground_base(&program, &[p, h], &none).unwrap();
-        assert_eq!(fresh.frozen_instances(), 0);
-        assert_eq!(patched.frozen_instances(), 0, "certain-headed instance must be retracted");
+        assert!(view(&mut symbols, &patched).contains(r#"Some(\"h\"):-[],not []"#));
+        patch(&mut symbols, &mut patched, &[p.clone(), h.clone()]);
+        let fresh = freeze(&mut symbols, &program, &[p, h]);
+        let rendered = view(&mut symbols, &patched);
+        assert_eq!(rendered, view(&mut symbols, &fresh));
+        assert!(!rendered.contains(":-"), "certain-headed instance must be retracted: {rendered}");
     }
 
     #[test]

@@ -868,3 +868,116 @@ fn delta_literal_with_arithmetic_argument_is_driven() {
     probes.sort_unstable();
     assert_eq!(probes, vec![1, 2, 3], "every r2 instance must be found via the delta fallback");
 }
+
+// ---------- owner restriction is exact -----------------------------------------------------
+//
+// A session request that excludes fact owners must ground exactly what a fresh control
+// grounds from the kept facts alone: the same atoms, the same number of rules and the
+// same stable models. The generated facts are emitted under random owner sets drawn
+// from a vocabulary whose names are also argument constants, the same fact is emitted
+// under several owner sets, and facts may land on rule heads (a fact that is also
+// derivable stays possible when its emission is excluded).
+
+const OWNERS: [&str; 4] = ["a", "b", "o1", "o2"];
+
+/// One fact emission: `(predicate index into BODY_PREDS, constant, owner mask)`.
+type Emission = (usize, usize, u8);
+
+fn owners_of(mask: u8) -> Vec<&'static str> {
+    (0..OWNERS.len()).filter(|i| mask & (1 << i) != 0).map(|i| OWNERS[i]).collect()
+}
+
+/// The generated program without its fact lines (facts are emitted with owners).
+fn rules_only(program: &GenProgram) -> String {
+    program.text.lines().skip(program.facts.len()).map(|l| format!("{l}\n")).collect()
+}
+
+fn add(ctl: &mut Control, (pred, c, _): Emission) {
+    ctl.add_fact(BODY_PREDS[pred], &[CONSTS[c].into()]);
+}
+
+/// Atom names, rule count and stable models of a grounded control.
+fn observe(ctl: &mut Control) -> (Vec<String>, usize, Vec<Vec<String>>) {
+    let ground = ctl.ground_program().expect("grounded");
+    let mut atoms: Vec<String> =
+        ground.atoms.iter().map(|(_, atom)| atom.display(ctl.symbols()).to_string()).collect();
+    atoms.sort();
+    let rules = ground.rules.len();
+    let mut models: Vec<Vec<String>> = ctl
+        .solve_models(1 << 16)
+        .expect("enumeration succeeds")
+        .iter()
+        .map(|m| {
+            let mut v: Vec<String> =
+                m.atoms().iter().map(|(p, args)| render_atom(p, args)).collect();
+            v.sort();
+            v
+        })
+        .collect();
+    models.sort();
+    models.dedup();
+    (atoms, rules, models)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn owner_restriction_matches_a_fresh_grounding_of_the_kept_facts(
+        program in program_strategy(),
+        owners in proptest::collection::vec(0u8..16, 6..7),
+        extra in proptest::collection::vec(
+            (0usize..BODY_PREDS.len(), 0usize..CONSTS.len(), 0u8..16), 0..5),
+        kept in 0u8..16,
+        delta in proptest::option::of((0usize..BODY_PREDS.len(), 0usize..CONSTS.len())),
+    ) {
+        // The program's facts, each under a random owner set, then extra emissions:
+        // repeats under other owners, and facts on derived predicates.
+        let mut emissions: Vec<Emission> = program
+            .facts
+            .iter()
+            .zip(owners.iter().cycle())
+            .map(|(&(p, c), &mask)| (p, c, mask))
+            .collect();
+        emissions.extend(extra);
+        let rules = rules_only(&program);
+
+        let mut base = Control::new(SolverConfig::default());
+        base.add_program(&rules).expect("generated programs parse");
+        for &emission in &emissions {
+            base.set_fact_owners(&owners_of(emission.2));
+            add(&mut base, emission);
+        }
+        let frozen = base.freeze_base().expect("base grounds");
+        let mut request = frozen.request();
+        let excluded = owners_of(!kept & 0xF);
+        request.restrict_symbols(&excluded);
+        if let Some((p, c)) = delta {
+            add(&mut request, (p, c, 0));
+        }
+        request.ground().expect("request grounds");
+        let session = observe(&mut request);
+
+        // A fresh control given only the kept emissions: those whose owners are all
+        // kept (the empty owner set is global).
+        let mut fresh = Control::new(SolverConfig::default());
+        fresh.add_program(&rules).expect("generated programs parse");
+        for &emission in emissions.iter().filter(|e| e.2 & !kept & 0xF == 0) {
+            add(&mut fresh, emission);
+        }
+        if let Some((p, c)) = delta {
+            add(&mut fresh, (p, c, 0));
+        }
+        fresh.ground().expect("fresh program grounds");
+        let expected = observe(&mut fresh);
+        prop_assert_eq!(
+            session,
+            expected,
+            "owner restriction diverges (emissions {:?}, excluded {:?}, delta {:?}) for:\n{}",
+            emissions,
+            excluded,
+            delta,
+            rules
+        );
+    }
+}

@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 use asp::SolverConfig;
 use bench::gate::{
     base_patch_gate, compare_against_baseline, parse_report, render_json, session_ground_gate,
-    Record, COUNTER_THRESHOLD, PATCH_RATIO, SESSION_RATIO,
+    session_scope_gate, Record, COUNTER_THRESHOLD, PATCH_RATIO, SESSION_RATIO,
 };
 use bench::{
     chain_closure_program, service_buildcache, wide_join_program, workload_buildcache,
@@ -698,12 +698,13 @@ fn main() -> std::process::ExitCode {
             return std::process::ExitCode::FAILURE;
         }
         eprintln!(
-            "# regression gate vs {baseline_path} (wall {threshold:.2}x, counters {COUNTER_THRESHOLD:.2}x, session ground {SESSION_RATIO:.2}x, base patch {PATCH_RATIO:.2}x)"
+            "# regression gate vs {baseline_path} (wall {threshold:.2}x, counters {COUNTER_THRESHOLD:.2}x, session ground {SESSION_RATIO:.2}x, session scope equal, base patch {PATCH_RATIO:.2}x)"
         );
         let wall = compare_against_baseline(&baseline, &runner.records, threshold);
         let sess = session_ground_gate(&runner.records);
+        let scope = session_scope_gate(&runner.records);
         let patch = base_patch_gate(&runner.records);
-        if let Err(e) = wall.and(sess).and(patch) {
+        if let Err(e) = wall.and(sess).and(scope).and(patch) {
             eprintln!("# FAIL: {e}");
             return std::process::ExitCode::FAILURE;
         }

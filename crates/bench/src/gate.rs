@@ -3,8 +3,8 @@
 //! Lives in the library (rather than the `bench` binary) so the gate's verdict logic
 //! is unit-testable: the CI job's behaviour — per-group wall-clock comparison,
 //! machine-independent counter deltas, warn-and-skip for groups absent from the
-//! committed baseline, and the session-throughput ground-time gate — is all decided
-//! here from plain data.
+//! committed baseline, and the session-throughput ground-time and scope gates — is all
+//! decided here from plain data.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -194,6 +194,39 @@ pub fn session_ground_gate(records: &[Record]) -> Result<(), String> {
         ))
     } else {
         Ok(())
+    }
+}
+
+/// The session-scope gate: within the *current* run, the `session_mix` bench must
+/// ground exactly as many atoms and rules as the `oneshot_mix` bench (summed over
+/// the same request mix). A session request keeps exactly the facts a one-shot solve
+/// of the same roots emits, so its program is the one-shot program; any difference
+/// means the restriction dropped a true fact or kept an out-of-closure one. Counters
+/// are machine-independent, so this needs no baseline. Reports without both benches
+/// skip the gate with a warning.
+pub fn session_scope_gate(records: &[Record]) -> Result<(), String> {
+    let counters = |bench: &str| {
+        records.iter().find(|r| r.group == "session_throughput" && r.bench == bench).map(|r| {
+            let get = |name: &str| r.counters.iter().find(|(n, _)| *n == name).map(|&(_, v)| v);
+            (get("atoms"), get("rules"))
+        })
+    };
+    let (Some(oneshot), Some(session)) = (counters("oneshot_mix"), counters("session_mix")) else {
+        eprintln!(
+            "  session_throughput           WARNING: mix benches missing — scope gate skipped"
+        );
+        return Ok(());
+    };
+    eprintln!(
+        "  session_throughput           scope: one-shot {:?} atoms/rules, session {:?} (gate: equal)",
+        oneshot, session
+    );
+    if oneshot == session {
+        Ok(())
+    } else {
+        Err(format!(
+            "session-mode requests ground {session:?} atoms/rules where one-shot solves ground              {oneshot:?}: a session must ground exactly the one-shot program"
+        ))
     }
 }
 
@@ -400,6 +433,23 @@ mod tests {
         // regression — must fail.
         let current = [record("g", "b", 0.05, &[("propagations", 30_000)])];
         assert!(compare_against_baseline(&baseline, &current, 1.25).is_err());
+    }
+
+    #[test]
+    fn session_scope_gate_verdicts() {
+        let mix = |bench, atoms, rules| {
+            record("session_throughput", bench, 1.0, &[("atoms", atoms), ("rules", rules)])
+        };
+        let equal = [mix("oneshot_mix", 500, 900), mix("session_mix", 500, 900)];
+        assert!(session_scope_gate(&equal).is_ok());
+        let more_atoms = [mix("oneshot_mix", 500, 900), mix("session_mix", 1000, 900)];
+        assert!(session_scope_gate(&more_atoms).is_err());
+        let fewer_rules = [mix("oneshot_mix", 500, 900), mix("session_mix", 500, 899)];
+        assert!(session_scope_gate(&fewer_rules).is_err());
+        let no_counters =
+            [record("session_throughput", "oneshot_mix", 1.0, &[]), mix("session_mix", 500, 900)];
+        assert!(session_scope_gate(&no_counters).is_err(), "a missing counter is a mismatch");
+        assert!(session_scope_gate(&[]).is_ok(), "reports without the mix skip the gate");
     }
 
     #[test]

@@ -23,9 +23,26 @@
 //!   deterministic: every collection iterated here is a `BTreeMap`/`BTreeSet` or an
 //!   ordered `Vec` — no hash-map iteration order can leak into the stream.
 //! * **Request facts** — the user's root specs: `root`/`root_condition` facts, their
-//!   impositions, and satisfies-map entries for constraint strings the base has not
-//!   already emitted. Emitted per request by [`BaseFacts::request`] on a control
-//!   forked from the frozen base.
+//!   impositions, and satisfies-map entries for constraint strings the request's view
+//!   of the base does not already cover. Emitted per request by [`BaseFacts::request`]
+//!   on a control forked from the frozen base.
+//!
+//! # Fact owners
+//!
+//! Every fact is emitted under an owner set ([`asp::Control::set_fact_owners`]): the
+//! packages whose presence in a request's dependency closure makes a one-shot solve
+//! emit it. A session request excludes the owners outside its closure
+//! ([`BaseFacts::request_exclusions`]) and so sees exactly the one-shot fact set:
+//!
+//! * recipe facts → the package (dependency facts and the dependency's impositions
+//!   also name the dependency, which every closure of the package contains);
+//! * `possible_provider` / `provider_weight` → the virtual and the provider;
+//! * installed-record facts, including the compilers a record introduces → the
+//!   record's package (`hash_depends_on` also names the dependency);
+//! * `version_satisfies_map` → the constrained package and the package whose
+//!   directive referenced the constraint, `compiler_satisfies_map` /
+//!   `target_satisfies_map` → the referencing package; emitted once per referencer;
+//! * site facts and request facts → global.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -37,12 +54,13 @@ use spack_store::Database;
 use crate::config::SiteConfig;
 use crate::ConcretizeError;
 
-/// First generalized-condition id. Ids are opaque to the logic program, but sessions
-/// exclude the conditions of out-of-closure packages *by id* through
-/// [`asp::Control::restrict_ints`], which matches first-argument integers — so the id
-/// range must never collide with any other first-position integer in the fact
-/// vocabulary (error priorities and weights all stay far below this).
+/// First generalized-condition id. Ids are opaque to the logic program; requests
+/// continue above the base's ids.
 const CONDITION_ID_BASE: i64 = 10_000_000;
+
+/// Constraint string → the packages whose directives reference it (`None`: a root
+/// spec). Decides the owners of the constraint's satisfies-map facts.
+type Referencers<K> = BTreeMap<K, BTreeSet<Option<String>>>;
 
 /// Summary of the generated problem instance.
 #[derive(Debug, Clone, Default)]
@@ -63,9 +81,9 @@ pub struct SetupInfo {
 
 /// The frozen snapshot of everything [`FactBuilder::base`] derived from repository,
 /// site, and database: the constraint strings whose satisfies-maps are already
-/// emitted, the known versions behind those maps, the base condition-id watermark,
-/// and the base digest. Immutable and request-independent — one `BaseFacts` serves
-/// every request of a session, from any thread.
+/// emitted (with their referencers), the known versions behind those maps, the base
+/// condition-id watermark, and the base digest. Immutable and request-independent —
+/// one `BaseFacts` serves every request of a session, from any thread.
 #[derive(Debug, Clone)]
 pub struct BaseFacts {
     site: SiteConfig,
@@ -73,29 +91,14 @@ pub struct BaseFacts {
     possible: BTreeSet<String>,
     /// Virtual package names covered by the base.
     virtuals: BTreeSet<String>,
-    /// Compilers added beyond the site configuration because an installed record
-    /// references them, keyed to the packages whose records introduced each — a
-    /// request whose closure contains none of those packages excludes the compiler
-    /// (one-shot solves never see it either).
-    extra_compilers: BTreeMap<String, BTreeSet<String>>,
     /// Versions known per package (declared plus installed), for the satisfies maps.
     known_versions: BTreeMap<String, BTreeSet<Version>>,
-    /// Constraint maps the base already emitted; requests skip these.
-    version_constraints: BTreeSet<(String, String)>,
-    compiler_constraints: BTreeSet<String>,
-    target_constraints: BTreeSet<String>,
+    /// Constraint maps the base already emitted, by referencer.
+    version_constraints: Referencers<(String, String)>,
+    compiler_constraints: Referencers<String>,
+    target_constraints: Referencers<String>,
     /// Highest condition id used by the base; request ids start above it.
     condition_id: i64,
-    /// Per-package `[start, end)` condition-id ranges, for id-based exclusion.
-    condition_ranges: BTreeMap<String, (i64, i64)>,
-    /// Package/virtual names that collide with some *other* fact vocabulary string
-    /// (a variant name or value, a version, a site name, an installed hash, ...).
-    /// Symbol exclusion drops atoms mentioning the symbol in ANY position, so
-    /// excluding a collided name would delete in-closure facts that merely share the
-    /// spelling; these names are never excluded. Over-inclusion is safe — an
-    /// un-demanded package's atoms are inert in every model — exclusion of a collided
-    /// symbol is not.
-    never_exclude: BTreeSet<String>,
     /// Number of generalized conditions in the base.
     conditions: usize,
     /// Number of installed records encoded for reuse.
@@ -104,6 +107,35 @@ pub struct BaseFacts {
     facts: usize,
     /// Order-stable digest of the base fact stream (see [`asp::Control::fact_digest`]).
     digest: u64,
+}
+
+/// Every root must name a package, and every name must be known.
+fn check_roots(repo: &Repository, roots: &[Spec]) -> Result<(), ConcretizeError> {
+    for root in roots {
+        let name = root
+            .name
+            .as_deref()
+            .ok_or_else(|| ConcretizeError::Setup("root specs must name a package".to_string()))?;
+        for name in
+            std::iter::once(name).chain(root.dependencies.iter().filter_map(|d| d.name.as_deref()))
+        {
+            if repo.get(name).is_none() && !repo.is_virtual(name) {
+                return Err(ConcretizeError::UnknownPackage(name.to_string()));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The packages and virtuals a one-shot solve of `roots` covers: the possible
+/// dependencies of every root and `^dependency` name.
+fn closure(repo: &Repository, roots: &[Spec]) -> BTreeSet<String> {
+    let mut names: Vec<&str> = Vec::new();
+    for root in roots {
+        names.extend(root.name.as_deref());
+        names.extend(root.dependencies.iter().filter_map(|d| d.name.as_deref()));
+    }
+    repo.possible_dependencies(&names)
 }
 
 impl BaseFacts {
@@ -135,91 +167,46 @@ impl BaseFacts {
         &self.site
     }
 
-    /// The owner-partition symbols for [`asp::Control::freeze_base_partitioned`]:
-    /// every package and virtual name. Atoms and frozen instances bucket by the first
-    /// of these they mention, which makes per-request relevance restriction
-    /// ([`BaseFacts::request_exclusions`]) proportional to the kept closure.
+    /// Every package and virtual name: the partition argument of
+    /// [`asp::Control::freeze_base_partitioned`] and [`asp::FrozenControl::patch_base`],
+    /// which both ignore it now that facts carry their owners.
     pub fn partition_symbols(&self) -> Vec<String> {
         self.possible.iter().chain(self.virtuals.iter()).cloned().collect()
     }
 
-    /// What a request must *exclude* from its view of the frozen base — relevance
-    /// restriction, computed from the request's possible-dependency closure (walked
-    /// once): the name of every package and virtual outside the closure, the
-    /// installed-record compilers none of whose owning packages are in the closure,
-    /// and the `[start, end)` condition-id ranges of out-of-closure packages
-    /// (id-keyed atoms — `condition(ID)`, `condition_holds(ID)`,
-    /// requirement/imposition facts — carry no package symbol in every position, so
-    /// symbol exclusion alone cannot drop them). Excluding all of this makes the
-    /// per-request ground program identical in scope to a from-scratch solve of the
-    /// same roots (which only ever emits facts for the closure).
+    /// What a request must *exclude* from its view of the frozen base: every package
+    /// and virtual outside the request's possible-dependency closure, as fact owners
+    /// for [`asp::Control::restrict_symbols`]. The request then keeps exactly the
+    /// facts a one-shot solve of the same roots emits (see the module docs). The
+    /// second element, integer ranges for [`asp::Control::restrict_int_ranges`], is
+    /// always empty.
     pub fn request_exclusions(
         &self,
         repo: &Repository,
         roots: &[Spec],
     ) -> (Vec<String>, Vec<(i64, i64)>) {
-        let mut root_names: Vec<&str> = Vec::new();
-        for root in roots {
-            if let Some(name) = &root.name {
-                root_names.push(name);
-            }
-            for dep in &root.dependencies {
-                if let Some(name) = &dep.name {
-                    root_names.push(name);
-                }
-            }
-        }
-        let closure = repo.possible_dependencies(&root_names);
-        // Names colliding with other vocabulary strings are kept (over-inclusion is
-        // inert; excluding a collided symbol would delete in-closure facts).
-        let mut symbols: Vec<String> = Vec::new();
-        for name in self.possible.iter().chain(self.virtuals.iter()) {
-            if !closure.contains(name) && !self.never_exclude.contains(name) {
-                symbols.push(name.clone());
-            }
-        }
-        for (compiler_id, owners) in &self.extra_compilers {
-            if !owners.iter().any(|o| closure.contains(o)) {
-                symbols.push(compiler_id.clone());
-            }
-        }
-        let mut id_ranges: Vec<(i64, i64)> = Vec::new();
-        for (package, &(start, end)) in &self.condition_ranges {
-            if !closure.contains(package) && !self.never_exclude.contains(package) {
-                id_ranges.push((start, end));
-            }
-        }
-        (symbols, id_ranges)
+        let closure = closure(repo, roots);
+        let outside = self.possible.iter().chain(self.virtuals.iter());
+        (outside.filter(|name| !closure.contains(*name)).cloned().collect(), Vec::new())
     }
 
     /// Emit one request's spec facts into a control forked from the frozen base:
     /// root facts, root-condition impositions, and satisfies-map entries for
-    /// constraint strings the base did not already cover. Condition ids continue
-    /// above the base watermark, so requests never collide with base conditions (and,
-    /// being independent solves, not colliding with each other is irrelevant).
+    /// constraint strings whose base copy the request does not keep (the base never
+    /// emitted it, or only for referencers outside the request's closure). Condition
+    /// ids continue above the base watermark, so requests never collide with base
+    /// conditions (and, being independent solves, not colliding with each other is
+    /// irrelevant).
     pub fn request(
         &self,
         repo: &Repository,
         ctl: &mut asp::Control,
         roots: &[Spec],
     ) -> Result<SetupInfo, ConcretizeError> {
-        for root in roots {
-            let name = root.name.clone().ok_or_else(|| {
-                ConcretizeError::Setup("root specs must name a package".to_string())
-            })?;
-            if repo.get(&name).is_none() && !repo.is_virtual(&name) {
-                return Err(ConcretizeError::UnknownPackage(name));
-            }
-            for dep in &root.dependencies {
-                if let Some(dep_name) = &dep.name {
-                    if repo.get(dep_name).is_none() && !repo.is_virtual(dep_name) {
-                        return Err(ConcretizeError::UnknownPackage(dep_name.clone()));
-                    }
-                }
-            }
-        }
+        check_roots(repo, roots)?;
+        let closure = closure(repo, roots);
         let mut builder = FactBuilder::new(repo, &self.site, None);
-        builder.baseline = Some(self);
+        builder.baseline = Some((self, &closure));
         builder.condition_id = self.condition_id;
         for root in roots {
             builder.root_facts(ctl, root)?;
@@ -242,26 +229,23 @@ pub struct FactBuilder<'a> {
     database: Option<&'a Database>,
     condition_id: i64,
     conditions: usize,
-    /// (package, constraint string) pairs whose `version_satisfies_map` must be emitted.
-    version_constraints: BTreeSet<(String, String)>,
+    /// (package, constraint string) pairs whose `version_satisfies_map` must be
+    /// emitted, with their referencers.
+    version_constraints: Referencers<(String, String)>,
     /// Compiler constraint strings (maps are global).
-    compiler_constraints: BTreeSet<String>,
+    compiler_constraints: Referencers<String>,
     /// Target constraint strings.
-    target_constraints: BTreeSet<String>,
+    target_constraints: Referencers<String>,
+    /// The package whose recipe facts are being emitted (`None`: root specs).
+    referencer: Option<String>,
     /// Versions known per package (declared plus installed), for the satisfies maps.
     known_versions: BTreeMap<String, BTreeSet<Version>>,
     possible: BTreeSet<String>,
     root_conditions: Vec<(i64, String)>,
-    /// Compilers added beyond the site configuration by installed records, with the
-    /// packages whose records introduced them (see [`BaseFacts::extra_compilers`]).
-    extra_compilers: BTreeMap<String, BTreeSet<String>>,
-    /// Per-package `[start, end)` ranges of the condition ids allocated while
-    /// emitting that package's recipe facts (base generation only).
-    condition_ranges: BTreeMap<String, (i64, i64)>,
-    /// When generating *request* facts on a session: the frozen base whose constraint
-    /// maps are already emitted (skipped here) and whose known versions feed the maps
-    /// for request-new constraints.
-    baseline: Option<&'a BaseFacts>,
+    /// When generating *request* facts on a session: the frozen base (whose known
+    /// versions feed the maps) and the request's closure (which decides whether the
+    /// base's copy of a map is in the request's view).
+    baseline: Option<(&'a BaseFacts, &'a BTreeSet<String>)>,
 }
 
 impl<'a> FactBuilder<'a> {
@@ -273,14 +257,13 @@ impl<'a> FactBuilder<'a> {
             database,
             condition_id: CONDITION_ID_BASE,
             conditions: 0,
-            version_constraints: BTreeSet::new(),
-            compiler_constraints: BTreeSet::new(),
-            target_constraints: BTreeSet::new(),
+            version_constraints: BTreeMap::new(),
+            compiler_constraints: BTreeMap::new(),
+            target_constraints: BTreeMap::new(),
+            referencer: None,
             known_versions: BTreeMap::new(),
             possible: BTreeSet::new(),
             root_conditions: Vec::new(),
-            extra_compilers: BTreeMap::new(),
-            condition_ranges: BTreeMap::new(),
             baseline: None,
         }
     }
@@ -300,93 +283,22 @@ impl<'a> FactBuilder<'a> {
         self.config_facts(ctl);
         let packages: Vec<String> = self.possible.iter().cloned().collect();
         for name in &packages {
-            let start = self.next_condition_id();
             self.package_facts(ctl, name)?;
-            self.condition_ranges.insert(name.clone(), (start, self.next_condition_id()));
         }
-        for v in &virtuals {
-            for (i, provider) in self.repo.providers(v).iter().enumerate() {
-                if self.possible.contains(provider) {
-                    ctl.add_fact(
-                        "possible_provider",
-                        &[v.as_str().into(), provider.as_str().into()],
-                    );
-                    ctl.add_fact(
-                        "provider_weight",
-                        &[v.as_str().into(), provider.as_str().into(), (i as i64).into()],
-                    );
-                }
-            }
-        }
+        self.provider_facts(ctl, &virtuals);
         let installed = self.installed_facts(ctl);
         self.constraint_maps(ctl);
-
-        // Names that double as other vocabulary strings must never be excluded (see
-        // `BaseFacts::never_exclude`): collect every non-package string the base
-        // vocabulary can contain and intersect with the package/virtual names.
-        let mut reserved: BTreeSet<&str> = BTreeSet::new();
-        let mut owned: Vec<String> = Vec::new();
-        for pkg in self.repo.packages() {
-            for decl in &pkg.versions {
-                owned.push(decl.version.to_string());
-            }
-            for variant in &pkg.variants {
-                reserved.insert(&variant.name);
-                owned.push(variant.default.as_str());
-                for value in &variant.values {
-                    reserved.insert(value);
-                }
-            }
-        }
-        for os in &self.site.operating_systems {
-            reserved.insert(os.name());
-        }
-        for info in self.site.available_targets() {
-            owned.push(info.target.name().to_string());
-        }
-        for compiler in &self.site.compilers {
-            owned.push(SiteConfig::compiler_id(compiler));
-        }
-        if let Some(db) = self.database {
-            for record in db.iter() {
-                reserved.insert(&record.hash);
-                owned.push(record.version.to_string());
-                owned.push(SiteConfig::compiler_id(&record.compiler));
-                for value in record.variants.values() {
-                    owned.push(value.as_str());
-                }
-            }
-        }
-        for (_, constraint) in &self.version_constraints {
-            reserved.insert(constraint);
-        }
-        for constraint in self.compiler_constraints.iter().chain(&self.target_constraints) {
-            reserved.insert(constraint);
-        }
-        for s in &owned {
-            reserved.insert(s);
-        }
-        let never_exclude: BTreeSet<String> = self
-            .possible
-            .iter()
-            .chain(virtuals.iter())
-            .filter(|name| reserved.contains(name.as_str()))
-            .cloned()
-            .collect();
 
         Ok(BaseFacts {
             site: self.site.clone(),
             possible: self.possible,
             virtuals,
-            extra_compilers: self.extra_compilers,
             known_versions: self.known_versions,
             version_constraints: self.version_constraints,
             compiler_constraints: self.compiler_constraints,
             target_constraints: self.target_constraints,
             condition_id: self.condition_id,
             conditions: self.conditions,
-            condition_ranges: self.condition_ranges,
-            never_exclude,
             installed,
             facts: ctl.fact_count(),
             digest: ctl.fact_digest(),
@@ -400,26 +312,8 @@ impl<'a> FactBuilder<'a> {
         roots: &[Spec],
     ) -> Result<SetupInfo, ConcretizeError> {
         // 1. Determine the possible-package set.
-        let mut root_names = Vec::new();
-        for root in roots {
-            let name = root.name.clone().ok_or_else(|| {
-                ConcretizeError::Setup("root specs must name a package".to_string())
-            })?;
-            if self.repo.get(&name).is_none() && !self.repo.is_virtual(&name) {
-                return Err(ConcretizeError::UnknownPackage(name));
-            }
-            root_names.push(name);
-            for dep in &root.dependencies {
-                if let Some(dep_name) = &dep.name {
-                    if self.repo.get(dep_name).is_none() && !self.repo.is_virtual(dep_name) {
-                        return Err(ConcretizeError::UnknownPackage(dep_name.clone()));
-                    }
-                    root_names.push(dep_name.clone());
-                }
-            }
-        }
-        let root_refs: Vec<&str> = root_names.iter().map(|s| s.as_str()).collect();
-        self.possible = self.repo.possible_dependencies(&root_refs);
+        check_roots(self.repo, roots)?;
+        self.possible = closure(self.repo, roots);
         // Remove virtuals from the package set (they have their own facts).
         let virtuals: BTreeSet<String> =
             self.possible.iter().filter(|n| self.repo.is_virtual(n)).cloned().collect();
@@ -437,22 +331,10 @@ impl<'a> FactBuilder<'a> {
         }
 
         // 4. Virtual provider facts.
-        for v in &virtuals {
-            for (i, provider) in self.repo.providers(v).iter().enumerate() {
-                if self.possible.contains(provider) {
-                    ctl.add_fact(
-                        "possible_provider",
-                        &[v.as_str().into(), provider.as_str().into()],
-                    );
-                    ctl.add_fact(
-                        "provider_weight",
-                        &[v.as_str().into(), provider.as_str().into(), (i as i64).into()],
-                    );
-                }
-            }
-        }
+        self.provider_facts(ctl, &virtuals);
 
         // 5. Root specs.
+        ctl.set_fact_owners::<&str>(&[]);
         for root in roots {
             self.root_facts(ctl, root)?;
         }
@@ -475,6 +357,7 @@ impl<'a> FactBuilder<'a> {
     // ---- site configuration --------------------------------------------------------------
 
     fn config_facts(&mut self, ctl: &mut Control) {
+        ctl.set_fact_owners::<&str>(&[]);
         ctl.add_fact("platform", &[self.site.platform.as_str().into()]);
         for (i, os) in self.site.operating_systems.iter().enumerate() {
             ctl.add_fact("os", &[os.name().into()]);
@@ -514,6 +397,8 @@ impl<'a> FactBuilder<'a> {
             Some(p) => p,
             None => return Ok(()), // virtual or external; no recipe facts
         };
+        ctl.set_fact_owners(&[name]);
+        self.referencer = Some(name.to_string());
         ctl.add_fact("possible_node", &[name.into()]);
 
         // Versions, sorted newest first so the weight reflects "oldness" (Table II).
@@ -569,11 +454,14 @@ impl<'a> FactBuilder<'a> {
                     &[id.into(), name.into(), dep_name.as_str().into()],
                 );
             } else {
+                // Every closure containing the package contains the dependency.
+                ctl.set_fact_owners(&[name, dep_name.as_str()]);
                 ctl.add_fact(
                     "dependency_condition",
                     &[id.into(), name.into(), dep_name.as_str().into()],
                 );
                 self.add_spec_impositions(ctl, id, &dep_name, &dep.spec);
+                ctl.set_fact_owners(&[name]);
             }
         }
 
@@ -609,7 +497,26 @@ impl<'a> FactBuilder<'a> {
                 ],
             );
         }
+        self.referencer = None;
         Ok(())
+    }
+
+    fn provider_facts(&mut self, ctl: &mut Control, virtuals: &BTreeSet<String>) {
+        for v in virtuals {
+            for (i, provider) in self.repo.providers(v).iter().enumerate() {
+                if self.possible.contains(provider) {
+                    ctl.set_fact_owners(&[v, provider]);
+                    ctl.add_fact(
+                        "possible_provider",
+                        &[v.as_str().into(), provider.as_str().into()],
+                    );
+                    ctl.add_fact(
+                        "provider_weight",
+                        &[v.as_str().into(), provider.as_str().into(), (i as i64).into()],
+                    );
+                }
+            }
+        }
     }
 
     // ---- root specs ---------------------------------------------------------------------------
@@ -666,6 +573,7 @@ impl<'a> FactBuilder<'a> {
             count += 1;
             let hash = record.hash.as_str();
             let name = record.name.as_str();
+            ctl.set_fact_owners(&[name]);
             ctl.add_fact("installed_hash", &[name.into(), hash.into()]);
             // Adopted attributes go through the `*_set` demand indirection (see
             // concretize.lp): the node's chosen attribute must *agree* with the
@@ -690,17 +598,8 @@ impl<'a> FactBuilder<'a> {
             // preference so reused specs referencing them remain representable, and
             // their installed artifacts vouch for their targets. Site compilers'
             // target support comes from the site configuration alone: a record must
-            // not widen it, because `compiler_supports_target(C, T)` carries no
-            // package symbol — a session's relevance restriction could never drop a
-            // pair vouched for only by an out-of-closure record, and session and
-            // one-shot solves would diverge. (Extra compilers are excludable as a
-            // whole through their id symbol when no owning package is in a request's
-            // closure.)
+            // not widen it.
             if !self.site.compilers.contains(&record.compiler) {
-                self.extra_compilers
-                    .entry(compiler_id.clone())
-                    .or_default()
-                    .insert(record.name.clone());
                 ctl.add_fact("compiler", &[compiler_id.as_str().into()]);
                 ctl.add_fact(
                     "compiler_weight",
@@ -755,6 +654,7 @@ impl<'a> FactBuilder<'a> {
                 // Skip dangling dependency references (e.g. a pruned mirror): reusing this
                 // record then simply falls back to resolving that dependency normally.
                 if self.possible.contains(dep_name) && database.get(dep_hash).is_some() {
+                    ctl.set_fact_owners(&[name, dep_name.as_str()]);
                     ctl.add_fact(
                         "hash_depends_on",
                         &[
@@ -767,6 +667,7 @@ impl<'a> FactBuilder<'a> {
                 }
             }
         }
+        ctl.set_fact_owners::<&str>(&[]);
         count
     }
 
@@ -777,12 +678,6 @@ impl<'a> FactBuilder<'a> {
         self.conditions += 1;
         ctl.add_fact("condition", &[self.condition_id.into()]);
         self.condition_id
-    }
-
-    /// The next condition id this builder would allocate (used to delimit
-    /// per-package id ranges while emitting base facts).
-    fn next_condition_id(&self) -> i64 {
-        self.condition_id + 1
     }
 
     /// A condition owned by the user's root specs: emitted as `root_condition(ID, Text)`
@@ -838,7 +733,9 @@ impl<'a> FactBuilder<'a> {
         let pred4 = if requirement { "condition_requirement4" } else { "imposed_constraint4" };
         if !spec.versions.is_any() {
             let constraint = spec.versions.to_string();
-            self.version_constraints.insert((package.to_string(), constraint.clone()));
+            let referencer = self.referencer.clone();
+            let key = (package.to_string(), constraint.clone());
+            self.version_constraints.entry(key).or_default().insert(referencer);
             ctl.add_fact(
                 pred3,
                 &[
@@ -868,7 +765,8 @@ impl<'a> FactBuilder<'a> {
         }
         if let Some(compiler) = &spec.compiler {
             let constraint = compiler.to_string();
-            self.compiler_constraints.insert(constraint.clone());
+            let referencer = self.referencer.clone();
+            self.compiler_constraints.entry(constraint.clone()).or_default().insert(referencer);
             ctl.add_fact(
                 pred3,
                 &[
@@ -880,7 +778,8 @@ impl<'a> FactBuilder<'a> {
             );
         }
         if let Some(target) = &spec.target {
-            self.target_constraints.insert(target.clone());
+            let referencer = self.referencer.clone();
+            self.target_constraints.entry(target.clone()).or_default().insert(referencer);
             ctl.add_fact(
                 pred3,
                 &[id.into(), "target_satisfies".into(), package.into(), target.as_str().into()],
@@ -909,71 +808,88 @@ impl<'a> FactBuilder<'a> {
     fn known_versions_of(&self, package: &str) -> Option<&BTreeSet<Version>> {
         self.known_versions
             .get(package)
-            .or_else(|| self.baseline.and_then(|b| b.known_versions.get(package)))
+            .or_else(|| self.baseline.and_then(|(b, _)| b.known_versions.get(package)))
     }
 
     fn constraint_maps(&mut self, ctl: &mut Control) {
-        // version_satisfies_map(P, Constraint, V) for every known version in range.
-        for pair in &self.version_constraints {
-            // Maps the frozen base already emitted must not be emitted again.
-            if self.baseline.is_some_and(|b| b.version_constraints.contains(pair)) {
-                continue;
-            }
-            let (package, constraint) = pair;
-            let vc = VersionConstraint::parse(constraint);
-            if let Some(versions) = self.known_versions_of(package) {
-                for v in versions {
-                    if vc.satisfies(v) {
-                        ctl.add_fact(
-                            "version_satisfies_map",
-                            &[
-                                package.as_str().into(),
-                                constraint.as_str().into(),
-                                v.to_string().as_str().into(),
-                            ],
-                        );
-                    }
+        // Is the frozen base's copy of a map in this request's view? (Never, when
+        // generating the base or a one-shot problem.)
+        let in_view = |refs: Option<&BTreeSet<Option<String>>>| {
+            self.baseline.is_some_and(|(_, closure)| {
+                refs.is_some_and(|refs| refs.iter().flatten().any(|r| closure.contains(r)))
+            })
+        };
+        let mut emit = |pred: &str, rows: Vec<Vec<asp::Value>>, owners: Vec<Vec<&str>>| {
+            for owners in owners {
+                ctl.set_fact_owners(&owners);
+                for row in &rows {
+                    ctl.add_fact(pred, row);
                 }
             }
+        };
+        // version_satisfies_map(P, Constraint, V) for every known version in range.
+        for (pair, referencers) in &self.version_constraints {
+            let (package, constraint) = pair;
+            let base_refs = self.baseline.and_then(|(b, _)| b.version_constraints.get(pair));
+            let seen = self.baseline.is_some_and(|(_, closure)| closure.contains(package));
+            if seen && in_view(base_refs) {
+                continue;
+            }
+            let Some(versions) = self.known_versions_of(package) else { continue };
+            let vc = VersionConstraint::parse(constraint);
+            let rows = versions
+                .iter()
+                .filter(|v| vc.satisfies(v))
+                .map(|v| {
+                    vec![package.as_str().into(), constraint.as_str().into(), v.to_string().into()]
+                })
+                .collect();
+            emit("version_satisfies_map", rows, map_owners(referencers, Some(package)));
         }
         // compiler_satisfies_map(Constraint, CompilerId).
-        for constraint in &self.compiler_constraints {
-            if self.baseline.is_some_and(|b| b.compiler_constraints.contains(constraint)) {
+        for (constraint, referencers) in &self.compiler_constraints {
+            if in_view(self.baseline.and_then(|(b, _)| b.compiler_constraints.get(constraint))) {
                 continue;
             }
-            let parsed = spack_spec::parse_spec(constraint).ok();
-            let cspec = parsed.and_then(|s| s.compiler);
-            for compiler in &self.site.compilers {
-                let ok = match &cspec {
-                    Some(cs) => cs.satisfied_by(&compiler.name, &compiler.version),
-                    None => false,
-                };
-                if ok {
-                    ctl.add_fact(
-                        "compiler_satisfies_map",
-                        &[
-                            constraint.as_str().into(),
-                            SiteConfig::compiler_id(compiler).as_str().into(),
-                        ],
-                    );
-                }
-            }
+            let cspec = spack_spec::parse_spec(constraint).ok().and_then(|s| s.compiler);
+            let rows = (self.site.compilers.iter())
+                .filter(|c| cspec.as_ref().is_some_and(|cs| cs.satisfied_by(&c.name, &c.version)))
+                .map(|c| vec![constraint.as_str().into(), SiteConfig::compiler_id(c).into()])
+                .collect();
+            emit("compiler_satisfies_map", rows, map_owners(referencers, None));
         }
         // target_satisfies_map(Constraint, Target): exact name, family membership, or a
         // trailing-colon family range like `aarch64:`.
-        for constraint in &self.target_constraints {
-            if self.baseline.is_some_and(|b| b.target_constraints.contains(constraint)) {
+        for (constraint, referencers) in &self.target_constraints {
+            if in_view(self.baseline.and_then(|(b, _)| b.target_constraints.get(constraint))) {
                 continue;
             }
             let base = constraint.trim_end_matches(':');
-            for info in self.site.available_targets() {
-                let t = info.target.name();
-                if t == base || info.family == base {
-                    ctl.add_fact("target_satisfies_map", &[constraint.as_str().into(), t.into()]);
-                }
-            }
+            let rows = (self.site.available_targets().into_iter())
+                .filter(|info| info.target.name() == base || info.family == base)
+                .map(|info| vec![constraint.as_str().into(), info.target.name().into()])
+                .collect();
+            emit("target_satisfies_map", rows, map_owners(referencers, None));
         }
+        ctl.set_fact_owners::<&str>(&[]);
     }
+}
+
+/// The owner sets a satisfies map is emitted under: once per referencing package
+/// (together with `constrained`, the package a version map is about), or once,
+/// globally, when a root spec references the constraint.
+fn map_owners<'r>(
+    referencers: &'r BTreeSet<Option<String>>,
+    constrained: Option<&'r str>,
+) -> Vec<Vec<&'r str>> {
+    if referencers.contains(&None) {
+        return vec![Vec::new()];
+    }
+    referencers
+        .iter()
+        .flatten()
+        .map(|r| constrained.into_iter().chain([r.as_str()]).collect())
+        .collect()
 }
 
 /// Convenience wrapper: create a control, generate facts, and return both.
@@ -1093,14 +1009,18 @@ mod tests {
             base.request(&repo, &mut ctl, &[spec]).unwrap();
             ctl.fact_count()
         };
-        // `zlib@1.2.8:` is a recipe constraint (bzip2 depends on it); a fresh
+        // `zlib@1.2.8:` is a recipe constraint (libxml2 depends on it); a fresh
         // constraint string like `@1.2.11:` needs new map entries on top.
-        let reused = count_request_facts("bzip2 ^zlib@1.2.8:");
-        let fresh = count_request_facts("bzip2 ^zlib@1.2.11:");
+        let reused = count_request_facts("libxml2 ^zlib@1.2.8:");
+        let fresh = count_request_facts("libxml2 ^zlib@1.2.11:");
         assert!(
             fresh > reused,
             "fresh constraint must add map facts: fresh={fresh} reused={reused}"
         );
+        // The base's copy is owned by its referencers (libxml2, example): a request
+        // whose closure holds neither must emit the map itself, as one-shot does.
+        let outside = count_request_facts("bzip2 ^zlib@1.2.8:");
+        assert!(outside > reused, "out-of-view map must be emitted: {outside} vs {reused}");
     }
 
     #[test]

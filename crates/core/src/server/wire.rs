@@ -45,6 +45,10 @@ use crate::{Concretization, ConcretizeError, Diagnostic, ResultClass, Severity};
 /// The wire protocol version stamped into (and required of) every message.
 pub const WIRE_VERSION: u64 = 1;
 
+/// The most specs one solve request may carry; a longer `specs` array gets a
+/// `parse` response. (The line length and the JSON nesting are capped upstream.)
+pub const MAX_SPECS: usize = 64;
+
 /// The `status` field of a [`SolveResponse`]: exactly the worst-class result
 /// taxonomy of [`crate::ResultClass`] (`ok`, `unsat`, `parse`, `budget`,
 /// `internal`), shared with the batch exit-code contract and DLQ records.
@@ -222,11 +226,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let id = json.get("id").and_then(Json::as_str).unwrap_or("").to_string();
     match json.get("cmd").and_then(Json::as_str) {
         None | Some("solve") => {
-            let specs: Vec<String> = json
-                .get("specs")
-                .and_then(Json::as_array)
-                .map(|items| items.iter().filter_map(|s| s.as_str().map(str::to_string)).collect())
-                .unwrap_or_default();
+            let items = json.get("specs").and_then(Json::as_array).unwrap_or_default();
+            if items.len() > MAX_SPECS {
+                return Err(format!(
+                    "a solve request may carry at most {MAX_SPECS} specs, got {}",
+                    items.len()
+                ));
+            }
+            let specs: Vec<String> =
+                items.iter().filter_map(|s| s.as_str().map(str::to_string)).collect();
             if specs.is_empty() {
                 return Err("a solve request needs a non-empty 'specs' array".to_string());
             }

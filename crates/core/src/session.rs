@@ -13,9 +13,11 @@
 //!    into a frozen base ([`asp::Control::freeze_base`]).
 //! 2. **Requests, many** — each [`ConcretizerSession::concretize`] forks a cheap
 //!    per-request control from the frozen base, adds only the request's spec facts,
-//!    and grounds them *incrementally* (semi-naive continuation + touched-rule
-//!    re-instantiation). Results are identical to one-shot solves — the cross-check
-//!    proptests assert DAG, objective vector, and diagnostics equality.
+//!    excludes the fact owners outside the request's dependency closure, and grounds
+//!    *incrementally* (semi-naive continuation + touched-rule re-instantiation). The
+//!    request grounds the one-shot program, so results are identical to one-shot
+//!    solves — the cross-check tests assert DAG, objective vector, and diagnostics
+//!    equality.
 //! 3. **Batches, parallel** — [`ConcretizerSession::concretize_batch`] solves
 //!    independent requests concurrently (rayon); the session is `Sync`, every request
 //!    works on its own fork of the shared frozen base.
@@ -225,7 +227,7 @@ impl<'a> ConcretizerSession<'a> {
         let new_base = crate::FactBuilder::new(repo, &site, database).base(&mut staged)?;
         let stats = self
             .frozen
-            .patch_base(staged, &new_base.partition_symbols())
+            .patch_base(staged, &[] as &[&str])
             .map_err(|e| ConcretizeError::Setup(format!("base patch failed: {e}")))?;
         self.repo = repo;
         self.base = new_base;
@@ -257,7 +259,7 @@ impl<'a> Concretizer<'a> {
         let base_setup = setup_start.elapsed();
         ctl.add_program(CONCRETIZE_LP)?;
         ctl.add_program(ERROR_GUARD_LP)?;
-        let frozen = ctl.freeze_base_partitioned(&base.partition_symbols())?;
+        let frozen = ctl.freeze_base()?;
         let store = self.solver.share_nogoods.then(|| Arc::new(asp::SharedClauseStore::new()));
         Ok(ConcretizerSession {
             repo: self.repo,
@@ -327,14 +329,12 @@ impl ConcretizerSession<'_> {
             }
         }
         let setup_info = self.base.request(self.repo, &mut ctl, roots)?;
-        // Relevance restriction: this request's view of the frozen base drops every
-        // package outside its dependency closure (and those packages' condition-id
-        // ranges), so the delta grounding (and the solve after it) is closure-sized —
-        // the same scope a one-shot solve of these roots would ground — instead of
-        // universe-sized.
-        let (symbols, id_ranges) = self.base.request_exclusions(self.repo, roots);
-        ctl.restrict_symbols(symbols);
-        ctl.restrict_int_ranges(id_ranges);
+        // Relevance restriction: this request's view of the frozen base drops the
+        // facts of every package outside its dependency closure, and everything only
+        // they derive — exactly the facts a one-shot solve of these roots emits — so
+        // the delta grounding (and the solve after it) is the one-shot program.
+        let (outside, _) = self.base.request_exclusions(self.repo, roots);
+        ctl.restrict_symbols(outside);
         let setup_time = setup_start.elapsed();
         let result = solve_prepared(self.repo, roots, ctl, setup_info, setup_time);
         // The "base ground exactly once" accounting is derived from what actually
@@ -456,9 +456,9 @@ mod tests {
     #[test]
     fn colliding_package_names_are_never_excluded() {
         // Package "tcl" shares its name with a variant of "app". A request for
-        // "app" has tcl outside its closure — but excluding the symbol "tcl" would
-        // also delete app's variant("app","tcl") facts. The collision guard must
-        // keep it: session and one-shot results stay identical, variant included.
+        // "app" has tcl outside its closure, so it excludes the owner "tcl" — which
+        // must not touch app's variant("app","tcl") facts, owned by "app": session
+        // and one-shot results stay identical, variant included.
         use spack_repo::{PackageBuilder, Repository};
         let mut repo = Repository::new();
         repo.add(PackageBuilder::new("tcl").version("8.6").build());
@@ -474,7 +474,7 @@ mod tests {
         for spec in ["app", "app+tcl", "app~tcl"] {
             let one = render(&concretizer.concretize_str(spec));
             let ses = render(&session.concretize_str(spec));
-            assert_eq!(one, ses, "spec {spec}: collision guard must keep variant facts");
+            assert_eq!(one, ses, "spec {spec}: owner restriction must keep variant facts");
             assert!(ses.contains("tcl"), "spec {spec}: the variant must be in the DAG: {ses}");
         }
     }

@@ -424,3 +424,71 @@ fn escaped_ids_are_answered_under_their_decoded_value() {
         "{lines:?}"
     );
 }
+
+#[test]
+fn pipe_responses_match_one_shot_solves() {
+    // The one-shot column: every spec of the CI server smoke, plus two requests a
+    // session once answered `unsat` although a one-shot solve concretizes them (mpich
+    // conflicts with `^bzip2@1.0.7`, a package outside its closure). Each pipe
+    // response, id aside, must render exactly like the response built from a one-shot
+    // `Concretizer` solve of the same spec.
+    use spack_concretizer::{Concretizer, SiteConfig, SolveOptions};
+    let specs = [
+        "zlib",
+        "hdf5",
+        "mpileaks",
+        "example",
+        "bzip2",
+        "zlib@9.9",
+        "example~bzip",
+        "zlib@@bad",
+        "hpctoolkit ^mpich",
+        "chain-root",
+        "mpich@3.1",
+        "hdf5 ^mpich@3.1",
+    ];
+    let input: String = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| format!("{{\"v\": 1, \"id\": \"{i}\", \"specs\": [\"{s}\"]}}\n"))
+        .collect();
+    let (lines, _) = serve(false, &ServerConfig::default(), &input);
+    assert_eq!(lines.len(), specs.len(), "{lines:?}");
+    let repo = builtin_repo();
+    let concretizer =
+        Concretizer::new(&repo).with_options(SolveOptions::new().site(SiteConfig::quartz()));
+    for line in &lines {
+        let mut served = response(line);
+        let spec = specs[served.id.parse::<usize>().expect("numeric id")];
+        let expected = match spack_spec::parse_spec(spec) {
+            Ok(root) => {
+                wire::SolveResponse::from_result("", spec, &concretizer.concretize(&[root]), 0)
+            }
+            Err(e) => {
+                wire::SolveResponse::failure("", spec, wire::SolveStatus::Parse, &e.to_string())
+            }
+        };
+        served.id.clear();
+        assert_eq!(served.render(), expected.render(), "spec `{spec}`: pipe differs from one-shot");
+    }
+}
+
+#[test]
+fn solve_requests_carry_at_most_max_specs() {
+    // A request may carry MAX_SPECS specs; one more gets a `parse` response, and
+    // the stream goes on.
+    let request = |n: usize| {
+        let specs: Vec<String> = (0..n).map(|_| "\"zlib\"".to_string()).collect();
+        format!("{{\"v\": 1, \"id\": \"many\", \"specs\": [{}]}}", specs.join(", "))
+    };
+    assert!(wire::parse_request(&request(wire::MAX_SPECS)).is_ok());
+    assert!(wire::parse_request(&request(wire::MAX_SPECS + 1)).is_err());
+    let input = format!("{}\n{{\"v\": 1, \"id\": \"next\", \"specs\": [\"zlib\"]}}\n", request(65));
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let (lines, _) = serve(false, &config, &input);
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    let rejected = response(&lines[0]);
+    assert_eq!(rejected.status, wire::SolveStatus::Parse);
+    assert!(rejected.message.as_deref().unwrap_or("").contains("at most 64 specs"), "{rejected:?}");
+    assert_eq!(response(&lines[1]).status, wire::SolveStatus::Ok);
+}

@@ -9,12 +9,19 @@
 //! the same diagnostics, over randomized synthetic repositories shaped like the
 //! bench's `Medium` and `Wide` tiers and across solver seeds, with SAT and UNSAT
 //! requests interleaved on one session and batch mode cross-checked against both.
+//! The generated repositories are widened with what restriction by symbol spelling
+//! once got wrong: conflicts on packages outside the conflicting package's closure,
+//! and package names that collide with variant names and values. The `#[ignore]`d
+//! exhaustive test compares every package of the bench's medium repository.
 
 use proptest::prelude::*;
 
 use asp::SolverConfig;
-use spack_concretizer::{Concretization, ConcretizeError, Concretizer, SiteConfig, SolveOptions};
-use spack_repo::{builtin_repo, synth_repo, SynthConfig};
+use spack_concretizer::server::wire::{SolveResponse, SolveStatus};
+use spack_concretizer::{
+    durable, Concretization, ConcretizeError, Concretizer, SiteConfig, SolveOptions,
+};
+use spack_repo::{builtin_repo, synth_repo, Conflict, PackageBuilder, Repository, SynthConfig};
 use spack_spec::parse_spec;
 use spack_store::{synthesize_buildcache, BuildcacheConfig};
 
@@ -90,26 +97,93 @@ fn assert_session_matches_one_shot(repo: &spack_repo::Repository, seed: u64, spe
 
 /// A synthetic repository with the bench `Scale::Medium` structure (dependency chain
 /// + extra virtuals) at test-friendly size.
-fn medium_shaped_repo(seed: u64) -> spack_repo::Repository {
-    synth_repo(&SynthConfig {
-        packages: 48,
-        chain_depth: 10,
-        extra_virtuals: 2,
+fn medium_shaped_repo(seed: u64) -> Repository {
+    widen(
+        synth_repo(&SynthConfig {
+            packages: 48,
+            chain_depth: 10,
+            extra_virtuals: 2,
+            seed,
+            ..Default::default()
+        }),
         seed,
-        ..Default::default()
-    })
+    )
 }
 
 /// A synthetic repository with the bench `Scale::Wide` structure (high fan-out,
 /// virtual-heavy) at test-friendly size.
-fn wide_shaped_repo(seed: u64) -> spack_repo::Repository {
-    synth_repo(&SynthConfig {
-        packages: 40,
-        max_deps: 8,
-        mpi_fraction: 0.6,
+fn wide_shaped_repo(seed: u64) -> Repository {
+    widen(
+        synth_repo(&SynthConfig {
+            packages: 40,
+            max_deps: 8,
+            mpi_fraction: 0.6,
+            seed,
+            ..Default::default()
+        }),
         seed,
-        ..Default::default()
-    })
+    )
+}
+
+/// Add what the synthetic generator never produces:
+///
+/// * on every third package (offset by `seed`), a conflict on a package *outside*
+///   its possible closure, pinned to a version that exists and gated on the
+///   package's newest version — mpich's `conflicts_when("^bzip2@1.0.7", "@3.1")`
+///   shape, which a one-shot solve can never trigger;
+/// * packages named after a variant name and a variant value of the repository, and
+///   a variant named after a package.
+fn widen(mut repo: Repository, seed: u64) -> Repository {
+    let names: Vec<String> =
+        repo.names().filter(|n| repo.get(n).is_some()).map(str::to_string).collect();
+    for (i, name) in names.iter().enumerate() {
+        if !(i as u64 + seed).is_multiple_of(3) {
+            continue;
+        }
+        let closure = repo.possible_dependencies(&[name.as_str()]);
+        let pick = (i + seed as usize) % names.len();
+        let Some(other) =
+            names.iter().cycle().skip(pick).take(names.len()).find(|n| {
+                !closure.contains(*n) && repo.get(n).is_some_and(|p| !p.versions.is_empty())
+            })
+        else {
+            continue;
+        };
+        let mut def = repo.get(name).expect("listed").clone();
+        let (Some(newest), Some(theirs)) =
+            (def.versions.first(), repo.get(other).and_then(|p| p.versions.last()))
+        else {
+            continue;
+        };
+        let spec = parse_spec(&format!("^{other}@{}", theirs.version)).expect("valid");
+        let when = parse_spec(&format!("@{}", newest.version)).expect("valid");
+        def.conflicts.push(Conflict { spec, when });
+        repo.add(def);
+    }
+    let variant = repo.packages().flat_map(|p| p.variants.iter()).next().cloned();
+    if let Some(variant) = variant {
+        let value = match variant.values.first() {
+            Some(v) => v.clone(),
+            None => "true".to_string(),
+        };
+        for collided in [variant.name.clone(), value] {
+            if repo.get(&collided).is_none() && !repo.is_virtual(&collided) {
+                repo.add(PackageBuilder::new(&collided).version("1.0").build());
+            }
+        }
+    }
+    if let Some(first) = names.first() {
+        let mut def = repo.get(first).expect("listed").clone();
+        let other = names.last().expect("non-empty");
+        def.variants.extend(
+            PackageBuilder::new(first)
+                .variant_bool(other, true, "collides with a package")
+                .build()
+                .variants,
+        );
+        repo.add(def);
+    }
+    repo
 }
 
 proptest! {
@@ -192,6 +266,99 @@ fn session_matches_one_shot_with_buildcache() {
         let ses = render(&session.concretize_str(spec));
         assert_eq!(one, ses, "spec `{spec}` (with reuse): session differs from one-shot");
     }
+}
+
+/// The requests a session once answered worse than one-shot on the bench's medium
+/// repository with the service buildcache: through a session and through a durable
+/// batch, every answer must render exactly like the one-shot solve's.
+#[test]
+fn session_and_durable_batch_match_one_shot_on_the_medium_buildcache() {
+    let repo = bench::workload_repo(bench::Scale::Medium);
+    let cache = bench::service_buildcache(&repo, bench::Scale::Medium);
+    let concretizer = Concretizer::new(&repo)
+        .with_options(SolveOptions::new().site(SiteConfig::quartz()).database(&cache));
+    let session = concretizer.session().expect("session build");
+    let specs = ["lib-054+feat0", "lib-085@1.4.0", "netcdf-c~mpi"];
+    let one_shot: Vec<String> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let result = concretizer.concretize_str(spec);
+            SolveResponse::from_result(&i.to_string(), spec, &result, 0).render()
+        })
+        .collect();
+    for (i, spec) in specs.iter().enumerate() {
+        let result = session.concretize_str(spec);
+        let rendered = SolveResponse::from_result(&i.to_string(), spec, &result, 0).render();
+        assert_eq!(rendered, one_shot[i], "spec `{spec}`: session differs from one-shot");
+    }
+    let items: Vec<(usize, String)> =
+        specs.iter().enumerate().map(|(i, s)| (i + 1, s.to_string())).collect();
+    let outcome = durable::run_batch(&session, &items, 0, None, true).expect("batch runs");
+    for (record, expected) in outcome.records.iter().zip(&one_shot) {
+        assert_eq!(&record.output, expected, "spec `{}`: durable batch differs", record.spec);
+    }
+}
+
+/// Every package of the bench's medium repository, bare, with a version pin and with
+/// a variant pin, with and without reuse of the service buildcache: session answers
+/// must render exactly like one-shot answers. Minutes in release mode, so ignored in
+/// tier-1; CI runs it with `--ignored`.
+#[test]
+#[ignore]
+fn every_medium_package_matches_one_shot() {
+    let repo = bench::workload_repo(bench::Scale::Medium);
+    let cache = bench::service_buildcache(&repo, bench::Scale::Medium);
+    let mut specs: Vec<String> = Vec::new();
+    for package in repo.packages() {
+        specs.push(package.name.clone());
+        if let Some(decl) = package.versions.get(1).or(package.versions.first()) {
+            specs.push(format!("{}@{}", package.name, decl.version));
+        }
+        if let Some(variant) = package.variants.first() {
+            let pin = match (&variant.default, variant.values.last()) {
+                (spack_spec::VariantValue::Bool(on), _) => {
+                    format!("{}{}", if *on { "~" } else { "+" }, variant.name)
+                }
+                (_, Some(value)) => format!(" {}={value}", variant.name),
+                (_, None) => continue,
+            };
+            specs.push(format!("{}{pin}", package.name));
+        }
+    }
+    let mut failures: Vec<String> = Vec::new();
+    for database in [None, Some(&cache)] {
+        let options = SolveOptions::new().site(SiteConfig::quartz());
+        let options = match database {
+            Some(db) => options.database(db),
+            None => options,
+        };
+        let concretizer = Concretizer::new(&repo).with_options(options);
+        let session = concretizer.session().expect("session build");
+        let parsed: Vec<Vec<spack_spec::Spec>> =
+            specs.iter().map(|s| vec![parse_spec(s).expect("generated specs parse")]).collect();
+        let answers = session.concretize_batch(&parsed);
+        for ((spec, roots), answer) in specs.iter().zip(&parsed).zip(&answers) {
+            let one = SolveResponse::from_result("", spec, &concretizer.concretize(roots), 0);
+            let ses = SolveResponse::from_result("", spec, answer, 0);
+            if one.render() != ses.render() {
+                failures.push(format!(
+                    "{spec} (reuse: {}): one-shot {:?}, session {:?}",
+                    database.is_some(),
+                    one.status,
+                    ses.status
+                ));
+            }
+            assert_ne!(one.status, SolveStatus::Internal, "{spec}: {:?}", one.message);
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {} answers differ:\n{}",
+        failures.len(),
+        2 * specs.len(),
+        failures.join("\n")
+    );
 }
 
 /// A session answering many requests (>= 8, SAT and UNSAT interleaved) grounds the
