@@ -42,8 +42,15 @@
 //!   delta literal are restricted to *old* atoms, which makes every derivation happen
 //!   exactly once. The delta membership test is a persistent bitset
 //!   (`AtomBitSet`) cleared incrementally — no per-round O(atoms) rebuild.
+//! * **Nothing per request that does not depend on the request.** A session
+//!   request's atom table is a view of the frozen base's ([`AtomTable::view`]), not a
+//!   copy, and indexes only the predicates its joins probe; minimize tuple keys are
+//!   ranked once per freeze ([`BaseProgram`]), so a request groups its conditions by
+//!   sorting integers. The auxiliary `__opt_tuple` atoms, made after the last join,
+//!   are never indexed, in one-shot groundings too.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::ast::{ArithOp, Atom, BodyElem, ChoiceElement, CmpOp, Head, Literal, Program, Term};
@@ -205,6 +212,32 @@ pub struct GroundStats {
     /// Rules re-instantiated because a delta atom touched one of their literals
     /// (delta groundings only).
     pub delta_rules: usize,
+    /// Where a delta grounding's time went (zero for other groundings).
+    pub split: DeltaSplit,
+}
+
+/// The stages of a delta grounding ([`Grounder::ground_delta`]), timed. They add up to
+/// [`GroundStats::duration`]: `restrict + continuation` is its phase 1, `phase2 +
+/// minimize` its phase 2.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DeltaSplit {
+    /// Restricting the frozen base to the atoms the request keeps.
+    pub restrict: Duration,
+    /// Continuing the phase-1 fixpoint from the request's facts.
+    pub continuation: Duration,
+    /// Re-instantiating touched rules and re-simplifying frozen instances.
+    pub phase2: Duration,
+    /// Grounding, simplifying and emitting minimize conditions.
+    pub minimize: Duration,
+}
+
+impl std::ops::AddAssign for DeltaSplit {
+    fn add_assign(&mut self, other: DeltaSplit) {
+        self.restrict += other.restrict;
+        self.continuation += other.continuation;
+        self.phase2 += other.phase2;
+        self.minimize += other.minimize;
+    }
 }
 
 /// Statistics of one in-place base patch ([`Grounder::patch_base`]).
@@ -379,6 +412,9 @@ pub struct CompiledProgram {
     /// Ground facts from the program text (`node("hdf5").`), in source order —
     /// replayed together with `externals` on the rebuild path.
     text_facts: Vec<GroundAtom>,
+    /// The predicate of the auxiliary minimize atoms (`__opt_tuple`), interned with
+    /// the program so that a request's copy of a base's symbols already holds it.
+    aux_pred: SymbolId,
 }
 
 impl CompiledProgram {
@@ -476,7 +512,11 @@ struct Frozen {
     records: Vec<Record>,
     arena: Vec<u32>,
     bounds: Vec<(Option<i64>, Option<i64>)>,
-    tuples: Vec<(u32, TupleKey, u32)>,
+    /// Minimize conditions: `(statement, key, arena offset)`. The key indexes `keys`.
+    tuples: Vec<(u32, u32, u32)>,
+    /// Tuple keys. After [`Frozen::rank_keys`] they are sorted and distinct, so a
+    /// tuple's key index is its rank: the order its group is emitted in.
+    keys: Vec<TupleKey>,
     /// While recording: the hash of each normal record → its index, so an instance
     /// recorded twice in full is kept once (see [`Frozen::push_record`]).
     seen: FxHashMap<u64, u32>,
@@ -548,7 +588,8 @@ impl Frozen {
     }
 
     fn push_tuple(&mut self, stmt: usize, key: TupleKey, pos: &[AtomId], neg: &[AtomId]) {
-        self.tuples.push((stmt as u32, key, self.arena.len() as u32));
+        self.keys.push(key);
+        self.tuples.push((stmt as u32, self.keys.len() as u32 - 1, self.arena.len() as u32));
         self.arena.push(pos.len() as u32);
         self.arena.extend_from_slice(pos);
         self.arena.push(neg.len() as u32);
@@ -566,7 +607,7 @@ impl Frozen {
         keep_stmt: &[bool],
         remap: Option<&[AtomId]>,
     ) -> usize {
-        let Frozen { records, arena, bounds, tuples, .. } = self;
+        let Frozen { records, arena, bounds, tuples, keys, .. } = self;
         // Every atom of an unaffected instance is untouched by the patch, so it has an
         // image; an instance that does miss one is dropped, as a fresh freeze would.
         let copy = |out: &mut Frozen, off: u32| {
@@ -605,12 +646,36 @@ impl Frozen {
                 kept += 1;
             }
         }
+        let shift = out.keys.len() as u32;
+        out.keys.extend(keys);
         for (stmt, key, off) in tuples.into_iter().filter(|t| keep_stmt[t.0 as usize]) {
             if let Some(off) = copy(out, off) {
-                out.tuples.push((stmt, key, off));
+                out.tuples.push((stmt, key + shift, off));
             }
         }
         kept
+    }
+
+    /// Sort the keys the tuples use, drop duplicates and unused ones, and point every
+    /// tuple at its key's rank.
+    fn rank_keys(&mut self) {
+        let mut used = vec![false; self.keys.len()];
+        for t in &self.tuples {
+            used[t.1 as usize] = true;
+        }
+        let keys = std::mem::take(&mut self.keys).into_iter().zip(0u32..);
+        let mut order: Vec<(TupleKey, u32)> = keys.filter(|k| used[k.1 as usize]).collect();
+        order.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut rank = vec![0u32; used.len()];
+        for (key, k) in order {
+            if self.keys.last() != Some(&key) {
+                self.keys.push(key);
+            }
+            rank[k as usize] = self.keys.len() as u32 - 1;
+        }
+        for t in &mut self.tuples {
+            t.1 = rank[t.1 as usize];
+        }
     }
 }
 
@@ -681,10 +746,15 @@ fn csr<I: Iterator<Item = (AtomId, u32)>>(
 }
 
 /// A program ground once against its *base* facts — the frozen half of a multi-shot
-/// session. Holds the complete base atom table (whose append-only join indexes double
-/// as the persistent base relation for the semi-naive continuation) plus every rule
-/// instance and minimize condition in full. Immutable and `Sync`: many concurrent
-/// [`Grounder::ground_delta`] calls may borrow one base.
+/// session. Holds the complete base atom table plus every rule instance and minimize
+/// condition in full. Immutable and `Sync`: many concurrent [`Grounder::ground_delta`]
+/// calls may borrow one base, and the atom table sits behind an `Arc` so each
+/// request's table can be a view of it ([`AtomTable::view`]) rather than a copy.
+///
+/// The distinct minimize tuple keys are sorted once, when the base is indexed (by
+/// every freeze and every patch), and each frozen minimize condition carries its key's
+/// rank. A request groups its conditions by sorting those
+/// ranks; only keys that a re-ground statement produces are compared as values.
 ///
 /// # Owners
 ///
@@ -700,7 +770,7 @@ fn csr<I: Iterator<Item = (AtomId, u32)>>(
 #[derive(Debug)]
 pub struct BaseProgram {
     compiled: CompiledProgram,
-    atoms: AtomTable,
+    atoms: Arc<AtomTable>,
     frozen: Frozen,
     index: OwnerIndex,
     /// The input facts the base was ground from — the diff target of
@@ -732,8 +802,11 @@ impl BaseProgram {
     /// sound — by induction over derivations, an atom derivable from kept facts has
     /// only kept owners in its label — so a request may skip everything whose label
     /// names an excluded owner.
+    ///
+    /// It also ranks the minimize tuple keys ([`Frozen::rank_keys`]).
     fn reindex(&mut self) {
         self.frozen.seen = FxHashMap::default(); // recording is over
+        self.frozen.rank_keys();
         let n = self.atoms.len();
         let records = &self.frozen.records;
         let arena = &self.frozen.arena;
@@ -930,10 +1003,6 @@ struct CMinimize {
 /// A minimize tuple key: `(priority, weight, terms)`.
 type TupleKey = (i64, i64, Vec<Val>);
 
-/// Minimize tuples collected during grounding: keys mapped to the condition bodies
-/// (positive, negative atom lists) under which they are paid.
-type MinimizeTuples = FxHashMap<TupleKey, Vec<(Vec<AtomId>, Vec<AtomId>)>>;
-
 /// Callback invoked for every complete substitution of a rule's positive body. The
 /// final slice holds, for each positive literal (by its original index), the atom id it
 /// was matched against — so downstream processing never re-instantiates or re-hashes
@@ -1006,18 +1075,18 @@ impl<'a> Grounder<'a> {
             self.phase2_rule(ri, rule, &mut ground, &mut Sink::Emit(&mut seen_rules))?;
         }
         // Minimize statements.
-        let mut tuples: MinimizeTuples = MinimizeTuples::default();
+        let mut conds = MinimizeConditions::default();
         let (mut pos, mut neg) = (Vec::new(), Vec::new());
         for m in &compiled.cminimize {
             let atoms = &ground.atoms;
             let view = |a: AtomId| Some((a, atoms.is_certain(a)));
             self.ground_minimize(m, &ground, &mut |key, p, n| {
                 if simplify_condition(p, n, &view, &mut pos, &mut neg) {
-                    tuples.entry(key).or_default().push((pos.clone(), neg.clone()));
+                    conds.push_keyed(key, &pos, &neg);
                 }
             })?;
         }
-        self.emit_minimize(tuples, &mut ground);
+        conds.emit(&[], compiled.aux_pred, &mut ground);
 
         let duration = start.elapsed();
         ground.stats = GroundStats {
@@ -1064,7 +1133,7 @@ impl<'a> Grounder<'a> {
         }
         let mut base = BaseProgram {
             compiled,
-            atoms: ground.atoms,
+            atoms: Arc::new(ground.atoms),
             frozen,
             index: OwnerIndex::default(),
             input,
@@ -1085,13 +1154,20 @@ impl<'a> Grounder<'a> {
     ///    owner in `excluded` (an atom whose first argument is an integer in an
     ///    `excluded_ints` range is dropped). One counter-based forward pass over the
     ///    derivation units of the visited buckets (see [`BaseProgram`]) finds what
-    ///    the kept facts derive; those atoms are re-interned in base order.
-    /// 2. **Semi-naive continuation.** Phase 1 continues from the delta facts only.
+    ///    the kept facts derive. The request's atom table is a *view* of the base's
+    ///    ([`AtomTable::view`]): the kept atoms keep their base order and are read
+    ///    from the base, not copied, and a predicate's join indexes over them are
+    ///    built only if a join below probes it.
+    /// 2. **Semi-naive continuation.** Phase 1 continues from the delta facts only;
+    ///    what it derives (a base atom the restriction dropped included) goes into
+    ///    the view's overlay.
     /// 3. **Touched-rule re-instantiation.** A rule with a literal matching the
     ///    `(predicate, first-argument)` discriminator of a new (or newly-certain)
     ///    atom is re-instantiated in full; every other rule's frozen records are
     ///    simplified against the restricted relation, exactly as phase 2 simplifies
     ///    a fresh grounding (rules deduplicated program-wide, as it does).
+    /// 4. **Minimize.** Touched statements are re-ground; the kept frozen conditions
+    ///    are simplified and grouped by their pre-computed key ranks.
     pub fn ground_delta(
         mut self,
         base: &BaseProgram,
@@ -1101,16 +1177,15 @@ impl<'a> Grounder<'a> {
     ) -> Result<GroundProgram, GroundError> {
         let start = Instant::now();
         let index = &base.index;
-        let mut ground = GroundProgram {
-            atoms: AtomTable::new_without_pair_index(),
-            ..GroundProgram::default()
-        };
         let dropped = |set: &[SymbolId]| set.iter().any(|o| excluded.contains(o));
         let set_out: Vec<bool> = base.input.sets.iter().map(|s| dropped(s)).collect();
         // Integer exclusion matches *first* arguments only.
-        let blocked = |a: AtomId| match base.atoms.atom(a).args.first() {
-            Some(Val::Int(i)) => excluded_ints.iter().any(|&(s, e)| s <= *i && *i < e),
-            _ => false,
+        let blocked = |a: AtomId| {
+            !excluded_ints.is_empty()
+                && match base.atoms.atom(a).args.first() {
+                    Some(Val::Int(i)) => excluded_ints.iter().any(|&(s, e)| s <= *i && *i < e),
+                    _ => false,
+                }
         };
         let mut owners: Vec<SymbolId> =
             index.buckets.keys().copied().filter(|s| !excluded.contains(s)).collect();
@@ -1119,22 +1194,22 @@ impl<'a> Grounder<'a> {
             || std::iter::once(&index.global).chain(owners.iter().map(|o| &index.buckets[o]));
 
         // Restriction: the forward pass.
-        let n = base.atoms.len();
-        let mut derived = vec![false; n];
-        let mut certain = vec![false; n];
+        let (mut derived, mut certain) = (AtomBitSet::default(), AtomBitSet::default());
+        derived.grow(base.atoms.len());
+        certain.grow(base.atoms.len());
         let mut need = index.unit_need.clone();
         // Every derived atom, in derivation order; `kept[done..]` still propagates.
         let mut kept: Vec<AtomId> = Vec::new();
         let mut derive = |a: AtomId, kept: &mut Vec<AtomId>| {
-            if !derived[a as usize] && !blocked(a) {
-                derived[a as usize] = true;
+            if !derived.contains(a) && !blocked(a) {
+                derived.set(a);
                 kept.push(a);
             }
         };
         for bucket in visited() {
             for &a in &bucket.facts {
                 if index.emissions(a).iter().any(|&s| !set_out[s as usize]) && !blocked(a) {
-                    certain[a as usize] = true;
+                    certain.set(a);
                     derive(a, &mut kept);
                 }
             }
@@ -1157,21 +1232,17 @@ impl<'a> Grounder<'a> {
             }
         }
         kept.sort_unstable();
-        const EXCLUDED: AtomId = NO_ATOM;
-        let mut remap: Vec<AtomId> = vec![EXCLUDED; n];
-        ground.atoms.reserve(kept.len());
-        for &a in &kept {
-            let (nid, _) = ground.atoms.intern(base.atoms.atom(a).clone());
-            if certain[a as usize] {
-                ground.atoms.set_certain(nid);
-            }
-            remap[a as usize] = nid;
-        }
+        let kept_certain = kept.iter().map(|&a| certain.contains(a)).collect();
+        let mut ground = GroundProgram {
+            atoms: AtomTable::view(Arc::clone(&base.atoms), kept, kept_certain),
+            ..GroundProgram::default()
+        };
         for &ext in base.atoms.externals() {
-            if remap[ext as usize] != EXCLUDED {
-                ground.atoms.set_external(remap[ext as usize]);
+            if let Some(id) = ground.atoms.kept_id(ext) {
+                ground.atoms.set_external(id);
             }
         }
+        let restrict_time = start.elapsed();
 
         let mut touched = TouchSet::default();
         let mut seeds: Vec<AtomId> = Vec::new();
@@ -1216,10 +1287,7 @@ impl<'a> Grounder<'a> {
                 }
                 let choice = base.compiled.is_choice(rec.rule);
                 let atoms = &ground.atoms;
-                let view = |a: AtomId| match remap[a as usize] {
-                    EXCLUDED => None,
-                    n => Some((n, atoms.is_certain(n))),
-                };
+                let view = |a: AtomId| atoms.kept_id(a).map(|n| (n, atoms.is_certain(n)));
                 let body = &base.frozen.arena[rec.off as usize..];
                 let out = simplify(choice, body, view, &mut pos, &mut neg, &mut heads);
                 if !matches!(out, Simplified::Discarded) {
@@ -1229,40 +1297,40 @@ impl<'a> Grounder<'a> {
                 }
             }
         }
+        let phase2_time = start.elapsed();
+
         let affected_min: Vec<bool> =
             base.compiled.minimize_sigs.iter().map(|sigs| touched.matches_any(sigs)).collect();
-        let mut tuples: MinimizeTuples = MinimizeTuples::default();
+        let mut conds = MinimizeConditions::default();
         for (mi, m) in base.compiled.cminimize.iter().enumerate() {
             if affected_min[mi] {
                 let atoms = &ground.atoms;
                 let view = |a: AtomId| Some((a, atoms.is_certain(a)));
                 self.ground_minimize(m, &ground, &mut |key, p, n| {
                     if simplify_condition(p, n, &view, &mut pos, &mut neg) {
-                        tuples.entry(key).or_default().push((pos.clone(), neg.clone()));
+                        conds.push_keyed(key, &pos, &neg);
                     }
                 })?;
             }
         }
         for bucket in visited() {
             for &t in &bucket.tuples {
-                let (mi, key, off) = &base.frozen.tuples[t as usize];
-                if affected_min[*mi as usize] {
+                let (mi, rank, off) = base.frozen.tuples[t as usize];
+                if affected_min[mi as usize] {
                     continue; // re-ground above
                 }
-                let view = |a: AtomId| match remap[a as usize] {
-                    EXCLUDED => None,
-                    n => Some((n, ground.atoms.is_certain(n))),
-                };
-                let body = &base.frozen.arena[*off as usize..];
+                let atoms = &ground.atoms;
+                let view = |a: AtomId| atoms.kept_id(a).map(|n| (n, atoms.is_certain(n)));
+                let body = &base.frozen.arena[off as usize..];
                 let npos = body[0] as usize;
                 let (p, rest) = body[1..].split_at(npos);
                 if simplify_condition(p, &rest[1..1 + rest[0] as usize], &view, &mut pos, &mut neg)
                 {
-                    tuples.entry(key.clone()).or_default().push((pos.clone(), neg.clone()));
+                    conds.push_ranked(rank, &pos, &neg);
                 }
             }
         }
-        self.emit_minimize(tuples, &mut ground);
+        conds.emit(&base.frozen.keys, base.compiled.aux_pred, &mut ground);
 
         let duration = start.elapsed();
         ground.stats = GroundStats {
@@ -1277,6 +1345,12 @@ impl<'a> Grounder<'a> {
             delta: true,
             reused_rules,
             delta_rules,
+            split: DeltaSplit {
+                restrict: restrict_time,
+                continuation: phase1_time - restrict_time,
+                phase2: phase2_time - phase1_time,
+                minimize: duration - phase2_time,
+            },
         };
         Ok(ground)
     }
@@ -1394,9 +1468,11 @@ impl<'a> Grounder<'a> {
         stats: &mut PatchStats,
     ) -> Result<(), GroundError> {
         // Move the base relation into a scratch GroundProgram so the shared fixpoint
-        // and phase-2 machinery can run against it; it moves back at the end.
-        let mut ground =
-            GroundProgram { atoms: std::mem::take(&mut base.atoms), ..GroundProgram::default() };
+        // and phase-2 machinery can run against it; it moves back at the end. (A
+        // ground program still holding a view of it keeps the old table.)
+        let atoms = Arc::try_unwrap(std::mem::take(&mut base.atoms));
+        let atoms = atoms.unwrap_or_else(|shared| AtomTable::clone(&shared));
+        let mut ground = GroundProgram { atoms, ..GroundProgram::default() };
         let old_len = ground.atoms.len();
         let mut touched = TouchSet::default();
         let mut seeds: Vec<AtomId> = Vec::new();
@@ -1415,7 +1491,7 @@ impl<'a> Grounder<'a> {
         self.fixpoint(&base.compiled, &mut ground, seeds, false, Some(&mut touched))?;
         stats.atoms_added = ground.atoms.len() - old_len;
         self.patch_records(base, &mut ground, &touched, None, stats)?;
-        base.atoms = ground.atoms;
+        base.atoms = Arc::new(ground.atoms);
         Ok(())
     }
 
@@ -1475,7 +1551,7 @@ impl<'a> Grounder<'a> {
         // signature literals, so it is untouched — present in the new closure — and
         // the renaming cannot miss.
         self.patch_records(base, &mut ground, &touched, Some(&remap), stats)?;
-        base.atoms = ground.atoms;
+        base.atoms = Arc::new(ground.atoms);
         Ok(())
     }
 
@@ -1528,6 +1604,7 @@ impl<'a> Grounder<'a> {
         let rule_sigs = crules.iter().map(rule_signature).collect();
         let rule_p1_sigs = crules.iter().map(rule_phase1_condition_signature).collect();
         let minimize_sigs = cminimize.iter().map(minimize_signature).collect();
+        let aux_pred = self.symbols.intern("__opt_tuple");
         Ok(CompiledProgram {
             crules,
             cminimize,
@@ -1536,6 +1613,7 @@ impl<'a> Grounder<'a> {
             minimize_sigs,
             externals,
             text_facts,
+            aux_pred,
         })
     }
 
@@ -2407,31 +2485,106 @@ impl<'a> Grounder<'a> {
         sink((priority, weight, terms), &pos, &neg);
         Ok(())
     }
+}
 
-    fn emit_minimize(&mut self, tuples: MinimizeTuples, ground: &mut GroundProgram) {
-        let aux_pred = self.symbols.intern("__opt_tuple");
+/// The emission order of a condition whose key has base rank `rank` (keys the base
+/// lacks order before `rank`'s key by a smaller low half).
+fn ranked(rank: u32) -> u64 {
+    (rank as u64) << 32 | u32::MAX as u64
+}
+
+/// The simplified minimize conditions of one grounding, collected for
+/// [`MinimizeConditions::emit`].
+#[derive(Debug, Default)]
+struct MinimizeConditions {
+    /// `(emission order, arena offset)` per condition, in collection order.
+    conds: Vec<(u64, u32)>,
+    /// The condition bodies: `npos pos.. nneg neg..` each.
+    arena: Vec<AtomId>,
+    /// Conditions collected with their key by value: `(index into conds, key)`.
+    keyed: Vec<(u32, TupleKey)>,
+}
+
+impl MinimizeConditions {
+    fn push(&mut self, order: u64, pos: &[AtomId], neg: &[AtomId]) {
+        self.conds.push((order, self.arena.len() as u32));
+        self.arena.push(pos.len() as u32);
+        self.arena.extend_from_slice(pos);
+        self.arena.push(neg.len() as u32);
+        self.arena.extend_from_slice(neg);
+    }
+
+    /// A condition of a frozen tuple whose key has base rank `rank`.
+    fn push_ranked(&mut self, rank: u32, pos: &[AtomId], neg: &[AtomId]) {
+        self.push(ranked(rank), pos, neg);
+    }
+
+    /// A condition of a statement ground here, with its key.
+    fn push_keyed(&mut self, key: TupleKey, pos: &[AtomId], neg: &[AtomId]) {
+        self.keyed.push((self.conds.len() as u32, key));
+        self.push(0, pos, neg);
+    }
+
+    /// The `(positive, negative)` atoms of the condition at `off`.
+    fn body(&self, off: u32) -> (&[AtomId], &[AtomId]) {
+        let body = &self.arena[off as usize..];
+        let (npos, rest) = (body[0] as usize, &body[1..]);
+        let (pos, rest) = rest.split_at(npos);
+        (pos, &rest[1..1 + rest[0] as usize])
+    }
+
+    /// Emit the minimize conditions grouped by tuple key, in key order: a key paid
+    /// unconditionally, a key with one single-atom condition on that atom, any other
+    /// key on an auxiliary `__opt_tuple(n)` atom defined by one rule per condition.
+    /// `keys` are a base's ranked keys ([`Frozen::rank_keys`]); a key collected by
+    /// value takes its rank there, or slots in before the next larger one. The
+    /// auxiliary atoms are appended unindexed: every join is over by now.
+    fn emit(mut self, keys: &[TupleKey], aux_pred: SymbolId, ground: &mut GroundProgram) {
+        // Keys the base lacks, in key order: `(priority, weight)` by their sub-order.
+        let mut unranked: Vec<(i64, i64)> = Vec::new();
+        let mut keyed = std::mem::take(&mut self.keyed);
+        keyed.sort_by(|a, b| a.1.cmp(&b.1));
+        for (i, (c, key)) in keyed.iter().enumerate() {
+            self.conds[*c as usize].0 = match keys.binary_search(key) {
+                Ok(rank) => ranked(rank as u32),
+                Err(slot) => {
+                    if i == 0 || keyed[i - 1].1 != *key {
+                        unranked.push((key.0, key.1));
+                    }
+                    (slot as u64) << 32 | (unranked.len() - 1) as u64
+                }
+            };
+        }
+        self.conds.sort_by_key(|c| c.0); // stable: collection order within a key
         let mut counter: i64 = 0;
-        let mut sorted: Vec<_> = tuples.into_iter().collect();
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        for ((priority, weight, _terms), bodies) in sorted {
-            // A tuple with any empty condition always contributes.
-            if bodies.iter().any(|(p, n)| p.is_empty() && n.is_empty()) {
+        for group in self.conds.chunk_by(|a, b| a.0 == b.0) {
+            let (priority, weight) = match group[0].0 as u32 {
+                u32::MAX => {
+                    let key = &keys[(group[0].0 >> 32) as usize];
+                    (key.0, key.1)
+                }
+                sub => unranked[sub as usize],
+            };
+            let bodies = || group.iter().map(|&(_, off)| self.body(off));
+            // A key with any empty condition always contributes.
+            if bodies().any(|(p, n)| p.is_empty() && n.is_empty()) {
                 ground.minimize.push(GroundMinimize { priority, weight, condition: None });
                 continue;
             }
-            // A tuple with a single, single-atom positive condition uses that atom directly.
-            if bodies.len() == 1 && bodies[0].0.len() == 1 && bodies[0].1.is_empty() {
-                ground.minimize.push(GroundMinimize {
-                    priority,
-                    weight,
-                    condition: Some(bodies[0].0[0]),
-                });
-                continue;
+            // A key with a single, single-atom positive condition uses that atom directly.
+            if let [(_, off)] = group {
+                if let (&[atom], &[]) = self.body(*off) {
+                    let condition = Some(atom);
+                    ground.minimize.push(GroundMinimize { priority, weight, condition });
+                    continue;
+                }
             }
-            // General case: an auxiliary atom defined by one rule per condition instance.
+            // General case: an auxiliary atom defined by one rule per condition.
             counter += 1;
-            let (aux, _) = ground.atoms.intern(GroundAtom::new(aux_pred, vec![Val::Int(counter)]));
-            for (pos, neg) in bodies {
+            let aux = GroundAtom::new(aux_pred, vec![Val::Int(counter)]);
+            let aux = ground.atoms.push_unindexed(aux);
+            for (pos, neg) in bodies() {
+                let (pos, neg) = (pos.to_vec(), neg.to_vec());
                 ground.rules.push(GroundRule { head: Some(aux), pos, neg });
             }
             ground.minimize.push(GroundMinimize { priority, weight, condition: Some(aux) });
@@ -3249,6 +3402,138 @@ mod tests {
         let rendered = view(&mut symbols, &patched);
         assert_eq!(rendered, view(&mut symbols, &fresh));
         assert!(!rendered.contains(":-"), "certain-headed instance must be retracted: {rendered}");
+    }
+
+    /// A request on `base` that excludes the `excluded` owners and adds `delta`.
+    fn request(
+        symbols: &mut SymbolTable,
+        base: &BaseProgram,
+        excluded: &[&str],
+        delta: &[GroundAtom],
+    ) -> GroundProgram {
+        let excluded = excluded.iter().map(|o| symbols.intern(o)).collect();
+        let delta = Facts::global(delta.to_vec());
+        Grounder::new(symbols).ground_delta(base, &excluded, &[], &delta).unwrap()
+    }
+
+    fn one_shot(symbols: &mut SymbolTable, program: &Program, facts: &[GroundAtom]) -> String {
+        let ground = Grounder::new(symbols).ground(program, facts).unwrap();
+        render_ground(&ground, symbols)
+    }
+
+    fn int_fact(symbols: &mut SymbolTable, pred: &str, args: &[i64]) -> GroundAtom {
+        GroundAtom::new(symbols.intern(pred), args.iter().map(|&i| Val::Int(i)).collect())
+    }
+
+    const VIEW_TEST_PROGRAM: &str = r#"
+        q(X) :- p(X).
+        q(X) :- t(X).
+        r(X) :- q(X), not s(X).
+        { s(X) } :- q(X).
+        #minimize{ 1@1,X : s(X) }.
+    "#;
+
+    /// The base holds p(a) under owner `o` and p(b) globally, so q(a), r(a) and s(a)
+    /// are base atoms only `o` derives.
+    fn view_test_base(symbols: &mut SymbolTable) -> (Program, BaseProgram) {
+        let program = parse_program(VIEW_TEST_PROGRAM).unwrap();
+        let (p_a, p_b) = (fact(symbols, "p", &["a"]), fact(symbols, "p", &["b"]));
+        let mut input = Facts::default();
+        input.set_owners(vec![symbols.intern("o")]);
+        input.push(p_a);
+        input.set_owners(Vec::new());
+        input.push(p_b);
+        let base = Grounder::new(symbols).ground_base(&program, input).unwrap();
+        (program, base)
+    }
+
+    #[test]
+    fn view_overlays_excluded_base_atoms_the_delta_derives() {
+        let mut symbols = SymbolTable::new();
+        let (program, base) = view_test_base(&mut symbols);
+        // Excluding `o` drops q(a); the delta fact t(a) derives it again, so it (and
+        // what it derives) must come back as the request's own atoms.
+        let t_a = fact(&mut symbols, "t", &["a"]);
+        let ground = request(&mut symbols, &base, &["o"], std::slice::from_ref(&t_a));
+        let p_b = fact(&mut symbols, "p", &["b"]);
+        let fresh = one_shot(&mut symbols, &program, &[p_b, t_a]);
+        assert_eq!(render_ground(&ground, &symbols), fresh);
+        let q_a = fact(&mut symbols, "q", &["a"]);
+        let id = ground.atoms.get(&q_a).expect("the delta derives q(a)");
+        assert_eq!(ground.atoms.atom(id), &q_a);
+        assert_eq!(ground.atoms.iter().filter(|(_, a)| **a == q_a).count(), 1);
+    }
+
+    #[test]
+    fn view_get_of_an_excluded_atom_is_none() {
+        let mut symbols = SymbolTable::new();
+        let (_, base) = view_test_base(&mut symbols);
+        let ground = request(&mut symbols, &base, &["o"], &[]);
+        for name in ["p", "q", "r", "s"] {
+            let excluded = fact(&mut symbols, name, &["a"]);
+            assert!(base.atoms.get(&excluded).is_some(), "{name}(a) is a base atom");
+            assert_eq!(ground.atoms.get(&excluded), None, "{name}(a) is excluded");
+            let kept = fact(&mut symbols, name, &["b"]);
+            let id = ground.atoms.get(&kept).expect("kept");
+            assert_eq!(ground.atoms.atom(id), &kept);
+        }
+        assert_eq!(ground.atoms.len(), 4);
+    }
+
+    /// Two statements share the key space: `e` conditions are re-ground when a delta
+    /// touches `e`, `f` conditions stay frozen, and both pay `1@1,X`.
+    const RANK_TEST_PROGRAM: &str = r#"
+        { e(X,Y) } :- p(X), t(Y).
+        { f(X,Y) } :- u(X), t(Y).
+        #minimize{ 1@1,X : e(X,Y) }.
+        #minimize{ 1@1,X : f(X,Y) }.
+    "#;
+
+    fn rank_test_facts(symbols: &mut SymbolTable, p: &[i64]) -> Vec<GroundAtom> {
+        let mut facts: Vec<GroundAtom> = p.iter().map(|&x| int_fact(symbols, "p", &[x])).collect();
+        facts.extend([1, 3].map(|x| int_fact(symbols, "u", &[x])));
+        facts.extend([7, 8].map(|y| int_fact(symbols, "t", &[y])));
+        facts
+    }
+
+    #[test]
+    fn reground_minimize_key_the_base_never_saw_slots_in_by_value() {
+        let program = parse_program(RANK_TEST_PROGRAM).unwrap();
+        let mut symbols = SymbolTable::new();
+        let facts = rank_test_facts(&mut symbols, &[1, 3]);
+        let base = freeze(&mut symbols, &program, &facts);
+        // p(2) and p(4) give the re-ground statement keys 1@1,2 and 1@1,4, which no
+        // frozen condition has: they go between and after the frozen ranks, and each
+        // key's auxiliary atom numbering must match a fresh grounding.
+        let delta = [int_fact(&mut symbols, "p", &[2]), int_fact(&mut symbols, "p", &[4])];
+        let ground = request(&mut symbols, &base, &[], &delta);
+        let all = [facts, delta.to_vec()].concat();
+        let fresh = one_shot(&mut symbols, &program, &all);
+        assert_eq!(render_ground(&ground, &symbols), fresh);
+        assert_eq!(ground.minimize.len(), 4);
+    }
+
+    #[test]
+    fn requests_after_patches_use_recomputed_ranks() {
+        let program = parse_program(RANK_TEST_PROGRAM).unwrap();
+        let mut symbols = SymbolTable::new();
+        let facts = rank_test_facts(&mut symbols, &[3]);
+        let mut base = freeze(&mut symbols, &program, &facts);
+        let delta = [int_fact(&mut symbols, "p", &[2])];
+        // Additions: p(1) and p(5) bring keys 1@1,1 and 1@1,5 into the base.
+        let added = rank_test_facts(&mut symbols, &[1, 3, 5]);
+        assert!(!patch(&mut symbols, &mut base, &added).rebuilt);
+        let ground = request(&mut symbols, &base, &[], &delta);
+        let all = [added, delta.to_vec()].concat();
+        let fresh = one_shot(&mut symbols, &program, &all);
+        assert_eq!(render_ground(&ground, &symbols), fresh);
+        // Removal: p(1) goes, and with it the only `e` condition of key 1@1,1.
+        let kept = rank_test_facts(&mut symbols, &[3, 5]);
+        assert!(patch(&mut symbols, &mut base, &kept).rebuilt);
+        let ground = request(&mut symbols, &base, &[], &delta);
+        let all = [kept, delta.to_vec()].concat();
+        let fresh = one_shot(&mut symbols, &program, &all);
+        assert_eq!(render_ground(&ground, &symbols), fresh);
     }
 
     #[test]

@@ -264,7 +264,6 @@ pub fn solve_optimal_assuming(
     // Optimize level by level, highest priority first. `live_bounds[li]` is the index
     // of level `li`'s objective bound inside the live solver (if added), so repeated
     // descents tighten one constraint in place instead of stacking superseded copies.
-    let debug = std::env::var("ASP_DEBUG").is_ok();
     let mut fixed_bounds: Vec<LinearSpec> = Vec::new();
     let mut live_bounds: Vec<Option<usize>> = vec![None; levels.len()];
     for (li, level) in levels.iter().enumerate() {
@@ -281,14 +280,6 @@ pub fn solve_optimal_assuming(
         let mut proven_above: i64 = -1;
         loop {
             let current = best_costs[li];
-            if debug {
-                eprintln!(
-                    "[asp] level prio {} ({} lits): current cost {}",
-                    level.priority,
-                    level.lits.len(),
-                    current
-                );
-            }
             if current == proven_above + 1 {
                 break;
             }
@@ -781,7 +772,6 @@ fn run_stable(
     cache: &mut ClauseCache,
 ) -> StableOutcome {
     stats.runs += 1;
-    let debug = std::env::var("ASP_DEBUG").is_ok();
     loop {
         match solver.search_with_assumptions(assumptions) {
             SearchResult::Unsat => return StableOutcome::Unsat,
@@ -797,13 +787,6 @@ fn run_stable(
                     return StableOutcome::Model(model);
                 };
                 stats.loop_nogoods += 1;
-                if debug && stats.loop_nogoods.is_multiple_of(50) {
-                    eprintln!(
-                        "[asp] {} loop nogoods so far (clause size {})",
-                        stats.loop_nogoods,
-                        nogood.len()
-                    );
-                }
                 extra_clauses.push(&nogood);
                 cache.add(&nogood);
                 if !solver.add_clause_safe(&nogood) {

@@ -6,7 +6,7 @@
 //! extraction all share.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::hasher::FxHashMap;
 
@@ -210,8 +210,20 @@ impl IdList {
 /// All index lists are append-only: interning never reorders or removes entries, so a
 /// caller iterating a list by position may intern *new* atoms mid-iteration and simply
 /// re-fetch the slice (newly added ids land at the end, beyond the snapshot length).
+///
+/// # Views
+///
+/// A table made by [`AtomTable::view`] is a session request's table: it *reads* the
+/// atoms a request keeps from a shared base table instead of copying them. Its id `i`
+/// below `kept.len()` is the base atom `kept[i]` (the kept atoms in base order, so the
+/// numbering is the one re-interning them would produce); atoms interned into a view —
+/// the request's own facts and what they derive, including base atoms the request
+/// excluded — land in a small overlay after them. A view keeps its own certainty bits
+/// and externals, has no pair index, and builds the single-argument join indexes of a
+/// predicate only when a join first probes it.
 #[derive(Debug, Default, Clone)]
 pub struct AtomTable {
+    /// The atoms, or a view's overlay (view ids from `kept.len()` on).
     atoms: Vec<GroundAtom>,
     ids: FxHashMap<GroundAtom, AtomId>,
     by_pred: FxHashMap<SymbolId, Vec<AtomId>>,
@@ -223,12 +235,67 @@ pub struct AtomTable {
     /// (their truth is fixed per solve by an assumption). Stored sparse — external
     /// declarations are rare (a handful of guards per program).
     external: Vec<AtomId>,
-    /// When false, the two-argument pair index is neither populated nor consulted.
-    /// Per-request delta tables disable it: they re-intern a restricted copy of a
-    /// frozen base whose joins were already done, and the remaining per-request joins
-    /// are small enough for the single-argument indexes — skipping the pair inserts
-    /// is a large share of the re-interning cost.
-    no_pair_index: bool,
+    /// The base side of a view; `None` for a table that owns all its atoms.
+    view: Option<Box<BaseView>>,
+}
+
+/// Marks a base atom a view does not keep.
+const EXCLUDED: AtomId = AtomId::MAX;
+
+/// The base side of a view (see [`AtomTable::view`]).
+#[derive(Debug, Clone)]
+struct BaseView {
+    base: Arc<AtomTable>,
+    /// View id → base id of the kept atoms, ascending.
+    kept: Vec<AtomId>,
+    /// Base id → view id, or [`EXCLUDED`].
+    remap: Vec<AtomId>,
+    /// The view's join indexes, one entry per predicate, built on first probe.
+    preds: FxHashMap<SymbolId, OnceLock<PredLists>>,
+}
+
+/// One predicate's join indexes in a view: all its atoms, and its atoms by the value
+/// at each argument position.
+#[derive(Debug, Default, Clone)]
+struct PredLists {
+    all: Vec<AtomId>,
+    by_arg: FxHashMap<(u8, Val), IdList>,
+}
+
+impl PredLists {
+    fn push(&mut self, id: AtomId, atom: &GroundAtom) {
+        self.all.push(id);
+        for (pos, &val) in atom.args.iter().enumerate().take(u8::MAX as usize) {
+            self.by_arg.entry((pos as u8, val)).or_default().push(id);
+        }
+    }
+}
+
+impl BaseView {
+    /// The indexes of `pred`, built from the kept base atoms on first use (overlay
+    /// atoms are pushed by [`AtomTable::intern`] once the kept ones are in).
+    fn lists(&self, pred: SymbolId) -> Option<&PredLists> {
+        let cell = self.preds.get(&pred)?;
+        Some(cell.get_or_init(|| {
+            let mut lists = PredLists::default();
+            for &b in self.base.with_pred(pred) {
+                match self.remap[b as usize] {
+                    EXCLUDED => {}
+                    id => lists.push(id, self.base.atom(b)),
+                }
+            }
+            lists
+        }))
+    }
+
+    /// Index a new overlay atom.
+    fn push(&mut self, id: AtomId, atom: &GroundAtom) {
+        // A predicate the base never saw has no kept atoms to index first.
+        self.preds.entry(atom.pred).or_insert_with(|| OnceLock::from(PredLists::default()));
+        self.lists(atom.pred);
+        let lists = self.preds.get_mut(&atom.pred).and_then(OnceLock::get_mut);
+        lists.expect("built above").push(id, atom);
+    }
 }
 
 impl AtomTable {
@@ -237,32 +304,45 @@ impl AtomTable {
         Self::default()
     }
 
-    /// Create a table without the two-argument pair index (see the field docs).
-    pub fn new_without_pair_index() -> Self {
-        AtomTable { no_pair_index: true, ..Self::default() }
+    /// A view of `base` keeping the base atoms `kept` (ascending base ids; view id
+    /// `i` is `kept[i]`), with `certain` parallel to `kept`. See the type docs.
+    pub fn view(base: Arc<AtomTable>, kept: Vec<AtomId>, certain: Vec<bool>) -> Self {
+        debug_assert!(base.view.is_none(), "a view's base owns its atoms");
+        debug_assert!(kept.windows(2).all(|w| w[0] < w[1]), "kept atoms are in base order");
+        debug_assert_eq!(kept.len(), certain.len());
+        let mut remap = vec![EXCLUDED; base.len()];
+        for (id, &b) in kept.iter().enumerate() {
+            remap[b as usize] = id as AtomId;
+        }
+        let preds = base.by_pred.keys().map(|&p| (p, OnceLock::new())).collect();
+        AtomTable {
+            certain,
+            view: Some(Box::new(BaseView { base, kept, remap, preds })),
+            ..AtomTable::default()
+        }
     }
 
-    /// Is the pair index maintained? The join planner must not consult it otherwise.
+    /// A view's id for the atom with id `base_id` in its base table (`None` when the
+    /// view excludes it). Only meaningful on a view.
+    pub(crate) fn kept_id(&self, base_id: AtomId) -> Option<AtomId> {
+        let view = self.view.as_ref().expect("a view");
+        Some(view.remap[base_id as usize]).filter(|&id| id != EXCLUDED)
+    }
+
+    /// Is the pair index maintained? The join planner must not consult it otherwise
+    /// (views have none).
     pub fn pair_indexing(&self) -> bool {
-        !self.no_pair_index
-    }
-
-    /// Reserve capacity for `additional` atoms (bulk re-interning of a restricted
-    /// base view).
-    pub fn reserve(&mut self, additional: usize) {
-        self.atoms.reserve(additional);
-        self.certain.reserve(additional);
-        self.ids.reserve(additional);
+        self.view.is_none()
     }
 
     /// Number of atoms.
     pub fn len(&self) -> usize {
-        self.atoms.len()
+        self.view.as_ref().map_or(0, |v| v.kept.len()) + self.atoms.len()
     }
 
     /// True when the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.atoms.is_empty()
+        self.len() == 0
     }
 
     /// The number of leading argument positions covered by the two-argument (pair)
@@ -275,7 +355,7 @@ impl AtomTable {
     /// present (the overwhelmingly common case on the grounder's derive path); the
     /// atom is cloned only when it is genuinely new.
     pub fn intern_ref(&mut self, atom: &GroundAtom) -> (AtomId, bool) {
-        if let Some(&id) = self.ids.get(atom) {
+        if let Some(id) = self.get(atom) {
             return (id, false);
         }
         self.intern(atom.clone())
@@ -283,22 +363,25 @@ impl AtomTable {
 
     /// Intern an atom, returning `(id, is_new)`.
     pub fn intern(&mut self, atom: GroundAtom) -> (AtomId, bool) {
-        if let Some(&id) = self.ids.get(&atom) {
+        if let Some(id) = self.get(&atom) {
             return (id, false);
         }
-        let id = self.atoms.len() as AtomId;
-        self.by_pred.entry(atom.pred).or_default().push(id);
-        for (pos, &val) in atom.args.iter().enumerate().take(u8::MAX as usize) {
-            self.by_pred_arg.entry((atom.pred, pos as u8, val)).or_default().push(id);
-        }
-        if !self.no_pair_index {
-            let paired = atom.args.iter().enumerate().take(Self::MAX_PAIR_INDEXED_ARGS);
-            for (pos, &val) in paired.clone() {
-                for (pos2, &val2) in paired.clone().skip(pos + 1) {
-                    self.by_pred_arg2
-                        .entry((atom.pred, pos as u8, val, pos2 as u8, val2))
-                        .or_default()
-                        .push(id);
+        let id = self.len() as AtomId;
+        match self.view.as_deref_mut() {
+            Some(view) => view.push(id, &atom),
+            None => {
+                self.by_pred.entry(atom.pred).or_default().push(id);
+                for (pos, &val) in atom.args.iter().enumerate().take(u8::MAX as usize) {
+                    self.by_pred_arg.entry((atom.pred, pos as u8, val)).or_default().push(id);
+                }
+                let paired = atom.args.iter().enumerate().take(Self::MAX_PAIR_INDEXED_ARGS);
+                for (pos, &val) in paired.clone() {
+                    for (pos2, &val2) in paired.clone().skip(pos + 1) {
+                        self.by_pred_arg2
+                            .entry((atom.pred, pos as u8, val, pos2 as u8, val2))
+                            .or_default()
+                            .push(id);
+                    }
                 }
             }
         }
@@ -308,24 +391,53 @@ impl AtomTable {
         (id, true)
     }
 
+    /// Append an atom that no join, [`AtomTable::get`] or [`AtomTable::intern`] will
+    /// ever ask for — the grounder's auxiliary minimize atoms, added after the last
+    /// join — without indexing it. The caller guarantees it is not already present.
+    pub(crate) fn push_unindexed(&mut self, atom: GroundAtom) -> AtomId {
+        let id = self.len() as AtomId;
+        self.atoms.push(atom);
+        self.certain.push(false);
+        id
+    }
+
     /// Look up an atom id without interning.
     pub fn get(&self, atom: &GroundAtom) -> Option<AtomId> {
+        if let Some(view) = &self.view {
+            let kept = view.base.get(atom).map(|b| view.remap[b as usize]);
+            if let Some(id) = kept.filter(|&id| id != EXCLUDED) {
+                return Some(id);
+            }
+        }
         self.ids.get(atom).copied()
     }
 
     /// The atom for an id.
     pub fn atom(&self, id: AtomId) -> &GroundAtom {
-        &self.atoms[id as usize]
+        match &self.view {
+            Some(view) => match view.kept.get(id as usize) {
+                Some(&b) => view.base.atom(b),
+                None => &self.atoms[id as usize - view.kept.len()],
+            },
+            None => &self.atoms[id as usize],
+        }
     }
 
     /// All atoms with a given predicate.
     pub fn with_pred(&self, pred: SymbolId) -> &[AtomId] {
-        self.by_pred.get(&pred).map(|v| v.as_slice()).unwrap_or(&[])
+        match &self.view {
+            Some(view) => view.lists(pred).map_or(&[], |l| &l.all),
+            None => self.by_pred.get(&pred).map_or(&[], |v| v.as_slice()),
+        }
     }
 
     /// All atoms with a given predicate and a given value at argument position `pos`.
     pub fn with_pred_arg(&self, pred: SymbolId, pos: u8, val: Val) -> &[AtomId] {
-        self.by_pred_arg.get(&(pred, pos, val)).map(|v| v.as_slice()).unwrap_or(&[])
+        let list = match &self.view {
+            Some(view) => view.lists(pred).and_then(|l| l.by_arg.get(&(pos, val))),
+            None => self.by_pred_arg.get(&(pred, pos, val)),
+        };
+        list.map_or(&[], IdList::as_slice)
     }
 
     /// All atoms with a given predicate and given values at two argument positions
@@ -371,7 +483,9 @@ impl AtomTable {
 
     /// Iterate over all `(id, atom)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (AtomId, &GroundAtom)> {
-        self.atoms.iter().enumerate().map(|(i, a)| (i as AtomId, a))
+        let kept = self.view.as_ref().map(|v| (&*v.base, &v.kept));
+        let kept = kept.into_iter().flat_map(|(base, kept)| kept.iter().map(|&b| base.atom(b)));
+        kept.chain(&self.atoms).enumerate().map(|(i, a)| (i as AtomId, a))
     }
 }
 

@@ -533,6 +533,17 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             "  base phases: setup {:.2?}, load {:.2?}, ground {:.2?} ({} atoms, {} frozen instances)",
             s.base_setup, s.base_load, s.base_ground, s.base_atoms, s.frozen_instances
         );
+        let d = &s.delta_ground;
+        eprintln!(
+            "  ground.delta over {} requests: {:.2?} = restrict {:.2?} + continuation {:.2?} \
+             + phase2 {:.2?} + minimize {:.2?}",
+            s.requests,
+            d.restrict + d.continuation + d.phase2 + d.minimize,
+            d.restrict,
+            d.continuation,
+            d.phase2,
+            d.minimize
+        );
         eprintln!(
             "  base grounds: {} (must be 1), requests served: {}",
             s.base_grounds, s.requests

@@ -96,6 +96,9 @@ pub struct DiagnosticsStats {
     /// session base? Mirrors [`asp::ground::GroundStats::delta`] so session
     /// accounting can detect a silent full re-ground on the unsatisfiable path too.
     pub ground_delta: bool,
+    /// Where that delta grounding spent its time ([`asp::ground::GroundStats::split`]),
+    /// for the session's summed per-stage accounting.
+    pub ground_split: asp::ground::DeltaSplit,
 }
 
 fn arg_str(args: &[Value], i: usize) -> String {

@@ -615,6 +615,7 @@ fn explain_unsat(
             second_phase_ground: stats.ground_time.saturating_sub(ground_before),
             warm_clauses: stats.warm_clauses,
             ground_delta: stats.ground.delta,
+            ground_split: stats.ground.split,
         },
         roots,
     )

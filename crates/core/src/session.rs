@@ -26,7 +26,7 @@
 //! (sharding and an async front end ride on top of it — see the ROADMAP).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -171,6 +171,10 @@ pub struct SessionStats {
     pub store_misses: u64,
     /// Provenance-safe clauses transferred between requests through the store.
     pub store_transferred: u64,
+    /// The delta-grounding stages of every request answered so far, summed: the
+    /// `ground.delta` layer split into restriction, continuation, phase 2 and
+    /// minimize.
+    pub delta_ground: asp::ground::DeltaSplit,
 }
 
 /// A long-lived concretizer session: built once from a [`Concretizer`], answering many
@@ -190,6 +194,9 @@ pub struct ConcretizerSession<'a> {
     /// nonzero value is a regression — it feeds [`SessionStats::base_grounds`], which
     /// tests assert equals exactly 1.
     full_regrounds: AtomicU64,
+    /// The delta-grounding stages of the requests answered, summed
+    /// ([`SessionStats::delta_ground`]).
+    delta_ground: Mutex<asp::ground::DeltaSplit>,
     /// Cross-request nogood store ([`asp::SharedClauseStore`]): provenance-safe
     /// clauses learned by one request are transferred to later requests with an
     /// identical translation (same closure digest). `None` when disabled through
@@ -269,6 +276,7 @@ impl<'a> Concretizer<'a> {
             requests: AtomicU64::new(0),
             base_patches: 0,
             full_regrounds: AtomicU64::new(0),
+            delta_ground: Mutex::default(),
             store,
         })
     }
@@ -341,15 +349,19 @@ impl ConcretizerSession<'_> {
         // happened: a request whose grounding was not an incremental delta would be
         // a silent re-ground of the universe, and must show up in the stats —
         // on the unsatisfiable path too (DiagnosticsStats mirrors the delta flag).
-        let was_delta = match &result {
-            Ok(c) => c.stats.ground.delta,
-            Err(ConcretizeError::Unsatisfiable { stats, .. }) => stats.ground_delta,
-            Err(ConcretizeError::Budget { stats, .. }) => stats.ground.delta,
-            Err(_) => true, // failed before grounding: nothing was re-ground
+        let (was_delta, split) = match &result {
+            Ok(c) => (c.stats.ground.delta, c.stats.ground.split),
+            Err(ConcretizeError::Unsatisfiable { stats, .. }) => {
+                (stats.ground_delta, stats.ground_split)
+            }
+            Err(ConcretizeError::Budget { stats, .. }) => (stats.ground.delta, stats.ground.split),
+            // Failed before grounding: nothing was re-ground.
+            Err(_) => (true, asp::ground::DeltaSplit::default()),
         };
         if !was_delta {
             self.full_regrounds.fetch_add(1, Ordering::Relaxed);
         }
+        *self.delta_ground.lock().unwrap_or_else(|e| e.into_inner()) += split;
         result
     }
 
@@ -400,6 +412,7 @@ impl ConcretizerSession<'_> {
             store_hits: self.store.as_ref().map_or(0, |s| s.hits()),
             store_misses: self.store.as_ref().map_or(0, |s| s.misses()),
             store_transferred: self.store.as_ref().map_or(0, |s| s.transferred()),
+            delta_ground: *self.delta_ground.lock().unwrap_or_else(|e| e.into_inner()),
         }
     }
 }

@@ -123,6 +123,36 @@ proptest! {
     fn parser_never_panics(text in "[ -~]{0,40}") {
         let _ = parse_spec(&text);
     }
+
+    #[test]
+    fn parser_never_panics_on_utf8(text in utf8_strategy(0..64)) {
+        let _ = parse_spec(&text);
+    }
+
+    #[test]
+    fn parser_never_panics_on_long_utf8(text in utf8_strategy(4096..6144)) {
+        assert!(text.len() >= 4096);
+        let _ = parse_spec(&text);
+    }
+}
+
+/// Arbitrary UTF-8 strings of `chars` code points (every one at least a byte), drawn
+/// from four classes: the spec syntax's own sigils, printable ASCII, the rest of the
+/// BMP, and every scalar value up to U+10FFFF — so multi-byte characters land next to
+/// `@`, `%`, `^` and `=` as often as inside names.
+fn utf8_strategy(chars: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+    const SIGILS: &[char] = &['@', '%', '^', '+', '~', '=', ':', ',', ' ', '-', '.', '"', '\''];
+    proptest::collection::vec((0u8..4, any::<u32>()), chars).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|(class, x)| match class {
+                0 => SIGILS[x as usize % SIGILS.len()],
+                1 => char::from(b' ' + (x % 95) as u8),
+                2 => char::from_u32(0x80 + x % (0xD800 - 0x80)).expect("below the surrogates"),
+                _ => char::from_u32(x % 0x11_0000).unwrap_or('\u{FFFD}'),
+            })
+            .collect()
+    })
 }
 
 // ---------- hashing properties ----------------------------------------------------------------
