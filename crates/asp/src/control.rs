@@ -202,9 +202,9 @@ pub struct SolverConfig {
     /// high-priority `error(Priority, Msg, Args)` levels on the relaxed second-phase
     /// solve.
     pub priority_floor: i64,
-    /// Share provenance-safe learned clauses between requests with an identical
-    /// translation (same closure digest) through the session's
-    /// [`crate::SharedClauseStore`]. Results are byte-identical either way.
+    /// Share loop nogoods between requests with an identical translation (same
+    /// closure digest) through the session's [`crate::SharedClauseStore`]. Results
+    /// are byte-identical either way.
     pub share_nogoods: bool,
     /// Optional per-solve resource budget (wall deadline and/or conflict limit);
     /// `None` means every solve runs to completion. See [`SolveBudget`].
@@ -476,14 +476,15 @@ pub struct Stats {
     pub learned: u64,
     /// Total learned clauses deleted again by the reduction policy.
     pub deleted: u64,
-    /// Clauses replayed from the session clause cache (loop nogoods + provenance-safe
-    /// learned clauses of earlier solves on this grounding) into the probe solver of
-    /// the most recent [`Control::minimize_core`] call. Zero when that call adopted
-    /// the failed solve's retired solver instead, and never set by a solve: optimizing
-    /// descents start cold and replay nothing.
+    /// Clauses replayed from the session clause cache (the loop nogoods of earlier
+    /// solves on this grounding) into the probe solver of the most recent
+    /// [`Control::minimize_core`] call. Zero when that call adopted the failed solve's
+    /// retired solver instead, and never set by a solve: optimizing descents start
+    /// cold and replay nothing.
     pub warm_clauses: u64,
-    /// Clauses transferred into this control's clause cache from the cross-request
-    /// [`crate::SharedClauseStore`] (zero without a store or on a store miss).
+    /// Loop nogoods transferred into this control's clause cache from the
+    /// cross-request [`crate::SharedClauseStore`] (zero without a store or on a store
+    /// miss).
     pub transferred_clauses: u64,
     /// Did the most recent solve end because its [`SolveBudget`] expired?
     pub budget_exhausted: bool,
@@ -524,12 +525,12 @@ pub struct Control {
     /// Grounding a non-fork with a requested restriction is a usage error — silently
     /// returning unrestricted results would be worse than failing.
     restriction_requested: bool,
-    /// The session clause cache for the *current grounding*: loop nogoods and
-    /// provenance-safe learned clauses collected across every solve on this control.
-    /// Solves only write to it (their descents start cold, so answers never depend
-    /// on it); it warm-starts [`Control::minimize_core`] probes that cannot adopt a
-    /// retired solver, and is published to the cross-request store. Invalidated by
-    /// [`Control::ground`].
+    /// The session clause cache for the *current grounding*: the loop nogoods found
+    /// by every solve and core-minimization probe on this control (learned clauses
+    /// are not kept). Solves only write to it (their descents start cold, so answers
+    /// never depend on it); it warm-starts [`Control::minimize_core`] probes that
+    /// cannot adopt a retired solver, and is published to the cross-request store.
+    /// Invalidated by [`Control::ground`].
     clause_cache: crate::sat::ClauseCache,
     /// Cross-request clause store shared between the controls of one session (see
     /// [`Control::set_shared_store`]): [`Control::ground`] pre-seeds the clause cache
@@ -672,12 +673,12 @@ impl Control {
 
     /// Attach the cross-request clause store shared by a session: from the next
     /// [`Control::ground`] on, this control's clause cache is pre-seeded with the
-    /// provenance-safe clauses earlier requests learned on an *identical* translation
-    /// (same closure digest — same formula, variable ids included), and every solve
-    /// publishes its own harvest back. Must be called before [`Control::ground`] to
-    /// take effect for that grounding. Results are byte-identical with or without a
-    /// store: optimizing solves never read the cache, so a transfer can only
-    /// warm-start a [`Control::minimize_core`] probe.
+    /// loop nogoods earlier requests found on an *identical* translation (same
+    /// closure digest — same formula, variable ids included), and every solve
+    /// publishes its own loop nogoods back. Must be called before
+    /// [`Control::ground`] to take effect for that grounding. Results are
+    /// byte-identical with or without a store: optimizing solves never read the
+    /// cache, so a transfer can only warm-start a [`Control::minimize_core`] probe.
     pub fn set_shared_store(&mut self, store: Arc<crate::sat::SharedClauseStore>) {
         self.shared_store = Some(store);
     }
@@ -850,8 +851,8 @@ impl Control {
         self.stats.transferred_clauses = 0;
         if let Some(store) = &self.shared_store {
             // Cross-request transfer: pre-seed the fresh cache with the clauses
-            // sibling requests learned on an identical translation. Equal digest ⇒
-            // identical formula ⇒ every provenance-safe clause holds verbatim.
+            // sibling requests found on an identical translation. Equal digest ⇒
+            // identical formula ⇒ every loop nogood holds verbatim.
             let key = self.translation.as_ref().expect("just set").digest();
             self.store_key = Some(key);
             self.stats.transferred_clauses = store.fetch_into(key, &mut self.clause_cache) as u64;
@@ -1116,7 +1117,6 @@ impl Control {
         }
         drop(guard);
         let probe_stats = probe.stats().clone();
-        probe.harvest_into(&mut cache);
         self.clause_cache = cache;
         self.publish_cache();
         self.record_sat_stats(&probe_stats);

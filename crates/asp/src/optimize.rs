@@ -10,14 +10,14 @@
 //! # Determinism
 //!
 //! Every solve starts cold. The descent replays no clause it did not derive itself in
-//! the same call: between levels a rebuilt solver warm-starts only from a clause cache
-//! local to the call (loop nogoods and the retired solvers' provenance-safe learned
-//! clauses), which starts empty. The caller's session cache is an output only: it
-//! receives the call's harvest at the end, and feeds the cross-request store and
-//! core-minimization probes (which consume nothing but SAT/UNSAT verdicts, so a warm
-//! start cannot change their answers either). The search trajectory is therefore a
-//! function of the problem (translation, fixed literals, assumptions, priority floor)
-//! and the solver configuration alone, so
+//! the same call: between levels a rebuilt solver starts from the loop nogoods the
+//! call found so far, kept in a clause cache local to the call that starts empty.
+//! Learned clauses die with their solver. The caller's session cache is an output
+//! only: it receives the call's loop nogoods at the end, and feeds the cross-request
+//! store and core-minimization probes (which consume nothing but SAT/UNSAT verdicts,
+//! so a warm start cannot change their answers either). The search trajectory is
+//! therefore a function of the problem (translation, fixed literals, assumptions,
+//! priority floor) and the solver configuration alone, so
 //!
 //! * the **cost vector** is the lexicographic optimum, unique whatever the trajectory;
 //! * the **model** is the descent's final incumbent, the same on every repetition of
@@ -30,8 +30,7 @@ use std::sync::Arc;
 
 use crate::ground::GroundProgram;
 use crate::sat::{
-    ClauseArena, ClauseCache, LinearSpec, Lit, SatConfig, SatStats, SearchResult, SolveBudgetState,
-    Solver, Var,
+    ClauseCache, LinearSpec, Lit, SatConfig, SatStats, SearchResult, SolveBudgetState, Solver, Var,
 };
 use crate::stable::StabilityChecker;
 use crate::translate::Translation;
@@ -119,9 +118,8 @@ struct Level {
 /// over, and each iteration merely adds one more linear bound. Only when a level is
 /// proved optimal (its last bound is UNSAT, poisoning the solver) is a fresh solver
 /// built for the next level — seeded with the frozen bounds of the finished levels,
-/// the clauses this solve derived so far (loop nogoods and the retired solvers'
-/// provenance-safe learned clauses), and the incumbent model's phases (so the search
-/// restarts in the neighbourhood of the best known assignment).
+/// the loop nogoods this solve found so far, and the incumbent model's phases (so the
+/// search restarts in the neighbourhood of the best known assignment).
 pub fn solve_optimal(
     ground: &GroundProgram,
     translation: &Translation,
@@ -171,8 +169,8 @@ pub fn solve_optimal(
 ///
 /// `cache` is the session clause cache shared by every solve on this grounding. It is
 /// an output only: nothing in it is replayed here (see the module docs on
-/// determinism), and every loop nogood found plus the provenance-safe learned clauses
-/// of each retiring solver are merged into it when the solve ends.
+/// determinism), and every loop nogood the solve found is merged into it when the
+/// solve ends.
 ///
 /// `budget` is an optional shared solve budget (see [`SolveBudgetState`]): it is
 /// installed into *every* solver this solve builds, so an armed budget interrupts the
@@ -197,23 +195,21 @@ pub fn solve_optimal_assuming(
     let levels: Vec<Level> =
         collect_levels(ground)?.into_iter().filter(|l| l.priority >= priority_floor).collect();
     let mut stats = RunStats::default();
-    // The clauses this solve derives: the only warm start its rebuilt solvers get.
-    // Merged into the caller's `cache` on every exit, never seeded from it.
-    let mut derived = ClauseCache::default();
-    // Loop nogoods discovered by the stability check are shared across solver runs.
-    let mut extra_clauses = ClauseArena::new();
+    // The loop nogoods this solve finds: the only warm start its rebuilt solvers get,
+    // loaded once per rebuild. Merged into the caller's `cache` on every exit, never
+    // seeded from it.
+    let mut nogoods = ClauseCache::default();
     // One occurrence index serves every stability check of this solve.
     let mut checker = StabilityChecker::new(ground);
 
     // Initial model with no objective bounds. The solver stays live across levels: it
     // is only discarded when a level's final (UNSAT) bound poisons it, and only
     // rebuilt lazily when a later level actually needs another run — warm-started
-    // from the clauses derived so far and the incumbent's phases. Every objective
+    // from the loop nogoods found so far and the incumbent's phases. Every objective
     // literal starts phase-biased towards *false* (clasp's optimization sign
     // heuristic), so even the first model lands near the cheap end of the search space
     // and the per-level descents start close to the optimum.
-    let mut live =
-        Some(build_solver(translation, config, fixed, &[], &extra_clauses, &derived, budget));
+    let mut live = Some(build_solver(translation, config, fixed, &[], &nogoods, budget));
     if let Some(solver) = live.as_mut() {
         for level in &levels {
             for &(l, _) in &level.lits {
@@ -223,22 +219,13 @@ pub fn solve_optimal_assuming(
     }
     let mut best = {
         let solver = live.as_mut().expect("just built");
-        match run_stable(
-            solver,
-            ground,
-            &mut checker,
-            &mut extra_clauses,
-            assumptions,
-            &mut stats,
-            &mut derived,
-        ) {
+        match run_stable(solver, ground, &mut checker, assumptions, &mut stats, &mut nogoods) {
             StableOutcome::Model(m) => m,
             StableOutcome::Interrupted => {
                 // The budget expired before even one stable model was found: there
                 // is nothing to degrade to.
                 stats.sat.absorb(&solver.stats);
-                derived.harvest(solver);
-                cache.merge(derived);
+                cache.merge(nogoods);
                 return Ok(OptOutcome::Budget { partial: None, sat: stats.sat });
             }
             StableOutcome::Unsat => {
@@ -246,8 +233,7 @@ pub fn solve_optimal_assuming(
                 // failed-assumption set is a genuine unsat core (later UNSATs merely
                 // prove an objective bound optimal and carry no core).
                 stats.sat.absorb(&solver.stats);
-                derived.harvest(solver);
-                cache.merge(derived);
+                cache.merge(nogoods);
                 let core = solver.failed_assumptions().to_vec();
                 // Retired solvers feed `StableProbe::from_solver`: uninstall the
                 // budget so an adopter can never observe a stale interrupt.
@@ -287,18 +273,12 @@ pub fn solve_optimal_assuming(
                 Some(s) => s,
                 None => {
                     // The previous run retired the solver (UNSAT bound). Rebuild with
-                    // every frozen bound, the derived clauses (which now carry the
-                    // retired solver's provenance-safe learned clauses), and the
-                    // loop nogoods, warm-started from the incumbent's phases.
-                    let mut s = build_solver(
-                        translation,
-                        config,
-                        fixed,
-                        &fixed_bounds,
-                        &extra_clauses,
-                        &derived,
-                        budget,
-                    );
+                    // every frozen bound and the loop nogoods found so far,
+                    // warm-started from the incumbent's phases.
+                    let mut s =
+                        build_solver(translation, config, fixed, &fixed_bounds, &nogoods, budget);
+                    #[cfg(test)]
+                    tests::record_rebuild(&s, &nogoods);
                     for (v, &val) in best.iter().enumerate() {
                         s.set_phase(v as Var, val);
                     }
@@ -325,15 +305,7 @@ pub fn solve_optimal_assuming(
             let optimistic = !optimistic_failed && current > 2 && live_bounds[li].is_none();
             let bound = if optimistic { 0 } else { current - 1 };
             set_level_bound(solver, &mut live_bounds, li, level, bound);
-            match run_stable(
-                solver,
-                ground,
-                &mut checker,
-                &mut extra_clauses,
-                assumptions,
-                &mut stats,
-                &mut derived,
-            ) {
+            match run_stable(solver, ground, &mut checker, assumptions, &mut stats, &mut nogoods) {
                 StableOutcome::Model(m) => {
                     best_costs = level_costs(&levels, &m);
                     best = m;
@@ -343,18 +315,16 @@ pub fn solve_optimal_assuming(
                     // — a genuine stable model satisfying every bound proven so far,
                     // just not necessarily optimal.
                     stats.sat.absorb(&solver.stats);
-                    derived.harvest(solver);
-                    cache.merge(derived);
+                    cache.merge(nogoods);
                     return Ok(budget_partial(&levels, &best_costs, best, stats));
                 }
                 StableOutcome::Unsat => {
                     // The bound that failed poisons the solver either way, so retire
-                    // it (a later run rebuilds on demand — its provenance-safe
-                    // learned clauses live on through `derived`). A failed one-step
-                    // descent proves the level optimal; a failed zero-probe only
-                    // proves the optimum is nonzero — fall back to classic descents.
+                    // it (a later run rebuilds on demand from the loop nogoods). A
+                    // failed one-step descent proves the level optimal; a failed
+                    // zero-probe only proves the optimum is nonzero — fall back to
+                    // classic descents.
                     stats.sat.absorb(&solver.stats);
-                    derived.harvest(solver);
                     live = None;
                     if optimistic {
                         optimistic_failed = true;
@@ -375,9 +345,8 @@ pub fn solve_optimal_assuming(
     }
     if let Some(solver) = live.as_ref() {
         stats.sat.absorb(&solver.stats);
-        derived.harvest(solver);
     }
-    cache.merge(derived);
+    cache.merge(nogoods);
     Ok(OptOutcome::Optimal(optimal_model(&levels, &best_costs, best, stats)))
 }
 
@@ -440,7 +409,7 @@ impl StableProbe {
     /// Build the probe solver once from a grounded translation. `fixed` literals are
     /// asserted as root-level units — per-probe-session truths of `#external` guard
     /// atoms that parameterize the program but are never candidates for blame. The
-    /// session `cache`'s clauses warm-start the probe.
+    /// session `cache`'s loop nogoods warm-start the probe.
     pub fn new(
         ground: &GroundProgram,
         translation: &Translation,
@@ -448,9 +417,7 @@ impl StableProbe {
         fixed: &[Lit],
         cache: &ClauseCache,
     ) -> Self {
-        let solver =
-            build_solver(translation, config, fixed, &[], &ClauseArena::new(), cache, None);
-        Self::from_solver(ground, solver)
+        Self::from_solver(ground, build_solver(translation, config, fixed, &[], cache, None))
     }
 
     /// Adopt an existing solver as the probe — typically the retired solver of a
@@ -502,7 +469,7 @@ impl StableProbe {
                     };
                     self.nogoods += 1;
                     cache.add(&nogood);
-                    if !self.solver.add_clause_safe(&nogood) {
+                    if !self.solver.add_clause(&nogood) {
                         return ProbeVerdict::Unsat(Vec::new());
                     }
                 }
@@ -513,11 +480,6 @@ impl StableProbe {
     /// Aggregate low-level statistics of every query so far.
     pub fn stats(&self) -> &SatStats {
         &self.solver.stats
-    }
-
-    /// Collect the probe solver's provenance-safe learned clauses into the cache.
-    pub fn harvest_into(&self, cache: &mut ClauseCache) {
-        cache.harvest(&self.solver);
     }
 
     /// Loop nogoods added across all queries.
@@ -550,9 +512,7 @@ pub fn enumerate_models_with_stats(
     if ground.trivially_unsat {
         return (models, SatStats::default(), examined);
     }
-    let empty_cache = ClauseCache::default();
-    let mut solver =
-        build_solver(translation, config, &[], &[], &ClauseArena::new(), &empty_cache, None);
+    let mut solver = build_solver(translation, config, &[], &[], &ClauseCache::default(), None);
     let mut checker = StabilityChecker::new(ground);
     loop {
         if models.len() >= limit {
@@ -567,7 +527,7 @@ pub fn enumerate_models_with_stats(
                 examined += 1;
                 let model = solver.model();
                 if let Some(nogood) = checker.unfounded_nogood(ground, &model) {
-                    if !solver.add_clause_safe(&nogood) {
+                    if !solver.add_clause(&nogood) {
                         break;
                     }
                 } else {
@@ -697,21 +657,18 @@ fn build_solver(
     config: &SatConfig,
     fixed: &[Lit],
     bounds: &[LinearSpec],
-    extra_clauses: &ClauseArena,
-    cache: &ClauseCache,
+    nogoods: &ClauseCache,
     budget: Option<&Arc<SolveBudgetState>>,
 ) -> Solver {
     let mut solver = Solver::new(translation.num_vars, config.clone());
     solver.set_budget(budget.cloned());
-    let (stored, cached) = (&translation.clauses, cache.clauses());
+    let (stored, cached) = (&translation.clauses, nogoods.clauses());
     solver.reserve_clauses(stored.len() + cached.len(), stored.num_lits() + cached.num_lits());
-    // Program content is provenance-safe; per-solve artifacts (external units,
-    // objective bounds) are not — the distinction is what lets learned clauses be
-    // exported back into the session cache. The translation (canonicalized once in
-    // `translate`) and every clause cache (canonicalized on insert) both honour the
-    // trusted contract, so every rebuild ingests them on the validation-free bulk
-    // path instead of re-sorting and re-checking each clause.
-    solver.load_trusted_clauses(stored, true);
+    // The translation (canonicalized once in `translate`) and every clause cache
+    // (canonicalized on insert) both honour the trusted contract, so every rebuild
+    // ingests them on the validation-free bulk path instead of re-sorting and
+    // re-checking each clause.
+    solver.load_trusted_clauses(stored);
     // Per-solve truths of `#external` guard atoms, as root-level units.
     for &l in fixed {
         if !solver.add_clause(&[l]) {
@@ -719,18 +676,12 @@ fn build_solver(
         }
     }
     for lin in &translation.linears {
-        solver.add_linear_safe(lin.clone());
+        solver.add_linear(lin.clone());
     }
-    // Cached program consequences: for a descent, the loop nogoods and safe learned
-    // clauses this solve derived so far; for a core-minimization probe, the session
-    // cache (possibly transferred in from sibling requests with the same closure
-    // digest).
-    solver.load_trusted_clauses(cached, true);
-    for clause in extra_clauses {
-        if !solver.add_clause_safe(clause) {
-            break;
-        }
-    }
+    // Loop nogoods: for a descent, those this solve found so far; for a
+    // core-minimization probe, the session cache (possibly transferred in from
+    // sibling requests with the same closure digest).
+    solver.load_trusted_clauses(cached);
     for b in bounds {
         if b.upper == 0 {
             // A frozen zero bound forces every weighted literal false: root-level
@@ -766,10 +717,9 @@ fn run_stable(
     solver: &mut Solver,
     ground: &GroundProgram,
     checker: &mut StabilityChecker,
-    extra_clauses: &mut ClauseArena,
     assumptions: &[Lit],
     stats: &mut RunStats,
-    cache: &mut ClauseCache,
+    nogoods: &mut ClauseCache,
 ) -> StableOutcome {
     stats.runs += 1;
     loop {
@@ -787,9 +737,8 @@ fn run_stable(
                     return StableOutcome::Model(model);
                 };
                 stats.loop_nogoods += 1;
-                extra_clauses.push(&nogood);
-                cache.add(&nogood);
-                if !solver.add_clause_safe(&nogood) {
+                nogoods.add(&nogood);
+                if !solver.add_clause(&nogood) {
                     return StableOutcome::Unsat;
                 }
             }
@@ -972,13 +921,79 @@ mod tests {
         .unwrap()
     }
 
-    fn lit_of(ground: &GroundProgram, symbols: &SymbolTable, atom: &str) -> Lit {
-        let (id, _) = ground
-            .atoms
-            .iter()
-            .find(|(_, a)| a.display(symbols).to_string() == atom)
-            .unwrap_or_else(|| panic!("no atom {atom}"));
-        Translation::atom_lit(id)
+    /// A program with positive loops (`r(a)`–`r(b)`–`r(c)`) and two minimize levels:
+    /// its descents find loop nogoods, and proving the first level optimal retires
+    /// the live solver, so the second level runs on a rebuilt one.
+    const LOOPS: &str = r#"
+        { pick(a); pick(b); pick(c); pick(d); pick(e); pick(f) }.
+        r(a) :- pick(a).
+        r(b) :- r(a), pick(b).
+        r(a) :- r(b), pick(a).
+        r(c) :- r(b), pick(c).
+        r(b) :- r(c).
+        r(d) :- pick(d).
+        r(c) :- r(d), pick(c).
+        r(e) :- pick(e), r(c).
+        r(f) :- pick(f).
+        ok :- r(c).
+        ok :- r(f), r(e).
+        :- not ok.
+        cost(a, 1). cost(b, 0). cost(c, 1). cost(d, 1). cost(e, 0). cost(f, 1).
+        paid(P, W) :- pick(P), cost(P, W).
+        #minimize{ W@2,P : paid(P, W) }.
+        #minimize{ 1@1,P : r(P) }.
+    "#;
+
+    fn optimum(outcome: OptOutcome) -> OptimalModel {
+        match outcome {
+            OptOutcome::Optimal(m) => m,
+            other => panic!("expected an optimum, got {other:?}"),
+        }
+    }
+
+    thread_local! {
+        /// One entry per solver the descent rebuilt on this thread: for each loop
+        /// nogood found before the rebuild that the solver must store (not satisfied
+        /// and not a unit at the root), how many stored clauses equal it.
+        static REBUILDS: std::cell::RefCell<Vec<Vec<usize>>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// Called by [`solve_optimal_assuming`] on every solver it rebuilds, before its
+    /// first search: a stored clause is its source clause minus the literals false
+    /// at the root.
+    pub(super) fn record_rebuild(solver: &Solver, nogoods: &ClauseCache) {
+        let stored = solver.stored_clauses();
+        let mut copies = Vec::new();
+        for nogood in nogoods.clauses() {
+            if nogood.iter().any(|&l| solver.lit_is_true(l)) {
+                continue;
+            }
+            let open: Vec<Lit> =
+                nogood.iter().copied().filter(|&l| !solver.lit_is_true(l.negate())).collect();
+            if open.len() > 1 {
+                copies.push(stored.iter().filter(|&c| c == open.as_slice()).count());
+            }
+        }
+        REBUILDS.with(|r| r.borrow_mut().push(copies));
+    }
+
+    /// A rebuilt solver starts with every loop nogood found so far exactly once: the
+    /// per-solve cache is its only source, and it is loaded once per rebuild.
+    #[test]
+    fn rebuilt_solver_loads_each_loop_nogood_once() {
+        let (ground, translation, _symbols) = setup(LOOPS);
+        REBUILDS.with(|r| r.borrow_mut().clear());
+        let solved = optimum(solve_on(&ground, &translation, &[], &mut ClauseCache::default()));
+        assert!(solved.loop_nogoods > 0, "the solve must find loop nogoods");
+        let rebuilds = REBUILDS.with(|r| r.take());
+        assert!(
+            rebuilds.iter().any(|copies| !copies.is_empty()),
+            "a solver must be rebuilt after a loop nogood was found: {rebuilds:?}"
+        );
+        for copies in &rebuilds {
+            assert!(copies.iter().all(|&n| n == 1), "loop nogood copies per rebuild: {copies:?}");
+        }
     }
 
     /// Pins the cold descent: on a program with several optimal models, neither the
@@ -989,31 +1004,7 @@ mod tests {
     /// optimal model — if the descent replayed the cache.
     #[test]
     fn optimal_model_is_independent_of_warm_cache() {
-        let (ground, translation, symbols) = setup(
-            r#"
-            { pick(a); pick(b); pick(c); pick(d); pick(e); pick(f) }.
-            r(a) :- pick(a).
-            r(b) :- r(a), pick(b).
-            r(a) :- r(b), pick(a).
-            r(c) :- r(b), pick(c).
-            r(b) :- r(c).
-            r(d) :- pick(d).
-            r(c) :- r(d), pick(c).
-            r(e) :- pick(e), r(c).
-            r(f) :- pick(f).
-            ok :- r(c).
-            ok :- r(f), r(e).
-            :- not ok.
-            cost(a, 1). cost(b, 0). cost(c, 1). cost(d, 1). cost(e, 0). cost(f, 1).
-            paid(P, W) :- pick(P), cost(P, W).
-            #minimize{ W@2,P : paid(P, W) }.
-            #minimize{ 1@1,P : r(P) }.
-            "#,
-        );
-        let optimum = |outcome: OptOutcome| match outcome {
-            OptOutcome::Optimal(m) => m,
-            other => panic!("expected an optimum, got {other:?}"),
-        };
+        let (ground, translation, symbols) = setup(LOOPS);
         let trajectory = |m: &OptimalModel| {
             (m.models_examined, m.solver_runs, m.conflicts, m.loop_nogoods, m.sat.decisions)
         };
@@ -1030,37 +1021,43 @@ mod tests {
         assert_eq!(trajectory(&warm), trajectory(&cold), "a warm cache changed the descent");
     }
 
-    /// Pins the cold refutation: an unsat core taken from a search on a warm session
-    /// cache must equal the cold search's core. Here `a` and `c` conflict directly
-    /// (found by propagation as soon as `c` is assumed) while `a` and `b` only
-    /// conflict through search; a cache warmed by an earlier `[a, b]` refutation
-    /// carries the learned `¬a ∨ ¬b`, which makes the live search blame `b` first.
+    /// Pins the cold refutation at the [`Control`] level: an unsat core taken after
+    /// earlier solves on the same control warmed its session cache must equal a fresh
+    /// control's core. `a` needs `p`, whose only external support is `y`; `p` and `q`
+    /// also support each other, so the first candidate with `a` is the unstable
+    /// `{a, p, q}` and its loop nogood lands in the cache. Assuming `[a, b, c]`, a
+    /// cold search blames `[a, c]` (`c` is refuted by propagation from `a` alone),
+    /// while a search that replayed the nogood would refute `b` first (`a` forces
+    /// `y`, which `b` forbids) and blame `[a, b]`.
+    ///
+    /// [`Control`]: crate::control::Control
     #[test]
     fn unsat_core_is_independent_of_warm_cache() {
-        let (ground, translation, symbols) = setup(
-            r#"
-            { a; b; c; x; y }.
-            :- a, b, x, y.
-            :- a, b, x, not y.
-            :- a, b, not x, y.
-            :- a, b, not x, not y.
-            :- a, c.
-            "#,
-        );
-        let [a, b, c] = ["a", "b", "c"].map(|n| lit_of(&ground, &symbols, n));
-        let core = |outcome: OptOutcome| match outcome {
-            OptOutcome::Unsat { mut core, .. } => {
-                core.sort_by_key(|l| l.var());
-                core
-            }
-            other => panic!("expected UNSAT, got {other:?}"),
+        use crate::control::{AssumeOutcome, Assumption, Control, SolverConfig};
+        let program = "{ a; b; c; y }. p :- q. q :- p. p :- y. :- a, not p. :- b, y. :- a, c.";
+        let control = || {
+            let mut ctl = Control::new(SolverConfig::default());
+            ctl.add_program(program).unwrap();
+            ctl.ground().unwrap();
+            ctl
         };
-        let cold = core(solve_on(&ground, &translation, &[a, b, c], &mut ClauseCache::default()));
-        let mut warm = ClauseCache::default();
-        let ab = core(solve_on(&ground, &translation, &[a, b], &mut warm));
-        assert_eq!(ab.len(), 2, "{ab:?}");
-        assert!(!warm.is_empty(), "the [a, b] refutation must leave learned clauses");
-        let warmed = core(solve_on(&ground, &translation, &[a, b, c], &mut warm));
-        assert_eq!(warmed, cold, "a warm cache changed the unsat core");
+        let holds = |names: &[&str]| names.iter().map(|n| Assumption::holds(n, &[])).collect();
+        let abc: Vec<Assumption> = holds(&["a", "b", "c"]);
+        let core = |ctl: &mut Control, assumptions: &[Assumption]| {
+            let outcome = ctl.solve_with_assumptions(assumptions).unwrap();
+            match outcome {
+                AssumeOutcome::Unsatisfiable { core } => core,
+                other => panic!("expected UNSAT, got {other:?}"),
+            }
+        };
+        let cold = core(&mut control(), &abc);
+        assert_eq!(cold, vec![0, 2], "the cold search blames a and c");
+
+        let mut warm = control();
+        let a: Vec<Assumption> = holds(&["a"]);
+        assert!(matches!(warm.solve_with_assumptions(&a).unwrap(), AssumeOutcome::Optimal { .. }));
+        assert!(warm.stats().loop_nogoods > 0, "solving a must cache the loop nogood");
+        assert_eq!(core(&mut warm, &holds(&["a", "b"])), vec![0, 1]);
+        assert_eq!(core(&mut warm, &abc), cold, "a warm cache changed the unsat core");
     }
 }

@@ -28,20 +28,15 @@
 //!   and no unassigned counted literal could violate either bound by itself.
 //! * Conflict analysis reuses persistent buffers (`analyze_buf`, `seen`) instead of
 //!   allocating per resolution step.
-
 //!
-//! # Clause provenance ("root-safe" learning)
+//! # What outlives a solver
 //!
-//! Every clause and linear constraint carries a *safe* bit: safe means "a consequence
-//! of the program being solved" (translation clauses, loop nogoods), unsafe means
-//! "true only for this particular solve" (per-solve `#external` units, objective
-//! bounds, model-blocking clauses). Conflict analysis propagates the bit — a learned
-//! clause is safe exactly when every antecedent resolved into it (including the
-//! level-0 assignments it absorbed) is safe — so [`Solver::safe_learned_clauses`]
-//! yields clauses that hold in *every* solve of the same translation. A
-//! [`ClauseCache`] collects them (plus loop nogoods) and replays them into newly built
-//! solvers: a solver rebuilt between optimization levels warm-starts from everything
-//! the solve learned about the program itself so far.
+//! Learned clauses live and die with their solver: they may rest on per-solve units
+//! (`#external` truths), objective bounds or blocking clauses, so none is exported.
+//! Only *loop nogoods* — clauses the stability check proves hold in every stable
+//! model of the ground program — are kept beyond one solver. A [`ClauseCache`]
+//! collects them and replays them into newly built solvers: a solver rebuilt between
+//! optimization levels starts from every loop nogood the solve found so far.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -359,9 +354,8 @@ impl SolveBudgetState {
 enum Conflict {
     /// The clause at this index is falsified.
     Clause(usize),
-    /// An explicit list of (currently false) literals, with the provenance-safety of
-    /// the linear constraint that produced it.
-    Lits(Vec<Lit>, bool),
+    /// An explicit list of (currently false) literals.
+    Lits(Vec<Lit>),
 }
 
 /// One occurrence of a variable inside a linear constraint: the constraint index plus
@@ -420,9 +414,6 @@ struct Linear {
     total: u64,
     sum_true: u64,
     sum_false: u64,
-    /// Is this constraint a consequence of the program (a translation cardinality
-    /// bound) rather than a per-solve artifact (an objective bound)?
-    safe: bool,
     /// Largest single weight. No literal can overflow the upper bound unless
     /// `sum_true + wmax > upper`, and none can be forced true unless
     /// `total - sum_false - wmax < lower` (the heaviest literal triggers first on
@@ -502,17 +493,6 @@ pub struct Solver {
     clauses: ClauseArena,
     /// Parallel to `clauses`: learned (deletable) flag.
     clause_learned: Vec<bool>,
-    /// Parallel to `clauses`: provenance-safe flag (see the module docs). For learned
-    /// clauses this is the AND over every antecedent resolved into the clause.
-    clause_safe: Vec<bool>,
-    /// Parallel to `stored_reasons`: safety of the linear constraint that stored it.
-    stored_safe: Vec<bool>,
-    /// Per variable: is its *level-0* assignment a consequence of safe clauses only?
-    /// Meaningful only while the variable is assigned at level 0.
-    var0_safe: Vec<bool>,
-    /// Learned unit clauses that are provenance-safe (units are enqueued rather than
-    /// stored in `clauses`, so they are collected separately for export).
-    safe_units: Vec<Lit>,
     /// Parallel to `clauses`: conflict-analysis activity (only meaningful for learned).
     clause_activity: Vec<f64>,
     clause_inc: f64,
@@ -575,10 +555,6 @@ impl Solver {
             num_vars,
             clauses: ClauseArena::new(),
             clause_learned: Vec::new(),
-            clause_safe: Vec::new(),
-            stored_safe: Vec::new(),
-            var0_safe: vec![false; num_vars],
-            safe_units: Vec::new(),
             clause_activity: Vec::new(),
             clause_inc: 1.0,
             max_learned,
@@ -621,6 +597,12 @@ impl Solver {
         self.num_vars
     }
 
+    /// The stored clauses (problem and learned ones of two or more literals).
+    #[cfg(test)]
+    pub(crate) fn stored_clauses(&self) -> &ClauseArena {
+        &self.clauses
+    }
+
     /// The current decision level.
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
@@ -638,33 +620,18 @@ impl Solver {
     /// Add a clause. Returns `false` when the clause makes the problem unsatisfiable at
     /// the root level. Must be called at decision level 0 (the solver backtracks
     /// automatically when necessary). Takes a slice: the solver copies only the
-    /// literals that survive level-0 simplification. The clause is tagged *unsafe*
-    /// (per-solve artifact); use [`Solver::add_clause_safe`] for program consequences.
+    /// literals that survive level-0 simplification.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.add_clause_tagged(lits, false)
-    }
-
-    /// [`Solver::add_clause`] for a clause that is a consequence of the program being
-    /// solved (a translation clause or a loop nogood): clauses learned from safe
-    /// antecedents only are exported by [`Solver::safe_learned_clauses`].
-    pub fn add_clause_safe(&mut self, lits: &[Lit]) -> bool {
-        self.add_clause_tagged(lits, true)
-    }
-
-    fn add_clause_tagged(&mut self, lits: &[Lit], safe: bool) -> bool {
         if self.root_conflict {
             return false;
         }
         self.cancel_until(0);
         // Remove literals already false at level 0; satisfied clauses are dropped.
-        // Dropping a false literal makes the clause depend on that assignment, so the
-        // simplified clause is safe only if every dropped assignment is, too.
         let mut filtered = Vec::with_capacity(lits.len());
-        let mut safe = safe;
         for &l in lits {
             match self.value_lit(l) {
                 Value::True => return true,
-                Value::False => safe = safe && self.var0_safe[l.var() as usize],
+                Value::False => {}
                 Value::Unassigned => filtered.push(l),
             }
         }
@@ -681,7 +648,6 @@ impl Solver {
             }
             1 => {
                 self.enqueue(filtered[0], Reason::Decision);
-                self.var0_safe[filtered[0].var() as usize] = safe;
                 if self.propagate().is_some() {
                     self.root_conflict = true;
                     false
@@ -695,7 +661,6 @@ impl Solver {
                 self.watches[filtered[1].negate().index()].push(Watch { ci, blocker: filtered[0] });
                 self.clauses.push(&filtered);
                 self.clause_learned.push(false);
-                self.clause_safe.push(safe);
                 self.clause_activity.push(0.0);
                 true
             }
@@ -709,13 +674,12 @@ impl Solver {
     /// pays, so per-level solver rebuilds in the optimizer ingest their own clause
     /// streams (translation clauses canonicalized once at translate time, and
     /// [`ClauseCache`] contents, canonical by construction) in one linear pass.
-    /// Level-0 simplification and provenance bookkeeping are byte-identical to
-    /// [`Solver::add_clause_safe`]; the canonical-form contract is checked by a debug
-    /// assertion, so a corrupted clause (e.g. a bit flip in a shared store) fails
-    /// loudly in debug builds.
+    /// Level-0 simplification is byte-identical to [`Solver::add_clause`]; the
+    /// canonical-form contract is checked by a debug assertion, so a corrupted clause
+    /// (e.g. a bit flip in a shared store) fails loudly in debug builds.
     ///
     /// Returns `false` when some clause makes the problem unsatisfiable at the root.
-    pub fn load_trusted_clauses<'a, I>(&mut self, clauses: I, safe: bool) -> bool
+    pub fn load_trusted_clauses<'a, I>(&mut self, clauses: I) -> bool
     where
         I: IntoIterator<Item = &'a [Lit]>,
     {
@@ -730,7 +694,6 @@ impl Solver {
                 "load_trusted_clauses: clause violates the canonical-form contract: {lits:?}"
             );
             filtered.clear();
-            let mut clause_safe = safe;
             let mut satisfied = false;
             for &l in lits {
                 match self.value_lit(l) {
@@ -738,9 +701,7 @@ impl Solver {
                         satisfied = true;
                         break;
                     }
-                    Value::False => {
-                        clause_safe = clause_safe && self.var0_safe[l.var() as usize];
-                    }
+                    Value::False => {}
                     Value::Unassigned => filtered.push(l),
                 }
             }
@@ -754,7 +715,6 @@ impl Solver {
                 }
                 1 => {
                     self.enqueue(filtered[0], Reason::Decision);
-                    self.var0_safe[filtered[0].var() as usize] = clause_safe;
                     if self.propagate().is_some() {
                         self.root_conflict = true;
                         return false;
@@ -768,7 +728,6 @@ impl Solver {
                         .push(Watch { ci, blocker: filtered[0] });
                     self.clauses.push(&filtered);
                     self.clause_learned.push(false);
-                    self.clause_safe.push(clause_safe);
                     self.clause_activity.push(0.0);
                 }
             }
@@ -781,7 +740,6 @@ impl Solver {
     pub(crate) fn reserve_clauses(&mut self, clauses: usize, lits: usize) {
         self.clauses.reserve(clauses, lits);
         self.clause_learned.reserve(clauses);
-        self.clause_safe.reserve(clauses);
         self.clause_activity.reserve(clauses);
     }
 
@@ -791,19 +749,8 @@ impl Solver {
             && lits.windows(2).all(|w| w[0] < w[1] && w[0] != w[1].negate())
     }
 
-    /// Add a linear constraint (tagged unsafe: a per-solve artifact such as an
-    /// objective bound; use [`Solver::add_linear_safe`] for program constraints).
+    /// Add a linear constraint.
     pub fn add_linear(&mut self, spec: LinearSpec) {
-        self.add_linear_tagged(spec, false)
-    }
-
-    /// [`Solver::add_linear`] for a constraint that is part of the program itself
-    /// (a choice-rule cardinality bound from the translation).
-    pub fn add_linear_safe(&mut self, spec: LinearSpec) {
-        self.add_linear_tagged(spec, true)
-    }
-
-    fn add_linear_tagged(&mut self, spec: LinearSpec, safe: bool) {
         assert_eq!(spec.lits.len(), spec.weights.len());
         self.cancel_until(0);
         let total: u64 = spec.weights.iter().sum();
@@ -825,7 +772,6 @@ impl Solver {
             sum_true: 0,
             sum_false: 0,
             wmax,
-            safe,
         };
         // Account for assignments already made at level 0.
         for (i, &l) in lin.lits.iter().enumerate() {
@@ -915,9 +861,9 @@ impl Solver {
                     self.root_conflict = true;
                     return SearchResult::Unsat;
                 }
-                let (backtrack_level, safe) = self.analyze(confl);
+                let backtrack_level = self.analyze(confl);
                 self.cancel_until(backtrack_level);
-                self.record_learned(safe);
+                self.record_learned();
                 self.decay_activities();
                 conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
                 continue;
@@ -1038,18 +984,6 @@ impl Solver {
         self.add_clause(clause)
     }
 
-    /// Every learned clause (including learned root units) whose derivation used only
-    /// provenance-safe antecedents: such clauses are consequences of the program's
-    /// translation alone — never of per-solve externals, objective bounds, or blocking
-    /// clauses — and may be replayed into any solver over the same translation.
-    pub fn safe_learned_clauses(&self) -> impl Iterator<Item = &[Lit]> + '_ {
-        let units = self.safe_units.iter().map(std::slice::from_ref);
-        let clauses = (0..self.clauses.len())
-            .filter(|&ci| self.clause_learned[ci] && self.clause_safe[ci])
-            .map(|ci| &self.clauses[ci]);
-        units.chain(clauses)
-    }
-
     // ---- internal: propagation -------------------------------------------------------
 
     fn enqueue(&mut self, lit: Lit, reason: Reason) {
@@ -1059,26 +993,6 @@ impl Solver {
         self.level[var] = self.decision_level();
         self.reason[var] = reason;
         self.phase[var] = lit.is_pos();
-        if self.trail_lim.is_empty() {
-            // Level-0 assignment: record whether it follows from safe clauses alone
-            // (its reason plus the level-0 assignments falsifying the rest of it).
-            let safe = match reason {
-                Reason::Decision => false, // add_clause_tagged overrides for its units
-                Reason::Clause(ci) => {
-                    self.clause_safe[ci]
-                        && self.clauses[ci]
-                            .iter()
-                            .all(|&l| l.var() as usize == var || self.var0_safe[l.var() as usize])
-                }
-                Reason::Stored(ri) => {
-                    self.stored_safe[ri]
-                        && self.stored_reasons[ri]
-                            .iter()
-                            .all(|&l| l.var() as usize == var || self.var0_safe[l.var() as usize])
-                }
-            };
-            self.var0_safe[var] = safe;
-        }
         self.trail.push(lit);
         self.stats.propagations += 1;
         // Update linear-constraint counters incrementally: each occurrence names the
@@ -1135,7 +1049,6 @@ impl Solver {
         // stored reason predates the earliest cancelled level — the tail is garbage.
         if let Some(mark) = stored_mark {
             self.stored_reasons.truncate(mark);
-            self.stored_safe.truncate(mark);
         }
         self.prop_head = self.prop_head.min(self.trail.len());
     }
@@ -1155,8 +1068,8 @@ impl Solver {
             let var = lit.var() as usize;
             for k in 0..self.linear_occ[var].len() {
                 let occ = self.linear_occ[var][k];
-                if let Some((confl, safe)) = self.propagate_linear(occ.idx as usize) {
-                    return Some(Conflict::Lits(confl, safe));
+                if let Some(confl) = self.propagate_linear(occ.idx as usize) {
+                    return Some(Conflict::Lits(confl));
                 }
             }
         }
@@ -1219,13 +1132,12 @@ impl Solver {
         None
     }
 
-    fn propagate_linear(&mut self, idx: usize) -> Option<(Vec<Lit>, bool)> {
+    fn propagate_linear(&mut self, idx: usize) -> Option<Vec<Lit>> {
         let (upper_violated, lower_violated) = {
             let lin = &self.linears[idx];
             (lin.sum_true > lin.upper, lin.total - lin.sum_false < lin.lower)
         };
         let condition = self.linears[idx].condition;
-        let lin_safe = self.linears[idx].safe;
         let cond_value = condition.map(|c| self.value_lit(c));
 
         // If the guard is false the constraint is inert.
@@ -1248,7 +1160,7 @@ impl Solver {
                         bound_explanation(&self.linears[idx], &self.assignment, upper_violated)
                             .chain(condition.map(Lit::negate))
                             .collect();
-                    return Some((clause, lin_safe));
+                    return Some(clause);
                 }
             }
         }
@@ -1317,25 +1229,20 @@ impl Solver {
         upper: bool,
         tail: impl IntoIterator<Item = Lit>,
     ) -> usize {
-        let lin = &self.linears[idx];
-        let explanation = bound_explanation(lin, &self.assignment, upper);
-        let rid = self.stored_reasons.push_iter(explanation.chain(tail));
-        self.stored_safe.push(lin.safe);
-        rid
+        let explanation = bound_explanation(&self.linears[idx], &self.assignment, upper);
+        self.stored_reasons.push_iter(explanation.chain(tail))
     }
 
     // ---- internal: conflict analysis ---------------------------------------------------
 
     /// First-UIP conflict analysis. Leaves the learned clause (with the asserting
-    /// literal first) in `learn_buf` and returns the backtrack level and whether every
-    /// antecedent resolved into the clause was provenance-safe (making the learned
-    /// clause a program consequence, exportable across solves).
+    /// literal first) in `learn_buf` and returns the backtrack level.
     ///
     /// Clause-typed conflicts and reasons are resolved by *reference*; the working set
     /// of literals lives in the persistent `analyze_buf`, the learned clause in the
     /// persistent `learn_buf`, and the per-variable `seen` markers are cleared
     /// incrementally on exit — no allocation per conflict.
-    fn analyze(&mut self, conflict: Conflict) -> (u32, bool) {
+    fn analyze(&mut self, conflict: Conflict) -> u32 {
         let current_level = self.decision_level();
         // Slot 0 is reserved for the asserting literal, filled in at the end.
         let mut learned = std::mem::take(&mut self.learn_buf);
@@ -1345,17 +1252,12 @@ impl Solver {
         let mut trail_index = self.trail.len();
         let mut expand: Vec<Lit> = std::mem::take(&mut self.analyze_buf);
         expand.clear();
-        let mut safe;
         match conflict {
             Conflict::Clause(ci) => {
                 self.bump_clause(ci);
                 expand.extend_from_slice(&self.clauses[ci]);
-                safe = self.clause_safe[ci];
             }
-            Conflict::Lits(lits, lin_safe) => {
-                expand.extend_from_slice(&lits);
-                safe = lin_safe;
-            }
+            Conflict::Lits(lits) => expand.extend_from_slice(&lits),
         }
         let asserting;
 
@@ -1364,12 +1266,7 @@ impl Solver {
             for i in 0..expand.len() {
                 let lit = expand[i];
                 let v = lit.var() as usize;
-                if self.level[v] == 0 {
-                    // Absorbed level-0 assignment: the learned clause depends on it.
-                    safe = safe && self.var0_safe[v];
-                    continue;
-                }
-                if self.seen[v] {
+                if self.level[v] == 0 || self.seen[v] {
                     continue;
                 }
                 self.seen[v] = true;
@@ -1400,7 +1297,6 @@ impl Solver {
                 Reason::Decision => {}
                 Reason::Clause(ci) => {
                     self.bump_clause(ci);
-                    safe = safe && self.clause_safe[ci];
                     for k in 0..self.clauses[ci].len() {
                         let l = self.clauses[ci][k];
                         if l.var() != var {
@@ -1409,7 +1305,6 @@ impl Solver {
                     }
                 }
                 Reason::Stored(ri) => {
-                    safe = safe && self.stored_safe[ri];
                     for k in 0..self.stored_reasons[ri].len() {
                         let l = self.stored_reasons[ri][k];
                         if l.var() != var {
@@ -1435,11 +1330,11 @@ impl Solver {
         let backtrack_level =
             learned[1..].iter().map(|l| self.level[l.var() as usize]).max().unwrap_or(0);
         self.learn_buf = learned;
-        (backtrack_level, safe)
+        backtrack_level
     }
 
     /// Store the clause [`Solver::analyze`] left in `learn_buf` and assert it.
-    fn record_learned(&mut self, safe: bool) {
+    fn record_learned(&mut self) {
         self.stats.learned += 1;
         let clause = &mut self.learn_buf;
         debug_assert!(!clause.is_empty());
@@ -1448,12 +1343,6 @@ impl Solver {
             let unit = clause[0];
             if self.value_lit(unit) == Value::Unassigned {
                 self.enqueue(unit, Reason::Decision);
-                if self.trail_lim.is_empty() {
-                    self.var0_safe[unit.var() as usize] = safe;
-                }
-            }
-            if safe {
-                self.safe_units.push(unit);
             }
             return;
         }
@@ -1471,7 +1360,6 @@ impl Solver {
         let asserting = clause[0];
         self.clauses.push(clause);
         self.clause_learned.push(true);
-        self.clause_safe.push(safe);
         self.clause_activity.push(self.clause_inc);
         if self.value_lit(asserting) == Value::Unassigned {
             self.enqueue(asserting, Reason::Clause(idx));
@@ -1515,14 +1403,12 @@ impl Solver {
             }
             remap[ci] = kept;
             self.clause_learned[kept] = self.clause_learned[ci];
-            self.clause_safe[kept] = self.clause_safe[ci];
             self.clause_activity[kept] = self.clause_activity[ci];
             kept += 1;
         }
         self.stats.deleted += (self.clauses.len() - kept) as u64;
         self.clauses.retain(|ci| remap[ci] != usize::MAX);
         self.clause_learned.truncate(kept);
-        self.clause_safe.truncate(kept);
         self.clause_activity.truncate(kept);
         // Grow the cap geometrically so reduction stays amortised.
         self.max_learned += self.max_learned / 2;
@@ -1633,14 +1519,13 @@ fn bound_explanation<'a>(
     })
 }
 
-/// A cache of clauses that are *consequences of one ground program* — loop nogoods
-/// from the stability check and provenance-safe learned clauses. One optimizing solve
-/// keeps a cache of its own, which warm-starts the solvers it rebuilds between
-/// optimization levels; at the end it is merged into the session's cache for that
-/// grounding, which warm-starts core-minimization probes (they consume only SAT/UNSAT
-/// verdicts, so a warm start cannot change an answer) and is shared across requests
-/// through the [`SharedClauseStore`]. Invalidated (by the owner) whenever the
-/// grounding changes.
+/// A cache of the loop nogoods of *one ground program*: clauses the stability check
+/// proved hold in every stable model. One optimizing solve keeps a cache of its own,
+/// which the solvers it rebuilds between optimization levels load once each; at the
+/// end it is merged into the session's cache for that grounding, which warm-starts
+/// core-minimization probes (they consume only SAT/UNSAT verdicts, so a warm start
+/// cannot change an answer) and is shared across requests through the
+/// [`SharedClauseStore`]. Invalidated (by the owner) whenever the grounding changes.
 #[derive(Debug, Default, Clone)]
 pub struct ClauseCache {
     clauses: ClauseArena,
@@ -1652,7 +1537,7 @@ impl ClauseCache {
     /// its replay cost, and the cache must not grow without bound over a long session.
     pub const MAX_CLAUSES: usize = 8192;
 
-    /// Add one program-consequence clause (deduplicated; ignored once full or empty).
+    /// Add one loop nogood (deduplicated; ignored once full or empty).
     pub fn add(&mut self, clause: &[Lit]) {
         if clause.is_empty() || self.clauses.len() >= Self::MAX_CLAUSES {
             return;
@@ -1672,17 +1557,6 @@ impl ClauseCache {
         }
     }
 
-    /// Collect a retiring solver's provenance-safe learned clauses.
-    pub fn harvest(&mut self, solver: &Solver) {
-        // Pre-check fullness so a large retired solver costs one branch, not a scan.
-        if self.clauses.len() >= Self::MAX_CLAUSES {
-            return;
-        }
-        for c in solver.safe_learned_clauses() {
-            self.add(c);
-        }
-    }
-
     /// Move every clause of `other` into this cache (deduplicated, capped). Into an
     /// empty cache the clauses move raw: they are canonical by construction, and
     /// re-canonicalizing them through [`ClauseCache::add`] would cost a sort per
@@ -1698,7 +1572,7 @@ impl ClauseCache {
         }
     }
 
-    /// The cached clauses, for replay into a new solver (all provenance-safe).
+    /// The cached clauses, for replay into a new solver.
     pub fn clauses(&self) -> &ClauseArena {
         &self.clauses
     }
@@ -1714,13 +1588,12 @@ impl ClauseCache {
     }
 }
 
-/// A thread-safe store of program-consequence clauses shared *across requests*,
-/// keyed by the closure digest of each request's translation (see
-/// `Translation::digest`). Two requests with the same digest solve the identical
-/// formula — same variables, clauses, and linear constraints by construction — so the
-/// provenance-safe clauses one request learned hold verbatim in the other, and a
-/// session can warm-start repeated or re-issued requests from everything earlier ones
-/// proved. Entries are whole [`ClauseCache`]s (deduplicated, capped at
+/// A thread-safe store of loop nogoods shared *across requests*, keyed by the
+/// closure digest of each request's translation (see `Translation::digest`). Two
+/// requests with the same digest solve the identical formula — same variables,
+/// clauses, and linear constraints by construction — so the loop nogoods one request
+/// found hold verbatim in the other, and a session can warm-start repeated or
+/// re-issued requests from every loop nogood earlier ones found. Entries are whole [`ClauseCache`]s (deduplicated, capped at
 /// [`ClauseCache::MAX_CLAUSES`] per key); access is a single `RwLock` around the map
 /// plus relaxed counters, so concurrent session requests (the batch path) share it
 /// freely.
@@ -2203,39 +2076,6 @@ mod tests {
     }
 
     #[test]
-    fn learned_clauses_from_safe_antecedents_are_exported() {
-        // x1 -> x2 -> x3 -> ~x1, all program clauses: refuting the assumption x1
-        // learns the program consequence ~x1, which must be exported.
-        let mut s = Solver::new(3, SatConfig::default());
-        assert!(s.add_clause_safe(&[lit(-1), lit(2)]));
-        assert!(s.add_clause_safe(&[lit(-2), lit(3)]));
-        assert!(s.add_clause_safe(&[lit(-3), lit(-1)]));
-        assert_eq!(s.search_with_assumptions(&[lit(1)]), SearchResult::Unsat);
-        let exported: Vec<Vec<Lit>> = s.safe_learned_clauses().map(|c| c.to_vec()).collect();
-        assert!(
-            exported.iter().any(|c| c.as_slice() == [lit(-1)]),
-            "the program consequence ~x1 must be exported: {exported:?}"
-        );
-    }
-
-    #[test]
-    fn learned_clauses_tainted_by_unsafe_units_are_not_exported() {
-        // x2 is a per-solve root unit (e.g. an #external guard). The conflict that
-        // refutes the assumption x1 resolves through it, so the learned clause is
-        // only valid for solves where x2 holds — it must NOT be exported.
-        let mut s = Solver::new(3, SatConfig::default());
-        assert!(s.add_clause(&[lit(2)])); // unsafe per-solve unit
-        assert!(s.add_clause_safe(&[lit(-1), lit(3)]));
-        assert!(s.add_clause_safe(&[lit(-3), lit(-2), lit(-1)]));
-        assert_eq!(s.search_with_assumptions(&[lit(1)]), SearchResult::Unsat);
-        assert_eq!(
-            s.safe_learned_clauses().count(),
-            0,
-            "clauses depending on the unsafe unit must not be exported"
-        );
-    }
-
-    #[test]
     fn clause_arena_canonicalizes_truncates_and_compacts() {
         let mut arena = ClauseArena::new();
         assert!(arena.push_canonical([lit(3), lit(1), lit(3)]));
@@ -2266,10 +2106,9 @@ mod tests {
     }
 
     #[test]
-    fn trusted_load_matches_add_clause_safe() {
+    fn trusted_load_matches_add_clause() {
         // The same canonical clause stream, loaded both ways, must produce solvers
-        // with identical stored clauses, identical level-0 assignments, and identical
-        // provenance bits.
+        // with identical stored clauses and identical level-0 assignments.
         let clauses: Vec<Vec<Lit>> = vec![
             vec![lit(1), lit(2)],
             vec![lit(-1), lit(3)],
@@ -2287,13 +2126,11 @@ mod tests {
             .collect();
         let mut a = Solver::new(5, SatConfig::default());
         for c in &canonical {
-            assert!(a.add_clause_safe(c));
+            assert!(a.add_clause(c));
         }
         let mut b = Solver::new(5, SatConfig::default());
-        assert!(b.load_trusted_clauses(canonical.iter().map(|c| c.as_slice()), true));
+        assert!(b.load_trusted_clauses(canonical.iter().map(|c| c.as_slice())));
         assert_eq!(a.clauses, b.clauses);
-        assert_eq!(a.clause_safe, b.clause_safe);
-        assert_eq!(a.var0_safe, b.var0_safe);
         assert_eq!(a.assignment.len(), b.assignment.len());
         for v in 0..5 {
             assert_eq!(a.assignment[v], b.assignment[v], "level-0 assignment of x{v}");
@@ -2306,8 +2143,8 @@ mod tests {
     #[test]
     fn trusted_load_detects_root_conflict() {
         let mut s = Solver::new(2, SatConfig::default());
-        assert!(s.load_trusted_clauses([&[lit(1)][..]], true));
-        assert!(!s.load_trusted_clauses([&[lit(-1)][..]], true));
+        assert!(s.load_trusted_clauses([&[lit(1)][..]]));
+        assert!(!s.load_trusted_clauses([&[lit(-1)][..]]));
         assert_eq!(s.search(), SearchResult::Unsat);
     }
 
@@ -2318,7 +2155,7 @@ mod tests {
         // An unsorted (corrupted) clause must trip the debug validation assert —
         // the backstop for bit flips in clauses transferred via a shared store.
         let mut s = Solver::new(3, SatConfig::default());
-        s.load_trusted_clauses([&[lit(3), lit(1)][..]], true);
+        s.load_trusted_clauses([&[lit(3), lit(1)][..]]);
     }
 
     #[cfg(debug_assertions)]
@@ -2326,7 +2163,7 @@ mod tests {
     #[should_panic(expected = "canonical-form contract")]
     fn trusted_load_catches_out_of_range_variable_in_debug() {
         let mut s = Solver::new(2, SatConfig::default());
-        s.load_trusted_clauses([&[lit(1), lit(7)][..]], true);
+        s.load_trusted_clauses([&[lit(1), lit(7)][..]]);
     }
 
     #[test]
@@ -2404,7 +2241,7 @@ mod tests {
         let mut warm = ClauseCache::default();
         store.fetch_into(1, &mut warm);
         let mut s = Solver::new(3, SatConfig::default());
-        s.load_trusted_clauses(warm.clauses(), true);
+        s.load_trusted_clauses(warm.clauses());
     }
 
     #[test]

@@ -40,9 +40,9 @@ impl Translation {
 
     /// The closure digest: a hash of the entire clausal form (variable counts, every
     /// clause, every linear constraint). Two requests with equal digests solve the
-    /// identical formula — atom and auxiliary variable ids included — so
-    /// provenance-safe clauses learned by one hold verbatim in the other. Keys the
-    /// cross-request [`crate::sat::SharedClauseStore`].
+    /// identical formula — atom and auxiliary variable ids included — so the loop
+    /// nogoods found by one hold verbatim in the other. Keys the cross-request
+    /// [`crate::sat::SharedClauseStore`].
     pub fn digest(&self) -> u64 {
         use std::hash::Hasher;
         let mut h = crate::hasher::FxHasher::default();

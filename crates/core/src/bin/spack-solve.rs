@@ -328,7 +328,7 @@ fn print_stats(result: &spack_concretizer::Concretization) {
         s.decisions, s.propagations, s.conflicts, s.restarts, s.learned, s.deleted
     );
     println!(
-        "            core-probe warm clauses {}, transferred {}",
+        "            core-probe warm loop nogoods {}, transferred {}",
         s.warm_clauses, s.transferred_clauses
     );
 }
@@ -549,7 +549,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             s.base_grounds, s.requests
         );
         eprintln!(
-            "  nogood store: {} hits, {} misses, {} clauses transferred",
+            "  nogood store: {} hits, {} misses, {} loop nogoods transferred",
             s.store_hits, s.store_misses, s.store_transferred
         );
     }

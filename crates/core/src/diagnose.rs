@@ -87,8 +87,8 @@ pub struct DiagnosticsStats {
     /// Grounding time attributable to the second phase alone. Zero since the fold:
     /// the relaxed solve reuses the normal solve's ground program.
     pub second_phase_ground: Duration,
-    /// Clauses the core-minimization probe replayed from the session clause cache
-    /// ([`asp::Stats::warm_clauses`]). Zero when the probe adopted the failed hard
+    /// Loop nogoods the core-minimization probe replayed from the session clause
+    /// cache ([`asp::Stats::warm_clauses`]). Zero when the probe adopted the failed hard
     /// solve's retired solver, which already holds everything that solve learned.
     /// The relaxed solve replays nothing: like every solve, it starts cold.
     pub warm_clauses: u64,

@@ -532,7 +532,7 @@ fn build_concretization(
 /// second grounding), and render both into [`Diagnostic`]s. The core minimization
 /// adopts the failed hard solve's retired solver, or warm-starts a fresh probe from
 /// the control's session clause cache ([`DiagnosticsStats::warm_clauses`] reports how
-/// many clauses it replayed). The relaxed solve starts cold, like every solve, so its
+/// many loop nogoods it replayed). The relaxed solve starts cold, like every solve, so its
 /// explanation never depends on what the hard solve happened to learn.
 fn explain_unsat(
     roots: &[Spec],

@@ -81,8 +81,8 @@ impl<'a> SolveOptions<'a> {
         self
     }
 
-    /// Enable or disable the session's cross-request nogood store (default on).
-    /// Results are byte-identical either way.
+    /// Enable or disable the session's cross-request nogood store, which carries
+    /// loop nogoods only (default on). Results are byte-identical either way.
     pub fn nogood_store(mut self, enabled: bool) -> Self {
         self.solver.share_nogoods = enabled;
         self

@@ -128,7 +128,7 @@ pub struct ShardStats {
     pub store_hits: u64,
     /// Cross-request nogood-store misses.
     pub store_misses: u64,
-    /// Clauses transferred between requests through the store.
+    /// Loop nogoods transferred between requests through the store.
     pub store_transferred: u64,
     /// Base deltas this shard absorbed in place (across session generations).
     pub patches: u64,

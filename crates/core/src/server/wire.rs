@@ -115,8 +115,8 @@ pub struct RequestOptions {
     pub deadline_ms: Option<u64>,
     /// Conflict limit of the solve budget.
     pub conflict_limit: Option<u64>,
-    /// Attach the shard's cross-request nogood store to this request (default on);
-    /// results are byte-identical either way.
+    /// Attach the shard's cross-request nogood store, which carries loop nogoods
+    /// only, to this request (default on); results are byte-identical either way.
     pub nogood_store: Option<bool>,
     /// Solver seed for randomized tie-breaking.
     pub seed: Option<u64>,
@@ -146,7 +146,9 @@ impl RequestOptions {
             options.seed = Some(v.as_u64().ok_or("'seed' must be an integer")?);
         }
         if let Some(v) = json.get("retries") {
-            options.retries = Some(v.as_u64().ok_or("'retries' must be an integer")? as u32);
+            let retries = v.as_u64().ok_or("'retries' must be an integer")?;
+            options.retries =
+                Some(u32::try_from(retries).map_err(|_| "'retries' must be at most 4294967295")?);
         }
         Ok(options)
     }
@@ -262,6 +264,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                             item.get("version").and_then(Json::as_str).ok_or_else(|| {
                                 format!("each '{field}' entry needs a 'version' string")
                             })?;
+                        if !nameable_version(version) {
+                            return Err(format!(
+                                "'{field}' version {version:?} of '{package}' is not a version \
+                                 a spec can name"
+                            ));
+                        }
                         slot.push((package.to_string(), version.to_string()));
                     }
                 }
@@ -286,6 +294,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some("shutdown") => Ok(Request::Shutdown { id }),
         Some(other) => Err(format!("unknown cmd '{other}'")),
     }
+}
+
+/// Does the spec parser read `@version` back as exactly this version? An update
+/// may only declare or yank versions that a spec can request: not `""`, and nothing
+/// carrying spec syntax such as ranges or sigils.
+fn nameable_version(version: &str) -> bool {
+    spack_spec::parse_spec(&format!("@{version}")).is_ok_and(|spec| {
+        spec.versions == spack_spec::VersionConstraint::exact(spack_spec::Version::new(version))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -689,6 +706,13 @@ mod tests {
         assert_eq!(cfg.seed, base.seed);
         assert_eq!(cfg.share_nogoods, base.share_nogoods);
         assert!(cfg.budget.is_none());
+
+        // `retries` beyond u32 is rejected, not truncated (2^32 + 1 would read as 1).
+        let parsed = RequestOptions::parse(r#"{"retries": 4294967295}"#).unwrap();
+        assert_eq!(parsed.retries, Some(u32::MAX));
+        assert!(RequestOptions::parse(r#"{"retries": 4294967297}"#).is_err());
+        let line = r#"{"v": 1, "id": "r", "specs": ["zlib"], "options": {"retries": 4294967296}}"#;
+        assert!(parse_request(line).is_err());
     }
 
     #[test]
@@ -722,6 +746,24 @@ mod tests {
         assert!(parse_request(r#"{"cmd": "update", "add_versions": [{"package": "z"}]}"#).is_err());
         assert!(parse_request(r#"{"cmd": "update", "add_versions": {"package": "z"}}"#).is_err());
         assert!(parse_request(r#"{"cmd": "update", "install": [7]}"#).is_err());
+        // So are versions a spec cannot name.
+        for field in ["add_versions", "remove_versions"] {
+            let update = |version: &str| {
+                parse_request(&format!(
+                    r#"{{"cmd": "update", "{field}": [{{"package": "zlib", "version": "{}"}}]}}"#,
+                    json::escape(version)
+                ))
+            };
+            for version in ["1.2.8", "2.0-rc1", "develop", "1_2"] {
+                assert!(update(version).is_ok(), "{field} {version:?} must be accepted");
+            }
+            for version in
+                ["", "@:^~", ":", "1.0:", "1.0,2.0", "=1.0", "1.0 +mpi", "1.0%gcc", " 1.0"]
+            {
+                let err = update(version).expect_err(version);
+                assert!(err.contains("not a version a spec can name"), "{err}");
+            }
+        }
 
         let outcome = super::super::UpdateOutcome { patched: 2, refrozen: 1 };
         let line = render_update_response("u1", &outcome);

@@ -169,7 +169,7 @@ pub struct SessionStats {
     /// Cross-request nogood store lookups that found nothing (first request per
     /// distinct closure digest).
     pub store_misses: u64,
-    /// Provenance-safe clauses transferred between requests through the store.
+    /// Loop nogoods transferred between requests through the store.
     pub store_transferred: u64,
     /// The delta-grounding stages of every request answered so far, summed: the
     /// `ground.delta` layer split into restriction, continuation, phase 2 and
@@ -197,9 +197,9 @@ pub struct ConcretizerSession<'a> {
     /// The delta-grounding stages of the requests answered, summed
     /// ([`SessionStats::delta_ground`]).
     delta_ground: Mutex<asp::ground::DeltaSplit>,
-    /// Cross-request nogood store ([`asp::SharedClauseStore`]): provenance-safe
-    /// clauses learned by one request are transferred to later requests with an
-    /// identical translation (same closure digest). `None` when disabled through
+    /// Cross-request nogood store ([`asp::SharedClauseStore`]): the loop nogoods
+    /// one request found are transferred to later requests with an identical
+    /// translation (same closure digest); learned clauses are never kept. `None` when disabled through
     /// [`crate::SolveOptions::nogood_store`]. Results are byte-identical either
     /// way — the store only changes how fast they are found.
     store: Option<Arc<asp::SharedClauseStore>>,

@@ -25,7 +25,9 @@ const TOKENS: &[&str] = &[
     "\"bench\"", "\"mean_s\"", "\"counters\"", "\"zlib\"", "\u{e9}", "\u{1f600}", "\u{0}",
 ];
 
-/// Valid messages of every kind the parsers read, as seeds for random edits.
+/// Messages of every kind the parsers read, as seeds for random edits: valid ones,
+/// and well-formed requests the wire parser must reject (a version no spec can
+/// name, `retries` past `u32`).
 fn seeds() -> Vec<String> {
     let unsat = SolveResponse::failure("7", "zlib@9.9", wire::SolveStatus::Unsat, "no \"valid\"");
     let report = render_json(
@@ -47,6 +49,8 @@ fn seeds() -> Vec<String> {
         unsat.render(),
         r#"{"v": 1, "id": "2", "spec": "zlib", "status": "ok", "retries": 0, "diagnostics": [], "result": {"packages": 1, "reused": [["zlib", "abc"]], "built": [], "cost": [[61, 2]], "optimal": true, "dag": "zlib@1.2.12\n"}}"#.to_string(),
         report,
+        r#"{"v": 1, "id": "e", "cmd": "update", "add_versions": [{"package": "zlib", "version": ""}]}"#.to_string(),
+        r#"{"v": 1, "id": "o", "specs": ["zlib"], "options": {"retries": 4294967297}}"#.to_string(),
     ]
 }
 
@@ -106,7 +110,7 @@ proptest! {
 
     #[test]
     fn parsers_never_panic_on_edited_messages(
-        seed in 0usize..5,
+        seed in 0usize..7,
         edits in proptest::collection::vec((0usize..4096, 0u8..3, 0usize..1024), 1..6),
     ) {
         let seeds = seeds();

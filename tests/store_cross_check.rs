@@ -1,7 +1,7 @@
 //! The determinism harness for the cross-request nogood store.
 //!
-//! A session's shared nogood store transfers provenance-safe learned clauses across
-//! requests with the same closure digest. The transfer is a *pure acceleration*: the
+//! A session's shared nogood store transfers loop nogoods across requests with the
+//! same closure digest. The transfer is a *pure acceleration*: the
 //! engine re-derives every returned model (and re-proves every returned core) on a
 //! cold-started solver, so results must be **byte-identical** with the store on and
 //! off — same DAG, same objective vector, same reuse/build partition, same
@@ -11,7 +11,8 @@
 //! * a store on-vs-off proptest over random synthetic repositories and solver seeds,
 //!   SAT and UNSAT interleaved on one session, every request solved twice so the
 //!   store-on session actually transfers clauses;
-//! * a check that repeated identical requests hit the store and transfer clauses;
+//! * a check that repeated identical requests on a program with a positive loop hit
+//!   the store and transfer its loop nogoods;
 //! * a mutation-style test that a deliberately-corrupted transferred clause is
 //!   caught by the debug-mode canonical-form assertion in the trusted bulk loader;
 //! * a threaded stress test — several OS threads hammering one store-on session —
@@ -112,24 +113,42 @@ proptest! {
     }
 }
 
-/// Repeated identical requests on one session must hit the shared store and
-/// transfer clauses — and still render identically.
+/// Repeated identical requests on one frozen base must hit the shared store and
+/// transfer the loop nogoods the first request found — and still answer
+/// identically. In this program `a` and `b` support each other, so the first solve
+/// rejects the unstable candidate `{a, b}` with a loop nogood (concretizer requests
+/// find none, which is why the check runs below the concretizer).
 #[test]
 fn nogood_store_transfers_between_identical_requests() {
-    let repo = builtin_repo();
-    let session = Concretizer::new(&repo)
-        .with_options(SolveOptions::new().site(SiteConfig::quartz()))
-        .session()
-        .expect("session build");
-    // mpileaks is the builtin root whose optimization reliably learns
-    // provenance-safe clauses to publish (small closures can learn none).
-    let first = render(&session.concretize_str("mpileaks"));
-    let second = render(&session.concretize_str("mpileaks"));
+    use asp::{Control, SharedClauseStore, SolveOutcome, SolverConfig};
+    use std::sync::Arc;
+    let mut base = Control::new(SolverConfig::default());
+    base.add_program("a :- b. b :- a. a :- x. { x; c }. :- not a. :- a, c. #minimize{ 1@1 : x }.")
+        .expect("program parses");
+    let frozen = base.freeze_base().expect("base freezes");
+    let store = Arc::new(SharedClauseStore::new());
+    let answer = || {
+        let mut ctl = frozen.request();
+        ctl.set_shared_store(Arc::clone(&store));
+        ctl.ground().expect("request grounds");
+        let rendered = match ctl.solve().expect("request solves") {
+            SolveOutcome::Optimal { model, cost } => format!("{:?} {cost:?}", model.atoms()),
+            SolveOutcome::Unsatisfiable => "UNSAT".to_string(),
+        };
+        (rendered, ctl.stats().loop_nogoods, ctl.stats().transferred_clauses)
+    };
+    let (first, nogoods, first_transferred) = answer();
+    assert!(nogoods > 0, "the first request must find a loop nogood");
+    assert_eq!(
+        (store.hits(), store.misses(), first_transferred),
+        (0, 1, 0),
+        "the first request must miss the empty store"
+    );
+    let (second, _, transferred) = answer();
     assert_eq!(first, second, "repeated request must be byte-identical");
-    let stats = session.stats();
-    assert!(stats.store_misses > 0, "the first request must miss the empty store");
-    assert!(stats.store_hits > 0, "the repeated request must hit the shared store");
-    assert!(stats.store_transferred > 0, "clauses must transfer across requests");
+    assert_eq!((store.hits(), store.misses()), (1, 1), "the repeated request must hit the store");
+    assert!(transferred > 0, "loop nogoods must transfer across requests");
+    assert_eq!(store.transferred(), transferred);
 }
 
 /// Mutation-style soundness check at the public-API level: corrupt a shelved clause
@@ -146,7 +165,7 @@ fn corrupted_transferred_clause_is_caught_in_debug() {
     assert_eq!(store.fetch_into(7, &mut cache), 1, "the raw clause must transfer verbatim");
     let outcome = std::panic::catch_unwind(move || {
         let mut solver = Solver::new(4, SatConfig::default());
-        solver.load_trusted_clauses(cache.clauses(), true)
+        solver.load_trusted_clauses(cache.clauses())
     });
     assert!(outcome.is_err(), "debug-mode trusted load must reject a non-canonical clause");
 }
