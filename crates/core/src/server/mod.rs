@@ -42,6 +42,7 @@
 
 pub mod wire;
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -170,41 +171,6 @@ pub struct UpdateOutcome {
     pub refrozen: u64,
 }
 
-/// An append-only arena handing out references that live as long as the arena.
-/// Box addresses are stable and entries are never dropped before the arena is,
-/// so `alloc` can tie its result to `&self`.
-struct Arena<T> {
-    items: Mutex<Vec<Box<T>>>,
-}
-
-impl<T> Default for Arena<T> {
-    fn default() -> Self {
-        Arena { items: Mutex::new(Vec::new()) }
-    }
-}
-
-impl<T> Arena<T> {
-    fn alloc(&self, value: T) -> &T {
-        let mut items = self.items.lock().expect("arena poisoned");
-        items.push(Box::new(value));
-        let ptr: *const T = &**items.last().expect("just pushed");
-        // SAFETY: the value sits behind a Box whose heap address never moves;
-        // the vector only grows and drops nothing until the arena itself drops,
-        // and the returned borrow of `self` cannot outlive the arena.
-        unsafe { &*ptr }
-    }
-}
-
-/// Owned storage for the universes live updates derive: sessions borrow their
-/// repository and buildcache for `'a`, so every post-delta universe must live at
-/// least that long. Declared before [`Shards`] in the serve functions so the
-/// borrows check out.
-#[derive(Default)]
-struct Arenas {
-    repos: Arena<Repository>,
-    caches: Arena<Database>,
-}
-
 /// The lazily-built shard map: one [`ConcretizerSession`] per `(site, reuse)`
 /// key. The map lock is held only to look up or insert the slot; session
 /// construction (base grounding) happens under the slot's write lock — two
@@ -214,21 +180,26 @@ struct Arenas {
 /// Lock order: `update_lock` → `universe` (briefly) → slot write locks, one
 /// shard at a time; `get` takes the slot write lock first and `universe` briefly
 /// inside it. `universe` is never held while a slot lock is taken, so the two
-/// orders cannot deadlock.
+/// orders cannot deadlock. Builds and updates work on their own clone of the
+/// universe's `Arc`, taken under the brief lock; sessions copy the repository,
+/// so a replaced universe is freed once no build or update holds it.
 struct Shards<'a> {
     /// The current base universe; updates swap it, lazy builds read it under
-    /// their slot's write lock (so a build never races an update unseen).
-    universe: Mutex<(&'a Repository, Option<&'a Database>)>,
-    arenas: &'a Arenas,
+    /// their slot's write lock (so a build never races an update unseen). The
+    /// first universe is borrowed from the caller; each update's is owned.
+    universe: Mutex<Arc<Universe<'a>>>,
     /// Serializes `update` requests; solves are only serialized per shard (by
     /// the slot's write lock) while their shard is being patched.
     update_lock: Mutex<()>,
-    map: Mutex<HashMap<(String, bool), Arc<Shard<'a>>>>,
+    map: Mutex<HashMap<(String, bool), Arc<Shard>>>,
 }
 
+/// A repository and its optional buildcache.
+type Universe<'a> = (Cow<'a, Repository>, Option<Cow<'a, Database>>);
+
 #[derive(Default)]
-struct Shard<'a> {
-    session: RwLock<Option<Result<ConcretizerSession<'a>, String>>>,
+struct Shard {
+    session: RwLock<Option<Result<ConcretizerSession<'static>, String>>>,
     patches: AtomicU64,
     refreezes: AtomicU64,
     evictions: AtomicU64,
@@ -236,13 +207,13 @@ struct Shard<'a> {
 }
 
 /// Freeze a session for one shard key against the given universe.
-fn build_session<'a>(
-    repo: &'a Repository,
-    database: Option<&'a Database>,
+fn build_session(
+    repo: &Repository,
+    database: Option<&Database>,
     site: &str,
     site_config: SiteConfig,
     reuse: bool,
-) -> Result<ConcretizerSession<'a>, String> {
+) -> Result<ConcretizerSession<'static>, String> {
     let mut options = SolveOptions::new().site(site_config);
     if let Some(db) = database {
         options = options.database(db);
@@ -254,17 +225,16 @@ fn build_session<'a>(
 }
 
 impl<'a> Shards<'a> {
-    fn new(repo: &'a Repository, cache: Option<&'a Database>, arenas: &'a Arenas) -> Self {
+    fn new(repo: &'a Repository, cache: Option<&'a Database>) -> Self {
         Shards {
-            universe: Mutex::new((repo, cache)),
-            arenas,
+            universe: Mutex::new(Arc::new((Cow::Borrowed(repo), cache.map(Cow::Borrowed)))),
             update_lock: Mutex::new(()),
             map: Mutex::new(HashMap::new()),
         }
     }
 
     /// The shard for `(site, reuse)`, building its session on first use.
-    fn get(&self, site: &str, reuse: bool) -> Result<Arc<Shard<'a>>, String> {
+    fn get(&self, site: &str, reuse: bool) -> Result<Arc<Shard>, String> {
         let site_config = site_by_name(site).ok_or_else(|| {
             format!("unknown site '{site}' (expected quartz, lassen, or minimal)")
         })?;
@@ -287,8 +257,9 @@ impl<'a> Shards<'a> {
             // universe) or will wait on this write lock and patch what we
             // build — identical facts, a no-op diff. Either way no stale
             // session survives.
-            let (repo, cache) = *self.universe.lock().expect("universe poisoned");
-            let database = if reuse { cache } else { None };
+            let universe = Arc::clone(&self.universe.lock().expect("universe poisoned"));
+            let (repo, cache) = &*universe;
+            let database = if reuse { cache.as_deref() } else { None };
             if reuse && database.is_none() {
                 return Err("reuse requested but the server has no buildcache".to_string());
             }
@@ -298,24 +269,25 @@ impl<'a> Shards<'a> {
         Ok(shard)
     }
 
-    /// Apply a base delta across the shard map: derive the post-delta universe
-    /// (pinned in the arenas), swap it in for future lazy builds, then patch
-    /// every built session in place — falling back to evict-and-refreeze when a
-    /// shard cannot absorb the delta incrementally (or when the
-    /// `force_refreeze` test hook demands it). Never fails: per-shard fallback
-    /// reasons land in `stats` (`last_refreeze`), not in the update response.
+    /// Apply a base delta across the shard map: derive the post-delta universe,
+    /// swap it in for future lazy builds, then patch every built session in
+    /// place — falling back to evict-and-refreeze when a shard cannot absorb the
+    /// delta incrementally (or when the `force_refreeze` test hook demands it).
+    /// An empty delta changes nothing. Never fails: per-shard fallback reasons
+    /// land in `stats` (`last_refreeze`), not in the update response.
     fn apply_update(&self, config: &ServerConfig, delta: &BaseDelta) -> UpdateOutcome {
+        if delta.is_empty() {
+            return UpdateOutcome::default();
+        }
         let _serialize = self.update_lock.lock().expect("update lock poisoned");
-        let (new_repo, new_cache) = {
-            let mut universe = self.universe.lock().expect("universe poisoned");
-            let (repo, cache) = *universe;
-            let (new_repo, new_cache) = delta.apply(repo, cache);
-            let new_repo: &'a Repository = self.arenas.repos.alloc(new_repo);
-            let new_cache: Option<&'a Database> = new_cache.map(|db| self.arenas.caches.alloc(db));
-            *universe = (new_repo, new_cache);
-            (new_repo, new_cache)
+        let universe = {
+            let mut current = self.universe.lock().expect("universe poisoned");
+            let (repo, cache) = delta.apply(&current.0, current.1.as_deref());
+            *current = Arc::new((Cow::Owned(repo), cache.map(Cow::Owned)));
+            Arc::clone(&current)
         };
-        let built: Vec<((String, bool), Arc<Shard<'a>>)> = {
+        let (new_repo, new_cache) = (&*universe.0, universe.1.as_deref());
+        let built: Vec<((String, bool), Arc<Shard>)> = {
             let map = self.map.lock().expect("shard map poisoned");
             map.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
         };
@@ -423,7 +395,7 @@ fn emit<W: Write>(sink: &Mutex<W>, line: &str) {
 /// `(site, reuse)`, apply the per-request wire options (budget, nogood
 /// store, seed) on the session's forked control, and classify the result.
 fn execute(
-    shards: &Shards<'_>,
+    shards: &Shards,
     config: &ServerConfig,
     req: &wire::SolveRequest,
 ) -> wire::SolveResponse {
@@ -486,7 +458,7 @@ fn execute(
 
 fn worker_loop<W: Write + Send>(
     rx: &Mutex<mpsc::Receiver<Job<W>>>,
-    shards: &Shards<'_>,
+    shards: &Shards,
     config: &ServerConfig,
     counters: &Counters,
 ) {
@@ -517,7 +489,7 @@ fn worker_loop<W: Write + Send>(
     }
 }
 
-fn snapshot(shards: &Shards<'_>, config: &ServerConfig, counters: &Counters) -> ServerStats {
+fn snapshot(shards: &Shards, config: &ServerConfig, counters: &Counters) -> ServerStats {
     ServerStats {
         workers: config.workers.max(1),
         queue_depth: counters.queued.load(Ordering::SeqCst) as usize,
@@ -649,10 +621,7 @@ where
     R: BufRead,
     W: Write + Send,
 {
-    // Declared before `shards` so update-derived universes outlive the sessions
-    // borrowing them.
-    let arenas = Arenas::default();
-    let shards = Shards::new(repo, cache, &arenas);
+    let shards = Shards::new(repo, cache);
     let counters = Counters::default();
     let sink = Arc::new(Mutex::new(output));
     let mut shutdown_id: Option<String> = None;
@@ -705,10 +674,7 @@ pub fn serve_socket(
     use std::os::unix::net::UnixStream;
     use std::sync::atomic::AtomicBool;
 
-    // Declared before `shards` so update-derived universes outlive the sessions
-    // borrowing them.
-    let arenas = Arenas::default();
-    let shards = Shards::new(repo, cache, &arenas);
+    let shards = Shards::new(repo, cache);
     let counters = Counters::default();
     let shutdown = AtomicBool::new(false);
     listener.set_nonblocking(true)?;
@@ -797,15 +763,14 @@ mod tests {
         assert!(site_by_name("frontier").is_none());
     }
 
-    fn shard_digest(shard: &Shard<'_>) -> u64 {
+    fn shard_digest(shard: &Shard) -> u64 {
         shard.session.read().unwrap().as_ref().unwrap().as_ref().unwrap().base_digest()
     }
 
     #[test]
     fn shard_map_reuses_one_session_per_key() {
         let repo = spack_repo::builtin_repo();
-        let arenas = Arenas::default();
-        let shards = Shards::new(&repo, None, &arenas);
+        let shards = Shards::new(&repo, None);
         let a = shards.get("minimal", false).unwrap();
         let b = shards.get("minimal", false).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "same key must reuse one shard");
@@ -828,8 +793,7 @@ mod tests {
     #[test]
     fn update_patches_built_shards_in_place() {
         let repo = spack_repo::builtin_repo();
-        let arenas = Arenas::default();
-        let shards = Shards::new(&repo, None, &arenas);
+        let shards = Shards::new(&repo, None);
         let config = ServerConfig::default();
         let shard = shards.get("minimal", false).unwrap();
         let before = shard_digest(&shard);
@@ -873,8 +837,7 @@ mod tests {
     #[test]
     fn forced_refreeze_takes_the_eviction_path_and_logs_why() {
         let repo = spack_repo::builtin_repo();
-        let arenas = Arenas::default();
-        let shards = Shards::new(&repo, None, &arenas);
+        let shards = Shards::new(&repo, None);
         let config = ServerConfig { force_refreeze: true, ..ServerConfig::default() };
         let shard = shards.get("minimal", false).unwrap();
         let delta = BaseDelta {
@@ -893,5 +856,50 @@ mod tests {
         let minimal = stats.iter().find(|s| s.site == "minimal").unwrap();
         assert_eq!((minimal.patches, minimal.refreezes, minimal.evictions), (0, 1, 1));
         assert!(minimal.last_refreeze.as_ref().unwrap().contains("forced"));
+    }
+
+    #[test]
+    fn empty_update_changes_nothing() {
+        let repo = spack_repo::builtin_repo();
+        let shards = Shards::new(&repo, None);
+        let shard = shards.get("minimal", false).unwrap();
+        let before = shard_digest(&shard);
+        let universe = Arc::clone(&shards.universe.lock().unwrap());
+        let outcome = shards.apply_update(&ServerConfig::default(), &BaseDelta::default());
+        let response = wire::render_update_response("u", &outcome);
+        assert!(response.contains("\"shards_patched\": 0, \"shards_refrozen\": 0"), "{response}");
+        assert_eq!(shard_digest(&shard), before);
+        assert_eq!(shard.patches.load(Ordering::SeqCst), 0);
+        assert!(Arc::ptr_eq(&universe, &shards.universe.lock().unwrap()), "no universe derived");
+    }
+
+    /// Publish then yank `zlib@2.0` on a built shard: the universe the publish
+    /// installed must be freed once the yank replaces it.
+    fn assert_replaced_universe_is_freed(config: &ServerConfig, expected: UpdateOutcome) {
+        let repo = spack_repo::builtin_repo();
+        let shards = Shards::new(&repo, None);
+        let shard = shards.get("minimal", false).unwrap();
+        let zlib_2 = vec![("zlib".to_string(), "2.0".to_string())];
+        let publish = BaseDelta { add_versions: zlib_2.clone(), ..BaseDelta::default() };
+        let yank = BaseDelta { remove_versions: zlib_2, ..BaseDelta::default() };
+        assert_eq!(shards.apply_update(config, &publish), expected);
+        let published = Arc::downgrade(&shards.universe.lock().unwrap());
+        assert!(published.upgrade().is_some());
+        assert_eq!(shards.apply_update(config, &yank), expected);
+        assert!(published.upgrade().is_none(), "the replaced universe must be freed");
+        let slot = shard.session.read().unwrap();
+        assert!(slot.as_ref().unwrap().as_ref().unwrap().concretize_str("zlib@2.0").is_err());
+    }
+
+    #[test]
+    fn patched_shards_free_the_replaced_universe() {
+        let expected = UpdateOutcome { patched: 1, refrozen: 0 };
+        assert_replaced_universe_is_freed(&ServerConfig::default(), expected);
+    }
+
+    #[test]
+    fn refrozen_shards_free_the_replaced_universe() {
+        let config = ServerConfig { force_refreeze: true, ..ServerConfig::default() };
+        assert_replaced_universe_is_freed(&config, UpdateOutcome { patched: 0, refrozen: 1 });
     }
 }

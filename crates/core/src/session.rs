@@ -25,6 +25,7 @@
 //! This is the enabling layer for serving concretization as a long-lived service
 //! (sharding and an async front end ride on top of it — see the ROADMAP).
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -81,8 +82,7 @@ impl BaseDelta {
 
     /// Derive the post-delta universe: a repository with the version changes applied
     /// and a database with the install/uninstall changes applied. The inputs are
-    /// untouched; the caller owns the results (and must keep them alive as long as a
-    /// session patched onto them answers requests).
+    /// untouched; the caller owns the results.
     pub fn apply(
         &self,
         repo: &Repository,
@@ -181,8 +181,13 @@ pub struct SessionStats {
 /// [`ConcretizerSession::concretize`] calls. `&self` everywhere — the session is
 /// shareable across threads, and [`ConcretizerSession::concretize_batch`] exploits
 /// that for parallel batch concretization.
+///
+/// The session owns a copy of its repository, so it borrows nothing: `'a` is only a
+/// marker, kept so that annotations written against the borrowing session
+/// (`ConcretizerSession<'_>`) still compile. [`Concretizer::session`] returns
+/// `ConcretizerSession<'static>`.
 pub struct ConcretizerSession<'a> {
-    repo: &'a Repository,
+    repo: Repository,
     frozen: asp::FrozenControl,
     base: BaseFacts,
     base_setup: Duration,
@@ -203,14 +208,56 @@ pub struct ConcretizerSession<'a> {
     /// [`crate::SolveOptions::nogood_store`]. Results are byte-identical either
     /// way — the store only changes how fast they are found.
     store: Option<Arc<asp::SharedClauseStore>>,
+    _marker: PhantomData<&'a ()>,
 }
 
-impl<'a> ConcretizerSession<'a> {
+/// Render a `catch_unwind` payload into the human-readable panic message (the
+/// standard `&str` / `String` payloads; anything else gets a placeholder).
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        format!("panic: {s}")
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        format!("panic: {s}")
+    } else {
+        "panic: (non-string payload)".to_string()
+    }
+}
+
+impl Concretizer<'_> {
+    /// Build a multi-shot session: base facts for the whole repository are generated
+    /// and ground exactly once; the returned session answers any number of requests
+    /// (each grounding only its own spec facts) and solves batches in parallel. The
+    /// session keeps its own copy of the repository.
+    pub fn session(&self) -> Result<ConcretizerSession<'static>, ConcretizeError> {
+        let setup_start = Instant::now();
+        let mut ctl = asp::Control::new(self.solver.clone());
+        let base = crate::FactBuilder::new(self.repo, &self.site, self.database).base(&mut ctl)?;
+        let base_setup = setup_start.elapsed();
+        ctl.add_program(CONCRETIZE_LP)?;
+        ctl.add_program(ERROR_GUARD_LP)?;
+        let frozen = ctl.freeze_base()?;
+        let store = self.solver.share_nogoods.then(|| Arc::new(asp::SharedClauseStore::new()));
+        Ok(ConcretizerSession {
+            repo: self.repo.clone(),
+            frozen,
+            base,
+            base_setup,
+            requests: AtomicU64::new(0),
+            base_patches: 0,
+            full_regrounds: AtomicU64::new(0),
+            delta_ground: Mutex::default(),
+            store,
+            _marker: PhantomData,
+        })
+    }
+}
+
+impl ConcretizerSession<'_> {
     /// Patch the session's frozen base **in place** so it answers subsequent requests
     /// against the post-delta universe — a new version published, a binary pushed to
     /// the buildcache — without re-parsing the programs or re-grounding the base from
     /// scratch. `repo` and `database` are the post-delta inputs (typically from
-    /// [`BaseDelta::apply`]); the caller keeps them alive for the session's lifetime.
+    /// [`BaseDelta::apply`]); the session keeps a copy of `repo`.
     ///
     /// The base fact stream is re-emitted for the new universe and diffed against the
     /// frozen one by [`asp::FrozenControl::patch_base`]: pure additions continue the
@@ -226,8 +273,8 @@ impl<'a> ConcretizerSession<'a> {
     /// — the server's shard map does exactly that (evict-and-refreeze).
     pub fn apply_base_delta(
         &mut self,
-        repo: &'a Repository,
-        database: Option<&'a Database>,
+        repo: &Repository,
+        database: Option<&Database>,
     ) -> Result<asp::PatchStats, ConcretizeError> {
         let site = self.base.site().clone();
         let mut staged = self.frozen.request();
@@ -236,53 +283,12 @@ impl<'a> ConcretizerSession<'a> {
             .frozen
             .patch_base(staged, &[] as &[&str])
             .map_err(|e| ConcretizeError::Setup(format!("base patch failed: {e}")))?;
-        self.repo = repo;
+        self.repo = repo.clone();
         self.base = new_base;
         self.base_patches += 1;
         Ok(stats)
     }
-}
 
-/// Render a `catch_unwind` payload into the human-readable panic message (the
-/// standard `&str` / `String` payloads; anything else gets a placeholder).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else {
-        "panic: (non-string payload)".to_string()
-    }
-}
-
-impl<'a> Concretizer<'a> {
-    /// Build a multi-shot session: base facts for the whole repository are generated
-    /// and ground exactly once; the returned session answers any number of requests
-    /// (each grounding only its own spec facts) and solves batches in parallel.
-    pub fn session(&self) -> Result<ConcretizerSession<'a>, ConcretizeError> {
-        let setup_start = Instant::now();
-        let mut ctl = asp::Control::new(self.solver.clone());
-        let base = crate::FactBuilder::new(self.repo, &self.site, self.database).base(&mut ctl)?;
-        let base_setup = setup_start.elapsed();
-        ctl.add_program(CONCRETIZE_LP)?;
-        ctl.add_program(ERROR_GUARD_LP)?;
-        let frozen = ctl.freeze_base()?;
-        let store = self.solver.share_nogoods.then(|| Arc::new(asp::SharedClauseStore::new()));
-        Ok(ConcretizerSession {
-            repo: self.repo,
-            frozen,
-            base,
-            base_setup,
-            requests: AtomicU64::new(0),
-            base_patches: 0,
-            full_regrounds: AtomicU64::new(0),
-            delta_ground: Mutex::default(),
-            store,
-        })
-    }
-}
-
-impl ConcretizerSession<'_> {
     /// Concretize a single spec given as text.
     pub fn concretize_str(&self, text: &str) -> Result<Concretization, ConcretizeError> {
         let spec = parse_spec(text).map_err(|e| ConcretizeError::Setup(e.to_string()))?;
@@ -336,15 +342,15 @@ impl ConcretizerSession<'_> {
                 ctl.set_shared_store(Arc::clone(store));
             }
         }
-        let setup_info = self.base.request(self.repo, &mut ctl, roots)?;
+        let setup_info = self.base.request(&self.repo, &mut ctl, roots)?;
         // Relevance restriction: this request's view of the frozen base drops the
         // facts of every package outside its dependency closure, and everything only
         // they derive — exactly the facts a one-shot solve of these roots emits — so
         // the delta grounding (and the solve after it) is the one-shot program.
-        let (outside, _) = self.base.request_exclusions(self.repo, roots);
+        let (outside, _) = self.base.request_exclusions(&self.repo, roots);
         ctl.restrict_symbols(outside);
         let setup_time = setup_start.elapsed();
-        let result = solve_prepared(self.repo, roots, ctl, setup_info, setup_time);
+        let result = solve_prepared(&self.repo, roots, ctl, setup_info, setup_time);
         // The "base ground exactly once" accounting is derived from what actually
         // happened: a request whose grounding was not an incremental delta would be
         // a silent re-ground of the universe, and must show up in the stats —

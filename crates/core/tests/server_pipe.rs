@@ -492,3 +492,66 @@ fn solve_requests_carry_at_most_max_specs() {
     assert!(rejected.message.as_deref().unwrap_or("").contains("at most 64 specs"), "{rejected:?}");
     assert_eq!(response(&lines[1]).status, wire::SolveStatus::Ok);
 }
+
+/// Resident memory of process `pid` in MB, from `/proc/<pid>/statm` (4 KiB pages).
+#[cfg(target_os = "linux")]
+fn resident_mb(pid: u32) -> f64 {
+    let statm = std::fs::read_to_string(format!("/proc/{pid}/statm")).expect("read statm");
+    let pages: f64 = statm.split_whitespace().nth(1).expect("resident field").parse().unwrap();
+    pages * 4096.0 / 1e6
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn memory_stays_bounded_across_update_cycles() {
+    // Publish and yank zlib@2.0 over and over, with a solve after each update.
+    // Every response is read before the next request is sent, so each sample sees
+    // every update before it complete. A server that kept each update's universe
+    // would grow by its repository and buildcache copies per update (about 0.75 MB
+    // here, 75 MB over the second half); one that frees them stays flat.
+    use std::io::{BufRead, BufReader, Write};
+    const CYCLES: usize = 100;
+    const MAX_GROWTH_MB: f64 = 8.0;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_spack-solved"))
+        .args(["--pipe", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn spack-solved");
+    let mut input = child.stdin.take().expect("stdin");
+    let mut output = BufReader::new(child.stdout.take().expect("stdout"));
+    let mut ask = |line: &str| {
+        writeln!(input, "{line}").expect("write request");
+        input.flush().expect("flush request");
+        let mut reply = String::new();
+        output.read_line(&mut reply).expect("read response");
+        reply
+    };
+    let zlib_2 = "[{\"package\": \"zlib\", \"version\": \"2.0\"}]";
+    let publish =
+        format!("{{\"v\": 1, \"id\": \"p\", \"cmd\": \"update\", \"add_versions\": {zlib_2}}}");
+    let yank =
+        format!("{{\"v\": 1, \"id\": \"y\", \"cmd\": \"update\", \"remove_versions\": {zlib_2}}}");
+    let solve = "{\"v\": 1, \"id\": \"s\", \"specs\": [\"zlib@2.0\"]}";
+    // Build the shard first, so every update patches it.
+    assert_eq!(response(&ask(solve)).status, wire::SolveStatus::Unsat);
+    let mut samples = Vec::new();
+    for cycle in 1..=CYCLES {
+        assert!(ask(&publish).contains("\"shards_patched\": 1"));
+        assert_eq!(response(&ask(solve)).status, wire::SolveStatus::Ok, "cycle {cycle}");
+        assert!(ask(&yank).contains("\"shards_patched\": 1"));
+        assert_eq!(response(&ask(solve)).status, wire::SolveStatus::Unsat, "cycle {cycle}");
+        if cycle == CYCLES / 2 || cycle == CYCLES {
+            samples.push(resident_mb(child.id()));
+        }
+    }
+    drop(input);
+    assert!(child.wait().expect("wait for spack-solved").success());
+    let growth = samples[1] - samples[0];
+    assert!(
+        growth < MAX_GROWTH_MB,
+        "resident memory grew {growth:.1} MB over the last {} cycles ({samples:?} MB)",
+        CYCLES / 2
+    );
+}

@@ -104,10 +104,9 @@ fn fresh_session<'a>(
     Concretizer::new(repo).with_options(options).session().expect("fresh session build")
 }
 
-/// Drive one random delta sequence: pre-compute every universe (they must
-/// outlive the session that borrows them), then patch one session through the
-/// sequence, cross-checking renderings and digests against a fresh freeze of
-/// each post-delta universe.
+/// Drive one random delta sequence: pre-compute every universe, then patch one
+/// session through the sequence, cross-checking renderings and digests against a
+/// fresh freeze of each post-delta universe.
 fn assert_deltas_match_fresh_freezes(
     repo: Repository,
     deltas: &[(u8, usize, u8)],
