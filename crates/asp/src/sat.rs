@@ -28,6 +28,13 @@
 //!   and no unassigned counted literal could violate either bound by itself.
 //! * Conflict analysis reuses persistent buffers (`analyze_buf`, `seen`) instead of
 //!   allocating per resolution step.
+//! * A binary clause's watches carry the `BINARY` flag, and each one's blocker is
+//!   the clause's other literal. Propagating through such a watch reads only the
+//!   blocker's value: the blocker is enqueued with the clause as its reason, and the
+//!   arena is never read. The clause's orientation in the arena is written only on a
+//!   conflict, as `[other, falsified]`, right before conflict analysis reads it in
+//!   that order; a binary reason expands to one literal whatever its orientation, and
+//!   final-conflict analysis and watch rebuilds do not depend on it either.
 //!
 //! # What outlives a solver
 //!
@@ -272,10 +279,11 @@ enum Value {
 enum Reason {
     /// A decision (no reason).
     Decision,
-    /// Unit propagation from a clause.
-    Clause(usize),
-    /// Propagation from a linear constraint; the explicit reason clause is stored.
-    Stored(usize),
+    /// Unit propagation from a clause (its index in the clause arena).
+    Clause(u32),
+    /// Propagation from a linear constraint; the explicit reason clause is stored (its
+    /// index in the reason arena).
+    Stored(u32),
 }
 
 /// Result of a search.
@@ -373,11 +381,26 @@ const GUARD_SLOT: u32 = u32::MAX;
 /// A watch-list entry: the watching clause plus a *blocker* literal (some other
 /// literal of the clause, usually the second watch). If the blocker is already true
 /// the clause is satisfied and the visit costs one probe — the clause body is never
-/// touched (MiniSat's blocker optimization).
+/// touched (MiniSat's blocker optimization). A binary clause's watch has the
+/// [`BINARY`] flag set in `ci`, and its blocker is always the other literal.
 #[derive(Debug, Clone, Copy)]
 struct Watch {
     ci: u32,
     blocker: Lit,
+}
+
+/// Flag bit of [`Watch::ci`] marking a binary clause. The bit is free: every stored
+/// clause has at least two literals and the arena caps literals at `u32::MAX`, so a
+/// clause index is always below `2^31`.
+const BINARY: u32 = 1 << 31;
+
+/// Watch the first two literals of clause `ci` (each watch's blocker is the other
+/// one), flagging the watches of a binary clause.
+fn watch_clause(watches: &mut [Vec<Watch>], ci: usize, clause: &[Lit]) {
+    debug_assert!(clause.len() >= 2 && ci < BINARY as usize);
+    let ci = ci as u32 | if clause.len() == 2 { BINARY } else { 0 };
+    watches[clause[0].negate().index()].push(Watch { ci, blocker: clause[1] });
+    watches[clause[1].negate().index()].push(Watch { ci, blocker: clause[0] });
 }
 
 /// A linear constraint over literals: `lower <= sum(weight_i * lit_i) <= upper`,
@@ -546,10 +569,6 @@ impl Solver {
     /// Create a solver for `num_vars` variables.
     pub fn new(num_vars: usize, config: SatConfig) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
-        let mut heap = VarHeap::new(num_vars);
-        for v in 0..num_vars as Var {
-            heap.insert(v, 0.0);
-        }
         let max_learned = config.learned_limit.max(16);
         Solver {
             num_vars,
@@ -572,7 +591,7 @@ impl Solver {
             activity: vec![0.0; num_vars],
             var_inc: 1.0,
             phase: vec![config.default_phase; num_vars],
-            heap,
+            heap: VarHeap::new(num_vars),
             config,
             rng,
             stats: SatStats::default(),
@@ -656,9 +675,7 @@ impl Solver {
                 }
             }
             _ => {
-                let ci = self.clauses.len() as u32;
-                self.watches[filtered[0].negate().index()].push(Watch { ci, blocker: filtered[1] });
-                self.watches[filtered[1].negate().index()].push(Watch { ci, blocker: filtered[0] });
+                watch_clause(&mut self.watches, self.clauses.len(), &filtered);
                 self.clauses.push(&filtered);
                 self.clause_learned.push(false);
                 self.clause_activity.push(0.0);
@@ -721,11 +738,7 @@ impl Solver {
                     }
                 }
                 _ => {
-                    let ci = self.clauses.len() as u32;
-                    self.watches[filtered[0].negate().index()]
-                        .push(Watch { ci, blocker: filtered[1] });
-                    self.watches[filtered[1].negate().index()]
-                        .push(Watch { ci, blocker: filtered[0] });
+                    watch_clause(&mut self.watches, self.clauses.len(), &filtered);
                     self.clauses.push(&filtered);
                     self.clause_learned.push(false);
                     self.clause_activity.push(0.0);
@@ -815,7 +828,7 @@ impl Solver {
     /// search on atoms that matter, e.g. objective atoms).
     pub fn bump_variable(&mut self, v: Var, amount: f64) {
         self.activity[v as usize] += amount;
-        self.heap.update(v, self.activity[v as usize]);
+        self.heap.update(v, &self.activity);
     }
 
     /// Seed the saved phase of a variable. Used to warm-start a solver from an
@@ -951,16 +964,14 @@ impl Solver {
                 // Only assumptions are decisions below the assumption prefix.
                 Reason::Decision => core.push(x),
                 Reason::Clause(ci) => {
-                    for k in 0..self.clauses[ci].len() {
-                        let l = self.clauses[ci][k];
+                    for &l in &self.clauses[ci as usize] {
                         if l.var() as usize != v && self.level[l.var() as usize] > 0 {
                             self.seen[l.var() as usize] = true;
                         }
                     }
                 }
                 Reason::Stored(ri) => {
-                    for k in 0..self.stored_reasons[ri].len() {
-                        let l = self.stored_reasons[ri][k];
+                    for &l in &self.stored_reasons[ri as usize] {
                         if l.var() as usize != v && self.level[l.var() as usize] > 0 {
                             self.seen[l.var() as usize] = true;
                         }
@@ -1031,7 +1042,7 @@ impl Solver {
         }
         self.assignment[var] = Value::Unassigned;
         if !self.heap.contains(var as Var) {
-            self.heap.insert(var as Var, self.activity[var]);
+            self.heap.insert(var as Var, &self.activity);
         }
     }
 
@@ -1081,14 +1092,31 @@ impl Solver {
         let mut i = 0;
         while i < self.watches[watch_idx].len() {
             // Blocker probe: a satisfied clause costs one value lookup.
-            let blocker = self.watches[watch_idx][i].blocker;
-            if self.value_lit(blocker) == Value::True {
+            let Watch { ci, blocker } = self.watches[watch_idx][i];
+            let blocker_value = self.value_lit(blocker);
+            if blocker_value == Value::True {
                 i += 1;
                 continue;
             }
-            let ci = self.watches[watch_idx][i].ci as usize;
-            // The falsified literal is lit.negate(); make sure it is at position 1.
+            // The falsified literal is lit.negate().
             let false_lit = lit.negate();
+            if ci & BINARY != 0 {
+                // A binary clause is unit or conflicting on its blocker alone.
+                let ci = ci & !BINARY;
+                if blocker_value == Value::False {
+                    // Conflict analysis reads the clause in the order a long-clause
+                    // visit leaves it: the other literal first.
+                    let clause = &mut self.clauses[ci as usize];
+                    clause[0] = blocker;
+                    clause[1] = false_lit;
+                    return Some(ci as usize);
+                }
+                self.enqueue(blocker, Reason::Clause(ci));
+                i += 1;
+                continue;
+            }
+            let ci = ci as usize;
+            // Make sure the falsified literal is at position 1.
             let clause = &mut self.clauses[ci];
             if clause[0] == false_lit {
                 clause.swap(0, 1);
@@ -1121,7 +1149,7 @@ impl Solver {
                     return Some(ci);
                 }
                 Value::Unassigned => {
-                    self.enqueue(first, Reason::Clause(ci));
+                    self.enqueue(first, Reason::Clause(ci as u32));
                     i += 1;
                 }
                 Value::True => {
@@ -1228,9 +1256,11 @@ impl Solver {
         idx: usize,
         upper: bool,
         tail: impl IntoIterator<Item = Lit>,
-    ) -> usize {
+    ) -> u32 {
         let explanation = bound_explanation(&self.linears[idx], &self.assignment, upper);
-        self.stored_reasons.push_iter(explanation.chain(tail))
+        // Every stored reason holds at least one literal (the tail), and the arena caps
+        // literals at `u32::MAX`, so the index fits.
+        self.stored_reasons.push_iter(explanation.chain(tail)) as u32
     }
 
     // ---- internal: conflict analysis ---------------------------------------------------
@@ -1296,21 +1326,12 @@ impl Solver {
             match self.reason[var as usize] {
                 Reason::Decision => {}
                 Reason::Clause(ci) => {
-                    self.bump_clause(ci);
-                    for k in 0..self.clauses[ci].len() {
-                        let l = self.clauses[ci][k];
-                        if l.var() != var {
-                            expand.push(l);
-                        }
-                    }
+                    self.bump_clause(ci as usize);
+                    expand.extend(self.clauses[ci as usize].iter().filter(|l| l.var() != var));
                 }
                 Reason::Stored(ri) => {
-                    for k in 0..self.stored_reasons[ri].len() {
-                        let l = self.stored_reasons[ri][k];
-                        if l.var() != var {
-                            expand.push(l);
-                        }
-                    }
+                    let reason = &self.stored_reasons[ri as usize];
+                    expand.extend(reason.iter().filter(|l| l.var() != var));
                 }
             }
         }
@@ -1355,14 +1376,13 @@ impl Solver {
             }
         }
         clause.swap(1, max_level_pos);
-        self.watches[clause[0].negate().index()].push(Watch { ci: idx as u32, blocker: clause[1] });
-        self.watches[clause[1].negate().index()].push(Watch { ci: idx as u32, blocker: clause[0] });
+        watch_clause(&mut self.watches, idx, clause);
         let asserting = clause[0];
         self.clauses.push(clause);
         self.clause_learned.push(true);
         self.clause_activity.push(self.clause_inc);
         if self.value_lit(asserting) == Value::Unassigned {
-            self.enqueue(asserting, Reason::Clause(idx));
+            self.enqueue(asserting, Reason::Clause(idx as u32));
         }
     }
 
@@ -1380,7 +1400,7 @@ impl Solver {
         let mut locked = vec![false; self.clauses.len()];
         for &lit in &self.trail {
             if let Reason::Clause(ci) = self.reason[lit.var() as usize] {
-                locked[ci] = true;
+                locked[ci as usize] = true;
             }
         }
         // Median activity of learned clauses as the deletion threshold.
@@ -1391,7 +1411,7 @@ impl Solver {
         acts.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let threshold = acts[acts.len() / 2];
 
-        let mut remap: Vec<usize> = vec![usize::MAX; self.clauses.len()];
+        let mut remap: Vec<u32> = vec![u32::MAX; self.clauses.len()];
         let mut kept = 0usize;
         for ci in 0..self.clauses.len() {
             let deletable = self.clause_learned[ci]
@@ -1401,13 +1421,13 @@ impl Solver {
             if deletable {
                 continue;
             }
-            remap[ci] = kept;
+            remap[ci] = kept as u32;
             self.clause_learned[kept] = self.clause_learned[ci];
             self.clause_activity[kept] = self.clause_activity[ci];
             kept += 1;
         }
         self.stats.deleted += (self.clauses.len() - kept) as u64;
-        self.clauses.retain(|ci| remap[ci] != usize::MAX);
+        self.clauses.retain(|ci| remap[ci] != u32::MAX);
         self.clause_learned.truncate(kept);
         self.clause_activity.truncate(kept);
         // Grow the cap geometrically so reduction stays amortised.
@@ -1419,19 +1439,18 @@ impl Solver {
                 if self.assignment[v] == Value::Unassigned {
                     self.reason[v] = Reason::Decision;
                 } else {
-                    self.reason[v] = Reason::Clause(remap[ci]);
+                    self.reason[v] = Reason::Clause(remap[ci as usize]);
                 }
             }
         }
         // Rebuild the watch lists (positions 0/1 of every clause were watched before,
-        // and clause contents did not change, so the watch invariant is preserved).
+        // and clause contents did not change, so the watch invariant is preserved; a
+        // binary clause is watched on both literals whatever its orientation).
         for w in &mut self.watches {
             w.clear();
         }
         for (ci, c) in self.clauses.iter().enumerate() {
-            let (w0, w1) = (c[0], c[1]);
-            self.watches[w0.negate().index()].push(Watch { ci: ci as u32, blocker: w1 });
-            self.watches[w1.negate().index()].push(Watch { ci: ci as u32, blocker: w0 });
+            watch_clause(&mut self.watches, ci, c);
         }
     }
 
@@ -1443,7 +1462,7 @@ impl Solver {
             }
             self.var_inc *= 1e-100;
         }
-        self.heap.update(var, self.activity[var as usize]);
+        self.heap.update(var, &self.activity);
     }
 
     fn bump_clause(&mut self, ci: usize) {
@@ -1465,7 +1484,7 @@ impl Solver {
     }
 
     fn pick_branch_variable(&mut self) -> Option<Var> {
-        while let Some(v) = self.heap.pop() {
+        while let Some(v) = self.heap.pop(&self.activity) {
             if self.assignment[v as usize] == Value::Unassigned {
                 return Some(v);
             }
@@ -1672,95 +1691,99 @@ impl SharedClauseStore {
     }
 }
 
-/// A max-heap of variables ordered by activity, with lazy updates.
+/// A max-heap of variables ordered by the solver's activity scores, with lazy
+/// updates. The heap keeps no copy of the scores: every operation reads the solver's
+/// `activity` slice, so a rescale of all activities leaves the order valid.
 struct VarHeap {
     heap: Vec<Var>,
-    position: Vec<Option<usize>>,
-    key: Vec<f64>,
+    /// Each variable's index in `heap`, or [`VarHeap::ABSENT`].
+    position: Vec<u32>,
 }
 
 impl VarHeap {
+    /// Position of a variable that is not in the heap.
+    const ABSENT: u32 = u32::MAX;
+
+    /// A heap holding every variable of `n`, in index order: every activity starts at
+    /// zero, and index order is what inserting them one by one would give.
     fn new(n: usize) -> Self {
-        VarHeap { heap: Vec::with_capacity(n), position: vec![None; n], key: vec![0.0; n] }
+        VarHeap { heap: (0..n as Var).collect(), position: (0..n as u32).collect() }
     }
 
     fn contains(&self, v: Var) -> bool {
-        self.position[v as usize].is_some()
+        self.position[v as usize] != Self::ABSENT
     }
 
-    fn insert(&mut self, v: Var, key: f64) {
-        if self.contains(v) {
-            self.update(v, key);
-            return;
-        }
-        self.key[v as usize] = key;
-        let pos = self.heap.len();
+    fn insert(&mut self, v: Var, activity: &[f64]) {
+        debug_assert!(!self.contains(v));
         self.heap.push(v);
-        self.position[v as usize] = Some(pos);
-        self.sift_up(pos);
+        self.sift_up(self.heap.len() - 1, activity);
     }
 
-    fn update(&mut self, v: Var, key: f64) {
-        self.key[v as usize] = key;
-        if let Some(pos) = self.position[v as usize] {
-            self.sift_up(pos);
+    /// Restore the order after `v`'s activity grew.
+    fn update(&mut self, v: Var, activity: &[f64]) {
+        let pos = self.position[v as usize];
+        if pos != Self::ABSENT {
+            self.sift_up(pos as usize, activity);
         }
     }
 
-    fn pop(&mut self) -> Option<Var> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let top = self.heap[0];
-        self.position[top as usize] = None;
+    fn pop(&mut self, activity: &[f64]) -> Option<Var> {
+        let top = *self.heap.first()?;
+        self.position[top as usize] = Self::ABSENT;
         let last = self.heap.pop().unwrap();
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.position[last as usize] = Some(0);
-            self.sift_down(0);
+            self.sift_down(0, activity);
         }
         Some(top)
     }
 
-    fn sift_up(&mut self, mut pos: usize) {
+    /// Move the variable at `pos` up past every parent of lower activity, shifting
+    /// those parents down into the hole it leaves.
+    fn sift_up(&mut self, mut pos: usize, activity: &[f64]) {
+        let v = self.heap[pos];
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            if self.key[self.heap[pos] as usize] > self.key[self.heap[parent] as usize] {
-                self.swap(pos, parent);
-                pos = parent;
-            } else {
+            let p = self.heap[parent];
+            if activity[v as usize] <= activity[p as usize] {
                 break;
             }
+            self.place(pos, p);
+            pos = parent;
         }
+        self.place(pos, v);
     }
 
-    fn sift_down(&mut self, mut pos: usize) {
+    /// Move the variable at `pos` down below every child of higher activity (the
+    /// larger child first; the left one on a tie), shifting them up into the hole.
+    fn sift_down(&mut self, mut pos: usize, activity: &[f64]) {
+        let v = self.heap[pos];
+        let len = self.heap.len();
         loop {
             let left = 2 * pos + 1;
-            let right = 2 * pos + 2;
-            let mut largest = pos;
-            if left < self.heap.len()
-                && self.key[self.heap[left] as usize] > self.key[self.heap[largest] as usize]
-            {
-                largest = left;
+            let right = left + 1;
+            let mut child = pos;
+            let mut best = activity[v as usize];
+            if left < len && activity[self.heap[left] as usize] > best {
+                child = left;
+                best = activity[self.heap[left] as usize];
             }
-            if right < self.heap.len()
-                && self.key[self.heap[right] as usize] > self.key[self.heap[largest] as usize]
-            {
-                largest = right;
+            if right < len && activity[self.heap[right] as usize] > best {
+                child = right;
             }
-            if largest == pos {
+            if child == pos {
                 break;
             }
-            self.swap(pos, largest);
-            pos = largest;
+            self.place(pos, self.heap[child]);
+            pos = child;
         }
+        self.place(pos, v);
     }
 
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.position[self.heap[a] as usize] = Some(a);
-        self.position[self.heap[b] as usize] = Some(b);
+    fn place(&mut self, pos: usize, v: Var) {
+        self.heap[pos] = v;
+        self.position[v as usize] = pos as u32;
     }
 }
 
@@ -2242,6 +2265,141 @@ mod tests {
         store.fetch_into(1, &mut warm);
         let mut s = Solver::new(3, SatConfig::default());
         s.load_trusted_clauses(warm.clauses());
+    }
+
+    #[test]
+    fn heap_orders_by_activity_after_a_rescale() {
+        // Distinct activities, then one bump that crosses the rescale threshold: every
+        // activity shrinks by 1e-100 and the bumped variable now leads by far. The
+        // decision heap must pop variables in non-increasing activity order.
+        let n = 8;
+        let mut s = Solver::new(n, SatConfig::default());
+        for v in 0..n as Var {
+            s.bump_variable(v, f64::from(v));
+        }
+        s.var_inc = 2e100;
+        s.bump(3);
+        assert!(s.activity[7] < 1e-90, "the bump must rescale every activity");
+        let mut order = Vec::new();
+        while let Some(v) = s.pick_branch_variable() {
+            order.push(v);
+            s.enqueue(Lit::pos(v), Reason::Decision);
+        }
+        assert_eq!(order.len(), n);
+        assert_eq!(order[0], 3, "the bumped variable has the highest activity");
+        let activities: Vec<f64> = order.iter().map(|&v| s.activity[v as usize]).collect();
+        assert!(activities.windows(2).all(|w| w[0] >= w[1]), "{order:?}: {activities:?}");
+    }
+
+    fn random_lit(rng: &mut StdRng, n: usize) -> Lit {
+        let v = rng.gen_range(0..n) as Var;
+        if rng.gen_bool(0.5) {
+            Lit::pos(v)
+        } else {
+            Lit::neg(v)
+        }
+    }
+
+    /// A random CNF over `n` variables, mostly binary clauses (the shape of Clark
+    /// completion), with some ternary clauses and units.
+    fn random_binary_heavy_cnf(rng: &mut StdRng, n: usize) -> Vec<Vec<Lit>> {
+        let clauses = rng.gen_range(n..3 * n + 1);
+        (0..clauses)
+            .map(|_| {
+                let len = match rng.gen_range(0..20) {
+                    0 => 1,
+                    1..=6 => 3,
+                    _ => 2,
+                };
+                (0..len).map(|_| random_lit(rng, n)).collect()
+            })
+            .collect()
+    }
+
+    /// The number of assignments of `n` variables that satisfy every clause and every
+    /// unit.
+    fn brute_force_models(n: usize, clauses: &[Vec<Lit>], units: &[Lit]) -> usize {
+        let holds = |bits: u32, l: &Lit| (bits >> l.var() & 1 == 1) == l.is_pos();
+        (0..1u32 << n)
+            .filter(|&bits| {
+                units.iter().all(|l| holds(bits, l))
+                    && clauses.iter().all(|c| c.iter().any(|l| holds(bits, l)))
+            })
+            .count()
+    }
+
+    /// Check the solver against exhaustive enumeration on random binary-heavy
+    /// formulas: the verdict and model of plain searches and of searches under random
+    /// assumptions, the unsat core of every failed one, and finally the number of
+    /// models found by blocking each model until the formula is refuted. Returns the
+    /// number of learned clauses the reduction policy deleted over all instances.
+    fn check_against_brute_force(config: &SatConfig, seed: u64) -> u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut deleted = 0;
+        for _ in 0..300 {
+            let n = rng.gen_range(1..13);
+            let clauses = random_binary_heavy_cnf(&mut rng, n);
+            let models = brute_force_models(n, &clauses, &[]);
+            let mut s = Solver::new(n, config.clone());
+            let added = clauses.iter().all(|c| s.add_clause(c));
+            assert!(added || models == 0, "a satisfiable formula was refuted while loading");
+            for round in 0..8 {
+                let k = if round == 0 { 0 } else { rng.gen_range(1..5) };
+                let assumptions: Vec<Lit> = (0..k).map(|_| random_lit(&mut rng, n)).collect();
+                let expected = brute_force_models(n, &clauses, &assumptions) > 0;
+                match s.search_with_assumptions(&assumptions) {
+                    SearchResult::Sat => {
+                        assert!(expected, "SAT claimed for an unsatisfiable case: {clauses:?}");
+                        let m = s.model();
+                        let holds = |l: &Lit| m[l.var() as usize] == l.is_pos();
+                        assert!(clauses.iter().all(|c| c.iter().any(holds)), "bad model");
+                        assert!(assumptions.iter().all(holds), "model breaks an assumption");
+                    }
+                    SearchResult::Unsat => {
+                        assert!(!expected, "UNSAT claimed for a satisfiable case: {clauses:?}");
+                        let core = s.failed_assumptions();
+                        assert!(core.iter().all(|l| assumptions.contains(l)), "{core:?}");
+                        assert_eq!(brute_force_models(n, &clauses, core), 0, "SAT core {core:?}");
+                    }
+                    SearchResult::Interrupted => unreachable!("no solve budget installed"),
+                }
+            }
+            // Enumerate: every model satisfies the formula, and blocking each one in
+            // turn finds exactly as many as there are.
+            let mut found = 0;
+            while s.search() == SearchResult::Sat {
+                found += 1;
+                assert!(found <= models, "more models than exist: {clauses:?}");
+                let m = s.model();
+                assert!(clauses
+                    .iter()
+                    .all(|c| c.iter().any(|l| m[l.var() as usize] == l.is_pos())));
+                let blocking: Vec<Lit> = (0..n as Var)
+                    .map(|v| if m[v as usize] { Lit::neg(v) } else { Lit::pos(v) })
+                    .collect();
+                if !s.add_blocking_clause(&blocking) {
+                    break;
+                }
+            }
+            assert_eq!(found, models, "models enumerated vs brute force: {clauses:?}");
+            deleted += s.stats.deleted;
+        }
+        deleted
+    }
+
+    #[test]
+    fn binary_heavy_formulas_agree_with_brute_force() {
+        check_against_brute_force(&SatConfig::default(), 11);
+    }
+
+    #[test]
+    fn binary_heavy_formulas_agree_with_brute_force_under_reduction() {
+        // A learned-clause cap of 1 (floored at 16) and a restart after every conflict
+        // make `reduce_learned` compact the arena and rebuild the binary watches in
+        // the middle of a search, once enumeration has piled up learned clauses.
+        let config = SatConfig { learned_limit: 1, restart_base: 1, ..SatConfig::default() };
+        let deleted = check_against_brute_force(&config, 12);
+        assert!(deleted > 0, "the reduction policy must have fired");
     }
 
     #[test]
