@@ -663,7 +663,7 @@ fn build_solver(
     let mut solver = Solver::new(translation.num_vars, config.clone());
     solver.set_budget(budget.cloned());
     let (stored, cached) = (&translation.clauses, nogoods.clauses());
-    solver.reserve_clauses(stored.len() + cached.len(), stored.num_lits() + cached.num_lits());
+    solver.reserve_clauses(&[stored, cached]);
     // The translation (canonicalized once in `translate`) and every clause cache
     // (canonicalized on insert) both honour the trusted contract, so every rebuild
     // ingests them on the validation-free bulk path instead of re-sorting and

@@ -36,6 +36,27 @@
 //!   that order; a binary reason expands to one literal whatever its orientation, and
 //!   final-conflict analysis and watch rebuilds do not depend on it either.
 //!
+//! # Memory layout
+//!
+//! A solver's lists are flat, like its clauses. The clauses live back to back in a
+//! [`ClauseArena`]; the watch lists (two per variable) share one buffer, and so do the
+//! linear occurrences (one list per variable). Each list owns a segment of its
+//! buffer: its entries, then room for more. Building a solver over tens of
+//! thousands of variables therefore makes a handful of allocations instead of one
+//! or two per list, and dropping it frees them at once.
+//!
+//! * Before a bulk load, the watch lists are laid out once, in literal order, each
+//!   with room for every loaded clause that could come to watch it.
+//! * A push into a full list grows it in place when its segment ends the buffer,
+//!   and otherwise moves it to the end of the buffer with doubled room. The segment
+//!   it leaves is dead space. Because room doubles, the segments a list has left
+//!   behind hold less than its current room, so dead space stays below half the
+//!   buffer without a compaction pass; the next layout drops it.
+//! * Relocation and layout copy a list's entries in order, and a push or removal
+//!   changes a list exactly as `Vec::push` and `Vec::swap_remove` would. Watch lists
+//!   are visited in that order, so the flat layout visits clauses, propagates,
+//!   conflicts and learns exactly as a vector per list did.
+//!
 //! # What outlives a solver
 //!
 //! Learned clauses live and die with their solver: they may rest on per-solve units
@@ -369,7 +390,7 @@ enum Conflict {
 /// One occurrence of a variable inside a linear constraint: the constraint index plus
 /// the slot of the counted literal (or [`GUARD_SLOT`] for the guard/condition literal,
 /// which participates in propagation wake-up but not in the counters).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct LinOcc {
     idx: u32,
     slot: u32,
@@ -389,6 +410,13 @@ struct Watch {
     blocker: Lit,
 }
 
+/// The filler of a [`Lists`] buffer's unused room; never read as a watch.
+impl Default for Watch {
+    fn default() -> Self {
+        Watch { ci: 0, blocker: Lit(0) }
+    }
+}
+
 /// Flag bit of [`Watch::ci`] marking a binary clause. The bit is free: every stored
 /// clause has at least two literals and the arena caps literals at `u32::MAX`, so a
 /// clause index is always below `2^31`.
@@ -396,11 +424,128 @@ const BINARY: u32 = 1 << 31;
 
 /// Watch the first two literals of clause `ci` (each watch's blocker is the other
 /// one), flagging the watches of a binary clause.
-fn watch_clause(watches: &mut [Vec<Watch>], ci: usize, clause: &[Lit]) {
+fn watch_clause(watches: &mut Lists<Watch>, ci: usize, clause: &[Lit]) {
     debug_assert!(clause.len() >= 2 && ci < BINARY as usize);
     let ci = ci as u32 | if clause.len() == 2 { BINARY } else { 0 };
-    watches[clause[0].negate().index()].push(Watch { ci, blocker: clause[1] });
-    watches[clause[1].negate().index()].push(Watch { ci, blocker: clause[0] });
+    watches.push(clause[0].negate().index(), Watch { ci, blocker: clause[1] });
+    watches.push(clause[1].negate().index(), Watch { ci, blocker: clause[0] });
+}
+
+/// Many short lists in one flat buffer (see "Memory layout" in the module docs).
+/// Each list owns a segment of the buffer: `len` entries followed by room for
+/// `cap - len` more. Buffer slots outside every segment are dead space, left behind
+/// by relocated lists; it stays below half the buffer because room doubles.
+#[derive(Debug)]
+struct Lists<T> {
+    data: Vec<T>,
+    segs: Vec<Segment>,
+}
+
+/// Where one list of a [`Lists`] lives in its buffer.
+#[derive(Debug, Clone, Copy, Default)]
+struct Segment {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl<T: Copy + Default> Lists<T> {
+    /// Room a list gets on its first push when it has none.
+    const MIN_ROOM: usize = 4;
+
+    /// `lists` empty lists, with no buffer yet.
+    fn new(lists: usize) -> Self {
+        Lists { data: Vec::new(), segs: vec![Segment::default(); lists] }
+    }
+
+    fn len(&self, list: usize) -> usize {
+        self.segs[list].len as usize
+    }
+
+    fn slice(&self, list: usize) -> &[T] {
+        let Segment { start, len, .. } = self.segs[list];
+        &self.data[start as usize..(start + len) as usize]
+    }
+
+    fn slice_mut(&mut self, list: usize) -> &mut [T] {
+        let Segment { start, len, .. } = self.segs[list];
+        &mut self.data[start as usize..(start + len) as usize]
+    }
+
+    fn get(&self, list: usize, i: usize) -> T {
+        self.slice(list)[i]
+    }
+
+    fn set(&mut self, list: usize, i: usize, value: T) {
+        self.slice_mut(list)[i] = value;
+    }
+
+    fn push(&mut self, list: usize, value: T) {
+        if self.segs[list].len == self.segs[list].cap {
+            self.grow(list);
+        }
+        let seg = &mut self.segs[list];
+        self.data[(seg.start + seg.len) as usize] = value;
+        seg.len += 1;
+    }
+
+    /// Remove entry `i` of `list`, moving the list's last entry into its place.
+    fn swap_remove(&mut self, list: usize, i: usize) -> T {
+        let entries = self.slice_mut(list);
+        let removed = entries[i];
+        entries[i] = entries[entries.len() - 1];
+        self.segs[list].len -= 1;
+        removed
+    }
+
+    /// Empty every list, keeping its room.
+    fn clear_all(&mut self) {
+        for seg in &mut self.segs {
+            seg.len = 0;
+        }
+    }
+
+    /// Double the room of a full list: in place when its segment ends the buffer,
+    /// else by moving it to the end of the buffer, leaving its old segment dead.
+    fn grow(&mut self, list: usize) {
+        let Segment { start, len, cap } = self.segs[list];
+        let (start, len, cap) = (start as usize, len as usize, cap as usize);
+        let new_cap = (2 * cap).max(Self::MIN_ROOM);
+        if start + cap == self.data.len() {
+            self.resize(start + new_cap);
+        } else {
+            let new_start = self.data.len();
+            self.resize(new_start + new_cap);
+            self.data.copy_within(start..start + len, new_start);
+            self.segs[list].start = new_start as u32;
+        }
+        self.segs[list].cap = new_cap as u32;
+    }
+
+    fn resize(&mut self, len: usize) {
+        assert!(len < u32::MAX as usize, "flat list buffer reaches u32::MAX entries");
+        self.data.resize(len, T::default());
+    }
+
+    /// Copy every list into a fresh buffer in list order, each keeping its room and
+    /// getting room for at least `room(list)` entries beyond its length; the new
+    /// buffer has no dead space.
+    fn lay_out(&mut self, room: impl Fn(usize) -> usize) {
+        let cap =
+            |(list, seg): (usize, &Segment)| (seg.cap as usize).max(seg.len as usize + room(list));
+        let total: usize = self.segs.iter().enumerate().map(cap).sum();
+        assert!(total < u32::MAX as usize, "flat list buffer reaches u32::MAX entries");
+        let mut data = Vec::with_capacity(total);
+        for (list, seg) in self.segs.iter_mut().enumerate() {
+            let new_cap = cap((list, seg));
+            let start = data.len();
+            data.extend_from_slice(&self.data[seg.start as usize..(seg.start + seg.len) as usize]);
+            data.resize(start + new_cap, T::default());
+            seg.start = start as u32;
+            seg.cap = new_cap as u32;
+        }
+        self.data = data;
+    }
 }
 
 /// A linear constraint over literals: `lower <= sum(weight_i * lit_i) <= upper`,
@@ -522,10 +667,10 @@ pub struct Solver {
     /// Live learned-clause cap; grows geometrically after each reduction.
     max_learned: usize,
     /// Watch lists: for each literal index, the watching clauses (with blockers).
-    watches: Vec<Vec<Watch>>,
+    watches: Lists<Watch>,
     linears: Vec<Linear>,
     /// For each variable, its occurrences in linear constraints (constraint + slot).
-    linear_occ: Vec<Vec<LinOcc>>,
+    linear_occ: Lists<LinOcc>,
     assignment: Vec<Value>,
     level: Vec<u32>,
     reason: Vec<Reason>,
@@ -569,17 +714,16 @@ impl Solver {
     /// Create a solver for `num_vars` variables.
     pub fn new(num_vars: usize, config: SatConfig) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
-        let max_learned = config.learned_limit.max(16);
         Solver {
             num_vars,
             clauses: ClauseArena::new(),
             clause_learned: Vec::new(),
             clause_activity: Vec::new(),
             clause_inc: 1.0,
-            max_learned,
-            watches: vec![Vec::new(); num_vars * 2],
+            max_learned: config.learned_limit,
+            watches: Lists::new(num_vars * 2),
             linears: Vec::new(),
-            linear_occ: vec![Vec::new(); num_vars],
+            linear_occ: Lists::new(num_vars),
             assignment: vec![Value::Unassigned; num_vars],
             level: vec![0; num_vars],
             reason: vec![Reason::Decision; num_vars],
@@ -748,12 +892,25 @@ impl Solver {
         true
     }
 
-    /// Reserve room for `clauses` more stored clauses holding `lits` more literals
-    /// (an upper bound for a bulk load: level-0 simplification only shrinks clauses).
-    pub(crate) fn reserve_clauses(&mut self, clauses: usize, lits: usize) {
+    /// Make room for a bulk load of the clauses of `arenas`: in the clause arena, and
+    /// in every watch list, which is laid out once with room for each loaded clause
+    /// that could come to watch it. A clause of two or more literals containing `l`
+    /// can put a watch in the list of `¬l` only (level-0 simplification drops
+    /// literals, and a search moves watches within the clause), so the occurrences
+    /// of `¬l` over such clauses bound the list of `l`.
+    pub(crate) fn reserve_clauses(&mut self, arenas: &[&ClauseArena]) {
+        let clauses: usize = arenas.iter().map(|a| a.len()).sum();
+        let lits: usize = arenas.iter().map(|a| a.num_lits()).sum();
         self.clauses.reserve(clauses, lits);
         self.clause_learned.reserve(clauses);
         self.clause_activity.reserve(clauses);
+        let mut room = vec![0u32; 2 * self.num_vars];
+        for clause in arenas.iter().flat_map(|a| a.iter()).filter(|c| c.len() >= 2) {
+            for &l in clause {
+                room[l.negate().index()] += 1;
+            }
+        }
+        self.watches.lay_out(|list| room[list] as usize);
     }
 
     /// The [`Solver::load_trusted_clauses`] contract check (debug builds only).
@@ -769,10 +926,10 @@ impl Solver {
         let total: u64 = spec.weights.iter().sum();
         let idx = self.linears.len() as u32;
         for (slot, &l) in spec.lits.iter().enumerate() {
-            self.linear_occ[l.var() as usize].push(LinOcc { idx, slot: slot as u32 });
+            self.linear_occ.push(l.var() as usize, LinOcc { idx, slot: slot as u32 });
         }
         if let Some(c) = spec.condition {
-            self.linear_occ[c.var() as usize].push(LinOcc { idx, slot: GUARD_SLOT });
+            self.linear_occ.push(c.var() as usize, LinOcc { idx, slot: GUARD_SLOT });
         }
         let wmax = spec.weights.iter().copied().max().unwrap_or(0);
         let mut lin = Linear {
@@ -1008,8 +1165,7 @@ impl Solver {
         self.stats.propagations += 1;
         // Update linear-constraint counters incrementally: each occurrence names the
         // exact slot of this variable's literal, so no literal list is scanned.
-        for k in 0..self.linear_occ[var].len() {
-            let occ = self.linear_occ[var][k];
+        for occ in self.linear_occ.slice(var) {
             if occ.slot == GUARD_SLOT {
                 continue;
             }
@@ -1026,8 +1182,7 @@ impl Solver {
 
     fn unassign(&mut self, lit: Lit) {
         let var = lit.var() as usize;
-        for k in 0..self.linear_occ[var].len() {
-            let occ = self.linear_occ[var][k];
+        for occ in self.linear_occ.slice(var) {
             if occ.slot == GUARD_SLOT {
                 continue;
             }
@@ -1077,8 +1232,8 @@ impl Solver {
             }
             // Linear constraints containing this variable.
             let var = lit.var() as usize;
-            for k in 0..self.linear_occ[var].len() {
-                let occ = self.linear_occ[var][k];
+            for k in 0..self.linear_occ.len(var) {
+                let occ = self.linear_occ.get(var, k);
                 if let Some(confl) = self.propagate_linear(occ.idx as usize) {
                     return Some(Conflict::Lits(confl));
                 }
@@ -1090,9 +1245,9 @@ impl Solver {
     fn propagate_clauses(&mut self, lit: Lit) -> Option<usize> {
         let watch_idx = lit.index();
         let mut i = 0;
-        while i < self.watches[watch_idx].len() {
+        while i < self.watches.len(watch_idx) {
             // Blocker probe: a satisfied clause costs one value lookup.
-            let Watch { ci, blocker } = self.watches[watch_idx][i];
+            let Watch { ci, blocker } = self.watches.get(watch_idx, i);
             let blocker_value = self.value_lit(blocker);
             if blocker_value == Value::True {
                 i += 1;
@@ -1125,7 +1280,7 @@ impl Solver {
             // blocker for the next visit.
             let first = clause[0];
             if lit_value(&self.assignment, first) == Value::True {
-                self.watches[watch_idx][i].blocker = first;
+                self.watches.set(watch_idx, i, Watch { ci: ci as u32, blocker: first });
                 i += 1;
                 continue;
             }
@@ -1139,8 +1294,8 @@ impl Solver {
                 }
             }
             if let Some(w) = new_watch {
-                self.watches[w].push(Watch { ci: ci as u32, blocker: first });
-                self.watches[watch_idx].swap_remove(i);
+                self.watches.push(w, Watch { ci: ci as u32, blocker: first });
+                self.watches.swap_remove(watch_idx, i);
                 continue;
             }
             // Clause is unit or conflicting.
@@ -1446,9 +1601,7 @@ impl Solver {
         // Rebuild the watch lists (positions 0/1 of every clause were watched before,
         // and clause contents did not change, so the watch invariant is preserved; a
         // binary clause is watched on both literals whatever its orientation).
-        for w in &mut self.watches {
-            w.clear();
-        }
+        self.watches.clear_all();
         for (ci, c) in self.clauses.iter().enumerate() {
             watch_clause(&mut self.watches, ci, c);
         }
@@ -2117,6 +2270,84 @@ mod tests {
         assert_eq!(arena.iter().collect::<Vec<_>>(), [&[lit(1), lit(3)][..]]);
     }
 
+    /// Buffer slots of `lists` that no segment owns.
+    fn dead_space(lists: &Lists<u32>) -> usize {
+        lists.data.len() - lists.segs.iter().map(|s| s.cap as usize).sum::<usize>()
+    }
+
+    /// Check `lists` against a `Vec` per list: every list's entries in order,
+    /// segments disjoint and inside the buffer, and dead space at most half of it.
+    fn assert_lists_match(lists: &Lists<u32>, oracle: &[Vec<u32>]) {
+        for (list, entries) in oracle.iter().enumerate() {
+            assert_eq!(lists.slice(list), &entries[..], "entries of list {list}");
+        }
+        let mut owned: Vec<(u32, u32)> =
+            lists.segs.iter().filter(|s| s.cap > 0).map(|s| (s.start, s.start + s.cap)).collect();
+        owned.sort_unstable();
+        assert!(owned.windows(2).all(|w| w[0].1 <= w[1].0), "segments overlap: {owned:?}");
+        assert!(owned.last().is_none_or(|&(_, end)| end as usize <= lists.data.len()));
+        let dead = dead_space(lists);
+        assert!(dead <= lists.data.len() / 2, "dead space {dead} of {}", lists.data.len());
+    }
+
+    #[test]
+    fn flat_lists_match_a_vec_per_list() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let (mut relocations, mut compactions) = (0, 0);
+        for _ in 0..60 {
+            let n = rng.gen_range(1..9);
+            let mut lists = Lists::<u32>::new(n);
+            let mut oracle: Vec<Vec<u32>> = vec![Vec::new(); n];
+            for step in 0..400u32 {
+                let list = rng.gen_range(0..n);
+                let dead = dead_space(&lists);
+                let len = oracle[list].len();
+                match rng.gen_range(0..100) {
+                    0..=59 => {
+                        lists.push(list, step);
+                        oracle[list].push(step);
+                        relocations += usize::from(dead_space(&lists) > dead);
+                    }
+                    60..=79 if len > 0 => {
+                        let i = rng.gen_range(0..len);
+                        assert_eq!(lists.swap_remove(list, i), oracle[list].swap_remove(i));
+                    }
+                    80..=94 if len > 0 => {
+                        let i = rng.gen_range(0..len);
+                        lists.set(list, i, step);
+                        oracle[list][i] = step;
+                        assert_eq!(lists.get(list, i), step);
+                    }
+                    95..=96 => {
+                        lists.clear_all();
+                        oracle.iter_mut().for_each(Vec::clear);
+                    }
+                    97..=99 => {
+                        // Pre-sized layout: a compaction in list order that gives
+                        // every list its room at once; filling that room relocates
+                        // nothing.
+                        let room: Vec<usize> = (0..n).map(|_| rng.gen_range(0..6)).collect();
+                        compactions += usize::from(dead > 0);
+                        lists.lay_out(|l| room[l]);
+                        assert_eq!(dead_space(&lists), 0);
+                        assert_lists_match(&lists, &oracle);
+                        let buffer = lists.data.len();
+                        for (l, &r) in room.iter().enumerate() {
+                            for k in 0..r as u32 {
+                                lists.push(l, step + k);
+                                oracle[l].push(step + k);
+                            }
+                        }
+                        assert_eq!(lists.data.len(), buffer, "the room fell short");
+                    }
+                    _ => {}
+                }
+                assert_lists_match(&lists, &oracle);
+            }
+        }
+        assert!(relocations > 0 && compactions > 0, "{relocations} relocations, {compactions}");
+    }
+
     #[test]
     fn clause_cache_deduplicates() {
         let mut cache = ClauseCache::default();
@@ -2394,9 +2625,9 @@ mod tests {
 
     #[test]
     fn binary_heavy_formulas_agree_with_brute_force_under_reduction() {
-        // A learned-clause cap of 1 (floored at 16) and a restart after every conflict
-        // make `reduce_learned` compact the arena and rebuild the binary watches in
-        // the middle of a search, once enumeration has piled up learned clauses.
+        // A learned-clause cap of 1 and a restart after every conflict make
+        // `reduce_learned` compact the arena, clear every watch list and rebuild the
+        // binary watches in the middle of a search, from the first restarts on.
         let config = SatConfig { learned_limit: 1, restart_base: 1, ..SatConfig::default() };
         let deleted = check_against_brute_force(&config, 12);
         assert!(deleted > 0, "the reduction policy must have fired");

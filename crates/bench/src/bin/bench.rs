@@ -431,7 +431,7 @@ fn main() -> std::process::ExitCode {
                             ("minimized_core", stats.minimized_core_size as u64),
                             ("minimize_rounds", stats.minimization_rounds),
                             ("diagnostics", diagnostics.len() as u64),
-                            ("warm_clauses", stats.warm_clauses),
+                            ("warm_clauses", stats.solver.warm_clauses),
                         ],
                     )
                 }

@@ -243,7 +243,7 @@ fn cmd_spec(args: &[String]) -> ExitCode {
 /// most severe diagnostic is shown (plus a pointer to the flag); with it, every
 /// diagnostic and the implicated root requirements are printed. `--stats` adds the
 /// cost of producing the explanation (unsat-core size, deletion-minimization rounds,
-/// second-phase solve time).
+/// second-phase solve time) and the solver counters summed over its three solves.
 fn print_unsat_report(
     options: &SpecOptions,
     diagnostics: &[spack_concretizer::Diagnostic],
@@ -296,6 +296,9 @@ fn print_unsat_report(
             stats.phases.setup, stats.phases.load, stats.phases.ground, stats.phases.solve
         );
         eprintln!("  second-phase grounding: {:.1?}", stats.second_phase_ground);
+        for line in sat_lines(&stats.solver) {
+            eprintln!("{line}");
+        }
     }
 }
 
@@ -319,18 +322,28 @@ fn print_stats(result: &spack_concretizer::Concretization) {
         "            {} fixpoint rounds (phase1 {:.1?}, phase2 {:.1?})",
         g.rounds, g.phase1, g.phase2
     );
-    println!(
-        "  sat:      {} vars, {} clauses | {} solver runs, {} models examined, {} loop nogoods",
-        s.variables, s.clauses, s.solver_runs, s.models_examined, s.loop_nogoods
-    );
-    println!(
-        "            {} decisions, {} propagations, {} conflicts, {} restarts, {} learned ({} deleted)",
-        s.decisions, s.propagations, s.conflicts, s.restarts, s.learned, s.deleted
-    );
-    println!(
-        "            core-probe warm loop nogoods {}, transferred {}",
-        s.warm_clauses, s.transferred_clauses
-    );
+    for line in sat_lines(s) {
+        println!("{line}");
+    }
+}
+
+/// The `sat:` lines of `--stats`: the translation's size and the CDCL counters
+/// summed over every solver run.
+fn sat_lines(s: &asp::Stats) -> [String; 3] {
+    [
+        format!(
+            "  sat:      {} vars, {} clauses | {} solver runs, {} models examined, {} loop nogoods",
+            s.variables, s.clauses, s.solver_runs, s.models_examined, s.loop_nogoods
+        ),
+        format!(
+            "            {} decisions, {} propagations, {} conflicts, {} restarts, {} learned ({} deleted)",
+            s.decisions, s.propagations, s.conflicts, s.restarts, s.learned, s.deleted
+        ),
+        format!(
+            "            core-probe warm loop nogoods {}, transferred {}",
+            s.warm_clauses, s.transferred_clauses
+        ),
+    ]
 }
 
 /// `spack-solve batch <file>`: one request per line, answered on a single multi-shot

@@ -87,18 +87,16 @@ pub struct DiagnosticsStats {
     /// Grounding time attributable to the second phase alone. Zero since the fold:
     /// the relaxed solve reuses the normal solve's ground program.
     pub second_phase_ground: Duration,
-    /// Loop nogoods the core-minimization probe replayed from the session clause
-    /// cache ([`asp::Stats::warm_clauses`]). Zero when the probe adopted the failed hard
-    /// solve's retired solver, which already holds everything that solve learned.
-    /// The relaxed solve replays nothing: like every solve, it starts cold.
-    pub warm_clauses: u64,
-    /// Was the (single) grounding behind both solves an incremental delta on a frozen
-    /// session base? Mirrors [`asp::ground::GroundStats::delta`] so session
-    /// accounting can detect a silent full re-ground on the unsatisfiable path too.
-    pub ground_delta: bool,
-    /// Where that delta grounding spent its time ([`asp::ground::GroundStats::split`]),
-    /// for the session's summed per-stage accounting.
-    pub ground_split: asp::ground::DeltaSplit,
+    /// The engine statistics of the whole failed concretization: its (single)
+    /// grounding, and the solver counters summed over the failed hard solve, the
+    /// core-minimization probe and the relaxed solve. Among them:
+    /// - [`asp::Stats::warm_clauses`]: the loop nogoods the probe replayed from the
+    ///   session clause cache (zero when it adopted the failed hard solve's retired
+    ///   solver; the relaxed solve starts cold and replays nothing);
+    /// - [`asp::ground::GroundStats::delta`]: was the grounding an incremental delta
+    ///   on a frozen session base, so session accounting can detect a silent full
+    ///   re-ground on the unsatisfiable path too.
+    pub solver: asp::Stats,
 }
 
 fn arg_str(args: &[Value], i: usize) -> String {

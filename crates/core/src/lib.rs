@@ -531,8 +531,8 @@ fn build_concretization(
 /// and re-solve (errors minimized instead of forbidden — no second setup, no
 /// second grounding), and render both into [`Diagnostic`]s. The core minimization
 /// adopts the failed hard solve's retired solver, or warm-starts a fresh probe from
-/// the control's session clause cache ([`DiagnosticsStats::warm_clauses`] reports how
-/// many loop nogoods it replayed). The relaxed solve starts cold, like every solve, so its
+/// the control's session clause cache (`warm_clauses` of [`DiagnosticsStats::solver`]
+/// reports how many loop nogoods it replayed). The relaxed solve starts cold, like every solve, so its
 /// explanation never depends on what the hard solve happened to learn.
 fn explain_unsat(
     roots: &[Spec],
@@ -613,9 +613,7 @@ fn explain_unsat(
                 solve: stats.solve_time,
             },
             second_phase_ground: stats.ground_time.saturating_sub(ground_before),
-            warm_clauses: stats.warm_clauses,
-            ground_delta: stats.ground.delta,
-            ground_split: stats.ground.split,
+            solver: stats.clone(),
         },
         roots,
     )

@@ -354,11 +354,11 @@ impl ConcretizerSession<'_> {
         // The "base ground exactly once" accounting is derived from what actually
         // happened: a request whose grounding was not an incremental delta would be
         // a silent re-ground of the universe, and must show up in the stats —
-        // on the unsatisfiable path too (DiagnosticsStats mirrors the delta flag).
+        // on the unsatisfiable path too (DiagnosticsStats carries the control's stats).
         let (was_delta, split) = match &result {
             Ok(c) => (c.stats.ground.delta, c.stats.ground.split),
             Err(ConcretizeError::Unsatisfiable { stats, .. }) => {
-                (stats.ground_delta, stats.ground_split)
+                (stats.solver.ground.delta, stats.solver.ground.split)
             }
             Err(ConcretizeError::Budget { stats, .. }) => (stats.ground.delta, stats.ground.split),
             // Failed before grounding: nothing was re-ground.
