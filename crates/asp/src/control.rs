@@ -1209,10 +1209,11 @@ impl Control {
             if !model[id as usize] {
                 continue;
             }
-            let pred = self.symbols.name(atom.pred).to_string();
+            let pred = self.symbols.name(atom.pred);
             if pred.starts_with("__") {
                 continue; // internal auxiliary atoms
             }
+            let pred = pred.to_string();
             let args = atom
                 .args
                 .iter()

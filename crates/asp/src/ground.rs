@@ -48,6 +48,23 @@
 //!   ranked once per freeze ([`BaseProgram`]), so a request groups its conditions by
 //!   sorting integers. The auxiliary `__opt_tuple` atoms, made after the last join,
 //!   are never indexed, in one-shot groundings too.
+//!
+//! # Memory layout
+//!
+//! A ground program is flat, like a solver's clauses. [`GroundProgram::rules`] is a
+//! [`Rules`]: every rule's positive and negative body lie back to back in one
+//! `Vec<AtomId>`, and each rule is a fixed-size row of its head (a sentinel for a
+//! constraint), where its body starts and the two lengths. [`Choices`] does the same
+//! for choice rules, with the heads first and the bounds in the row. Readers get
+//! [`GroundRule`] and [`GroundChoice`] views whose bodies are slices of that buffer.
+//!
+//! * Emitting a rule (a simplified instance, a frozen record re-simplified for a
+//!   session request, a minimize auxiliary rule) appends to the buffer and allocates
+//!   nothing of its own, and the deduplication index compares against the buffer.
+//! * A grounding of thousands of rules therefore makes a handful of allocations for
+//!   them, and dropping it frees them at once.
+//! * [`crate::translate`] keys shared bodies by these slices, so translation copies
+//!   no body either.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -107,22 +124,231 @@ impl std::fmt::Display for GroundError {
 
 impl std::error::Error for GroundError {}
 
-/// A ground normal rule or integrity constraint.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct GroundRule {
+/// A ground normal rule or integrity constraint: a view of one row of [`Rules`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct GroundRule<'a> {
     /// Head atom; `None` for integrity constraints.
     pub head: Option<AtomId>,
     /// Positive body atoms.
-    pub pos: Vec<AtomId>,
+    pub pos: &'a [AtomId],
     /// Negative body atoms (`not a`).
-    pub neg: Vec<AtomId>,
+    pub neg: &'a [AtomId],
+}
+
+/// A ground choice rule with optional cardinality bounds: a view of one row of
+/// [`Choices`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroundChoice<'a> {
+    /// The choosable head atoms.
+    pub heads: &'a [AtomId],
+    /// Lower cardinality bound.
+    pub lower: Option<i64>,
+    /// Upper cardinality bound.
+    pub upper: Option<i64>,
+    /// Positive body atoms.
+    pub pos: &'a [AtomId],
+    /// Negative body atoms.
+    pub neg: &'a [AtomId],
+}
+
+/// The head of a constraint's row in [`Rules`]: no atom.
+const NO_HEAD: AtomId = AtomId::MAX;
+
+/// Append `parts` to a body buffer; returns where they start. The buffer is indexed
+/// by `u32`, so it must stay below `u32::MAX` atoms.
+fn push_body<const N: usize>(atoms: &mut Vec<AtomId>, parts: [&[AtomId]; N]) -> u32 {
+    let start = atoms.len();
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    assert!(start + len < u32::MAX as usize, "ground program body buffer overflows u32");
+    for part in parts {
+        atoms.extend_from_slice(part);
+    }
+    start as u32
+}
+
+/// One rule of [`Rules`]: its head ([`NO_HEAD`] for a constraint) and where its
+/// positive body, then its negative body, lie in the shared buffer.
+#[derive(Debug, Clone, Copy)]
+struct RuleRow {
+    head: AtomId,
+    start: u32,
+    npos: u32,
+    nneg: u32,
+}
+
+/// The ground rules and integrity constraints of a program, in emission order. Every
+/// body lives in one buffer, so a program makes a few allocations however many rules
+/// it holds; [`Rules::get`] and iteration hand out [`GroundRule`] views into it.
+#[derive(Debug, Clone, Default)]
+pub struct Rules {
+    atoms: Vec<AtomId>,
+    rows: Vec<RuleRow>,
+}
+
+impl Rules {
+    /// Number of rules.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when there are no rules.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rule at index `i`. Panics when `i` is out of bounds.
+    pub fn get(&self, i: usize) -> GroundRule<'_> {
+        self.view(&self.rows[i])
+    }
+
+    /// The rules in emission order.
+    pub fn iter(&self) -> RulesIter<'_> {
+        RulesIter { rules: self, rows: self.rows.iter() }
+    }
+
+    fn view(&self, row: &RuleRow) -> GroundRule<'_> {
+        let (start, npos) = (row.start as usize, row.npos as usize);
+        let (pos, rest) = self.atoms[start..start + npos + row.nneg as usize].split_at(npos);
+        let head = (row.head != NO_HEAD).then_some(row.head);
+        GroundRule { head, pos, neg: rest }
+    }
+
+    fn push(&mut self, rule: GroundRule<'_>) {
+        let head = rule.head.unwrap_or(NO_HEAD);
+        debug_assert_ne!(rule.head, Some(NO_HEAD), "atom id reserved for constraints");
+        let start = push_body(&mut self.atoms, [rule.pos, rule.neg]);
+        let (npos, nneg) = (rule.pos.len() as u32, rule.neg.len() as u32);
+        self.rows.push(RuleRow { head, start, npos, nneg });
+    }
+}
+
+/// Iterator over the [`GroundRule`] views of a [`Rules`].
+#[derive(Debug, Clone)]
+pub struct RulesIter<'a> {
+    rules: &'a Rules,
+    rows: std::slice::Iter<'a, RuleRow>,
+}
+
+impl<'a> Iterator for RulesIter<'a> {
+    type Item = GroundRule<'a>;
+
+    fn next(&mut self) -> Option<GroundRule<'a>> {
+        self.rows.next().map(|row| self.rules.view(row))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rows.size_hint()
+    }
+}
+
+impl ExactSizeIterator for RulesIter<'_> {}
+
+impl<'a> IntoIterator for &'a Rules {
+    type Item = GroundRule<'a>;
+    type IntoIter = RulesIter<'a>;
+
+    fn into_iter(self) -> RulesIter<'a> {
+        self.iter()
+    }
+}
+
+/// One choice rule of [`Choices`]: its bounds and where its heads, positive body and
+/// negative body lie, in that order, in the shared buffer.
+#[derive(Debug, Clone, Copy)]
+struct ChoiceRow {
+    start: u32,
+    nheads: u32,
+    npos: u32,
+    nneg: u32,
+    lower: Option<i64>,
+    upper: Option<i64>,
+}
+
+/// The ground choice rules of a program, in emission order, laid out like [`Rules`]:
+/// heads and bodies in one buffer, handed out as [`GroundChoice`] views.
+#[derive(Debug, Clone, Default)]
+pub struct Choices {
+    atoms: Vec<AtomId>,
+    rows: Vec<ChoiceRow>,
+}
+
+impl Choices {
+    /// Number of choice rules.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when there are no choice rules.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The choice rule at index `i`. Panics when `i` is out of bounds.
+    pub fn get(&self, i: usize) -> GroundChoice<'_> {
+        self.view(&self.rows[i])
+    }
+
+    /// The choice rules in emission order.
+    pub fn iter(&self) -> ChoicesIter<'_> {
+        ChoicesIter { choices: self, rows: self.rows.iter() }
+    }
+
+    fn view(&self, row: &ChoiceRow) -> GroundChoice<'_> {
+        let start = row.start as usize;
+        let (nheads, npos) = (row.nheads as usize, row.npos as usize);
+        let all = &self.atoms[start..start + nheads + npos + row.nneg as usize];
+        let (heads, rest) = all.split_at(nheads);
+        let (pos, neg) = rest.split_at(npos);
+        GroundChoice { heads, lower: row.lower, upper: row.upper, pos, neg }
+    }
+
+    fn push(&mut self, choice: GroundChoice<'_>) {
+        let start = push_body(&mut self.atoms, [choice.heads, choice.pos, choice.neg]);
+        self.rows.push(ChoiceRow {
+            start,
+            nheads: choice.heads.len() as u32,
+            npos: choice.pos.len() as u32,
+            nneg: choice.neg.len() as u32,
+            lower: choice.lower,
+            upper: choice.upper,
+        });
+    }
+}
+
+/// Iterator over the [`GroundChoice`] views of a [`Choices`].
+#[derive(Debug, Clone)]
+pub struct ChoicesIter<'a> {
+    choices: &'a Choices,
+    rows: std::slice::Iter<'a, ChoiceRow>,
+}
+
+impl<'a> Iterator for ChoicesIter<'a> {
+    type Item = GroundChoice<'a>;
+
+    fn next(&mut self) -> Option<GroundChoice<'a>> {
+        self.rows.next().map(|row| self.choices.view(row))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rows.size_hint()
+    }
+}
+
+impl ExactSizeIterator for ChoicesIter<'_> {}
+
+impl<'a> IntoIterator for &'a Choices {
+    type Item = GroundChoice<'a>;
+    type IntoIter = ChoicesIter<'a>;
+
+    fn into_iter(self) -> ChoicesIter<'a> {
+        self.iter()
+    }
 }
 
 /// Deduplication index for ground rules: maps a rule's hash to the index of the first
 /// rule emitted with that hash (further rules sharing the hash — genuine collisions —
-/// in `more`), comparing in full only on a hash match. Unlike a
-/// `HashSet<GroundRule>`, this never clones a rule — the emitted list is the only
-/// owner — and allocates nothing per rule.
+/// in `more`), comparing in full only on a hash match. The emitted [`Rules`] are the
+/// only copy of a rule, so this allocates nothing per rule.
 #[derive(Debug, Default)]
 struct RuleDedup {
     first: FxHashMap<u64, u32>,
@@ -130,8 +356,9 @@ struct RuleDedup {
 }
 
 impl RuleDedup {
-    /// Append `rule` to `rules` unless an identical rule was already emitted.
-    fn push_if_new(&mut self, rule: GroundRule, rules: &mut Vec<GroundRule>) {
+    /// Append `rule` to `rules` unless an identical rule was already emitted. Rules
+    /// are equal when their heads, positive bodies and negative bodies are.
+    fn push_if_new(&mut self, rule: GroundRule<'_>, rules: &mut Rules) {
         use std::collections::hash_map::Entry;
         use std::hash::{Hash, Hasher};
         let mut hasher = crate::hasher::FxHasher::default();
@@ -142,11 +369,11 @@ impl RuleDedup {
                 slot.insert(rules.len() as u32);
             }
             Entry::Occupied(slot) => {
-                if rules[*slot.get() as usize] == rule {
+                if rules.get(*slot.get() as usize) == rule {
                     return;
                 }
                 let more = self.more.entry(hash).or_default();
-                if more.iter().any(|&i| rules[i as usize] == rule) {
+                if more.iter().any(|&i| rules.get(i as usize) == rule) {
                     return;
                 }
                 more.push(rules.len() as u32);
@@ -154,21 +381,6 @@ impl RuleDedup {
         }
         rules.push(rule);
     }
-}
-
-/// A ground choice rule with optional cardinality bounds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroundChoice {
-    /// The choosable head atoms.
-    pub heads: Vec<AtomId>,
-    /// Lower cardinality bound.
-    pub lower: Option<i64>,
-    /// Upper cardinality bound.
-    pub upper: Option<i64>,
-    /// Positive body atoms.
-    pub pos: Vec<AtomId>,
-    /// Negative body atoms.
-    pub neg: Vec<AtomId>,
 }
 
 /// One ground minimize entry: `weight@priority` is paid whenever `condition` is true
@@ -272,9 +484,9 @@ pub struct GroundProgram {
     /// Table of all possible atoms.
     pub atoms: crate::symbols::AtomTable,
     /// Ground rules and integrity constraints.
-    pub rules: Vec<GroundRule>,
+    pub rules: Rules,
     /// Ground choice rules.
-    pub choices: Vec<GroundChoice>,
+    pub choices: Choices,
     /// Ground minimize entries.
     pub minimize: Vec<GroundMinimize>,
     /// True when grounding already proved the program unsatisfiable (a constraint with an
@@ -2584,7 +2796,6 @@ impl MinimizeConditions {
             let aux = GroundAtom::new(aux_pred, vec![Val::Int(counter)]);
             let aux = ground.atoms.push_unindexed(aux);
             for (pos, neg) in bodies() {
-                let (pos, neg) = (pos.to_vec(), neg.to_vec());
                 ground.rules.push(GroundRule { head: Some(aux), pos, neg });
             }
             ground.minimize.push(GroundMinimize { priority, weight, condition: Some(aux) });
@@ -2712,18 +2923,11 @@ fn emit(
             if head.is_none() && pos.is_empty() && neg.is_empty() {
                 ground.trivially_unsat = true;
             }
-            let rule = GroundRule { head, pos: pos.to_vec(), neg: neg.to_vec() };
-            seen.push_if_new(rule, &mut ground.rules);
+            seen.push_if_new(GroundRule { head, pos, neg }, &mut ground.rules);
         }
         Simplified::Choice => {
             let (lower, upper) = bounds.expect("choice records carry bounds");
-            ground.choices.push(GroundChoice {
-                heads: heads.to_vec(),
-                lower,
-                upper,
-                pos: pos.to_vec(),
-                neg: neg.to_vec(),
-            });
+            ground.choices.push(GroundChoice { heads, lower, upper, pos, neg });
         }
     }
 }
@@ -2998,7 +3202,7 @@ mod tests {
             assert!(r.pos.len() <= 1, "facts should have been simplified away: {r:?}");
         }
         assert_eq!(ground.choices.len(), 1);
-        assert_eq!(ground.choices[0].lower, Some(1));
+        assert_eq!(ground.choices.get(0).lower, Some(1));
     }
 
     #[test]
@@ -3054,7 +3258,7 @@ mod tests {
             "#,
         );
         assert_eq!(ground.choices.len(), 1);
-        let c = &ground.choices[0];
+        let c = ground.choices.get(0);
         assert_eq!(c.heads.len(), 2);
         assert_eq!((c.lower, c.upper), (Some(1), Some(1)));
         let names = atom_names(&ground, &symbols);
@@ -3285,7 +3489,7 @@ mod tests {
             .rules
             .iter()
             .map(|r| {
-                format!("{:?}:-{:?},not {:?}", r.head.map(&name), sorted(&r.pos), sorted(&r.neg))
+                format!("{:?}:-{:?},not {:?}", r.head.map(&name), sorted(r.pos), sorted(r.neg))
             })
             .collect();
         rules.sort();
@@ -3296,10 +3500,10 @@ mod tests {
                 format!(
                     "{:?}{{{:?}}}{:?}:-{:?},not {:?}",
                     c.lower,
-                    sorted(&c.heads),
+                    sorted(c.heads),
                     c.upper,
-                    sorted(&c.pos),
-                    sorted(&c.neg)
+                    sorted(c.pos),
+                    sorted(c.neg)
                 )
             })
             .collect();
@@ -3551,5 +3755,109 @@ mod tests {
         assert!(!names.contains(&"small(3)".to_string()));
         assert!(names.contains(&"diff(1,2)".to_string()));
         assert!(!names.contains(&"diff(2,2)".to_string()));
+    }
+
+    /// A rule as an owned `Vec`-based oracle keeps it.
+    type OwnedRule = (Option<AtomId>, Vec<AtomId>, Vec<AtomId>);
+    /// A choice as the oracle keeps it: heads, bounds, positive and negative body.
+    type OwnedChoice = (Vec<AtomId>, Option<i64>, Option<i64>, Vec<AtomId>, Vec<AtomId>);
+
+    fn owned_rule(rule: GroundRule<'_>) -> OwnedRule {
+        (rule.head, rule.pos.to_vec(), rule.neg.to_vec())
+    }
+
+    fn owned_choice(c: GroundChoice<'_>) -> OwnedChoice {
+        (c.heads.to_vec(), c.lower, c.upper, c.pos.to_vec(), c.neg.to_vec())
+    }
+
+    fn assert_rules(rules: &Rules, oracle: &[OwnedRule]) {
+        assert_eq!((rules.len(), rules.is_empty()), (oracle.len(), oracle.is_empty()));
+        for (i, want) in oracle.iter().enumerate() {
+            assert_eq!(&owned_rule(rules.get(i)), want, "rule {i}");
+        }
+        assert_eq!(rules.iter().len(), oracle.len());
+        assert_eq!(rules.iter().map(owned_rule).collect::<Vec<_>>(), oracle);
+    }
+
+    fn assert_choices(choices: &Choices, oracle: &[OwnedChoice]) {
+        assert_eq!((choices.len(), choices.is_empty()), (oracle.len(), oracle.is_empty()));
+        for (i, want) in oracle.iter().enumerate() {
+            assert_eq!(&owned_choice(choices.get(i)), want, "choice {i}");
+        }
+        assert_eq!(choices.iter().len(), oracle.len());
+        assert_eq!(choices.into_iter().map(owned_choice).collect::<Vec<_>>(), oracle);
+    }
+
+    #[test]
+    fn rules_choices_and_dedup_agree_with_an_owned_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Few atoms and short bodies, so exact duplicates and rules that differ only in
+        // their pos/neg split come up all the time.
+        fn atoms(rng: &mut StdRng) -> Vec<AtomId> {
+            (0..rng.gen_range(0..3usize)).map(|_| rng.gen_range(0..4u32)).collect()
+        }
+        let mut rng = StdRng::seed_from_u64(24);
+        for _ in 0..60 {
+            let (mut rules, mut choices) = (Rules::default(), Choices::default());
+            let mut seen = RuleDedup::default();
+            let (mut rule_oracle, mut choice_oracle) = (Vec::new(), Vec::new());
+            // Deduplicated rules and choices interleaved, as phase 2 emits them, then
+            // plain pushes, as the minimize auxiliary rules are emitted after it.
+            for step in 0..60 {
+                let head = rng.gen_bool(0.8).then(|| rng.gen_range(0..4u32));
+                let (pos, neg) = (atoms(&mut rng), atoms(&mut rng));
+                if step >= 45 {
+                    rules.push(GroundRule { head, pos: &pos, neg: &neg });
+                    rule_oracle.push((head, pos, neg));
+                } else if rng.gen_bool(0.25) {
+                    let heads = atoms(&mut rng);
+                    let lower = rng.gen_bool(0.5).then(|| rng.gen_range(0..3i64));
+                    let upper = rng.gen_bool(0.5).then(|| rng.gen_range(0..3i64));
+                    choices.push(GroundChoice {
+                        heads: &heads,
+                        lower,
+                        upper,
+                        pos: &pos,
+                        neg: &neg,
+                    });
+                    choice_oracle.push((heads, lower, upper, pos, neg));
+                } else {
+                    seen.push_if_new(GroundRule { head, pos: &pos, neg: &neg }, &mut rules);
+                    let rule = (head, pos, neg);
+                    if !rule_oracle.contains(&rule) {
+                        rule_oracle.push(rule);
+                    }
+                }
+                assert_rules(&rules, &rule_oracle);
+                assert_choices(&choices, &choice_oracle);
+            }
+        }
+    }
+
+    #[test]
+    fn dedup_keeps_the_pos_neg_split_and_drops_exact_duplicates() {
+        let (a, b, c) = (0, 1, 2);
+        let mut rules = Rules::default();
+        let mut seen = RuleDedup::default();
+        let emitted: [(Option<AtomId>, &[AtomId], &[AtomId]); 7] = [
+            (Some(a), &[b], &[]),    // a :- b.
+            (Some(a), &[], &[b]),    // a :- not b.
+            (Some(a), &[b, c], &[]), // a :- b, c.
+            (Some(a), &[b], &[c]),   // a :- b, not c.
+            (Some(a), &[b], &[]),    // a :- b.  (duplicate)
+            (None, &[b], &[]),       // :- b.
+            (Some(a), &[b], &[c]),   // a :- b, not c.  (duplicate)
+        ];
+        for (head, pos, neg) in emitted {
+            seen.push_if_new(GroundRule { head, pos, neg }, &mut rules);
+        }
+        let kept: Vec<OwnedRule> = rules.iter().map(owned_rule).collect();
+        let want: Vec<OwnedRule> = emitted[..4]
+            .iter()
+            .chain(&emitted[5..6])
+            .map(|&(head, pos, neg)| (head, pos.to_vec(), neg.to_vec()))
+            .collect();
+        assert_eq!(kept, want, "first occurrences, in order, split by pos/neg");
     }
 }

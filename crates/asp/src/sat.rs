@@ -605,7 +605,7 @@ pub struct SatConfig {
     pub seed: u64,
     /// Soft cap on live learned clauses: when exceeded (checked at restarts), the
     /// lower-activity half of the deletable learned clauses is removed. Grows
-    /// geometrically after every reduction.
+    /// geometrically after every reduction, by half and at least by one.
     pub learned_limit: usize,
     /// Learned-clause activity decay factor (0 < decay < 1); the clause analogue of
     /// `var_decay`.
@@ -1585,8 +1585,9 @@ impl Solver {
         self.clauses.retain(|ci| remap[ci] != u32::MAX);
         self.clause_learned.truncate(kept);
         self.clause_activity.truncate(kept);
-        // Grow the cap geometrically so reduction stays amortised.
-        self.max_learned += self.max_learned / 2;
+        // Grow the cap geometrically so reduction stays amortised (by at least one, so
+        // a cap of 0 or 1 grows too).
+        self.max_learned += (self.max_learned / 2).max(1);
 
         // Remap clause-typed reasons: only assigned variables hold live reasons.
         for v in 0..self.num_vars {
@@ -2011,6 +2012,8 @@ mod tests {
         }
         assert_eq!(s.search(), SearchResult::Unsat);
         assert!(s.stats.deleted > 0, "the reduction policy must have fired");
+        // Each reduction grows the cap, by at least one even from a cap of 1.
+        assert!(s.max_learned > 1, "the learned-clause cap must grow after a reduction");
         // Compaction reclaims the deleted clauses' space: the arena holds exactly the
         // live clauses' literals, one span per live clause.
         let live_lits: usize = s.clauses.iter().map(<[Lit]>::len).sum();
@@ -2627,7 +2630,9 @@ mod tests {
     fn binary_heavy_formulas_agree_with_brute_force_under_reduction() {
         // A learned-clause cap of 1 and a restart after every conflict make
         // `reduce_learned` compact the arena, clear every watch list and rebuild the
-        // binary watches in the middle of a search, from the first restarts on.
+        // binary watches in the middle of a search, from the first restarts on. The
+        // cap then grows 1, 2, 3, 4, 6, 9, ..., so reduction keeps firing, ever less
+        // often.
         let config = SatConfig { learned_limit: 1, restart_base: 1, ..SatConfig::default() };
         let deleted = check_against_brute_force(&config, 12);
         assert!(deleted > 0, "the reduction policy must have fired");

@@ -56,9 +56,9 @@ impl StabilityChecker {
         let mut occ_off = vec![0u32; n_atoms + 1];
         let mut base_remaining = vec![0u32; n_rules];
         let pos_bodies =
-            ground.rules.iter().map(|r| &r.pos).chain(ground.choices.iter().map(|c| &c.pos));
+            ground.rules.iter().map(|r| r.pos).chain(ground.choices.iter().map(|c| c.pos));
         for (ri, pos) in pos_bodies.clone().enumerate() {
-            for &a in pos.iter() {
+            for &a in pos {
                 if !ground.atoms.is_certain(a) {
                     occ_off[a as usize + 1] += 1;
                     base_remaining[ri] += 1;
@@ -71,7 +71,7 @@ impl StabilityChecker {
         let mut cursor = occ_off.clone();
         let mut occ_data = vec![0u32; occ_off[n_atoms] as usize];
         for (ri, pos) in pos_bodies.enumerate() {
-            for &a in pos.iter() {
+            for &a in pos {
                 if !ground.atoms.is_certain(a) {
                     occ_data[cursor[a as usize] as usize] = ri as u32;
                     cursor[a as usize] += 1;
@@ -117,20 +117,20 @@ impl StabilityChecker {
         };
         for rule in &ground.rules {
             let Some(h) = rule.head else { continue };
-            if !self.in_unfounded[h as usize] || !external(&rule.pos, &self.in_unfounded) {
+            if !self.in_unfounded[h as usize] || !external(rule.pos, &self.in_unfounded) {
                 continue;
             }
             // An external rule of an unfounded set always has a false body literal
             // (a true external body would have derived the head in the reduct).
-            clause.extend(witness(&rule.pos, &rule.neg));
+            clause.extend(witness(rule.pos, rule.neg));
         }
         for choice in &ground.choices {
             if !choice.heads.iter().any(|&h| self.in_unfounded[h as usize])
-                || !external(&choice.pos, &self.in_unfounded)
+                || !external(choice.pos, &self.in_unfounded)
             {
                 continue;
             }
-            clause.extend(witness(&choice.pos, &choice.neg));
+            clause.extend(witness(choice.pos, choice.neg));
         }
         for &u in &unfounded {
             self.in_unfounded[u as usize] = false;
@@ -198,7 +198,7 @@ impl StabilityChecker {
     /// reduct (negative body false in the model) and, for choices, the model's picks.
     fn fire_rule(&mut self, ri: usize, ground: &GroundProgram, model: &[bool], n_normal: usize) {
         if ri < n_normal {
-            let rule = &ground.rules[ri];
+            let rule = ground.rules.get(ri);
             let head = match rule.head {
                 Some(h) => h,
                 None => return,
@@ -212,11 +212,11 @@ impl StabilityChecker {
             self.derived[head as usize] = true;
             self.worklist.push(head);
         } else {
-            let choice = &ground.choices[ri - n_normal];
+            let choice = ground.choices.get(ri - n_normal);
             if choice.neg.iter().any(|&a| model[a as usize]) {
                 return;
             }
-            for &h in &choice.heads {
+            for &h in choice.heads {
                 if model[h as usize] && !self.derived[h as usize] {
                     self.derived[h as usize] = true;
                     self.worklist.push(h);

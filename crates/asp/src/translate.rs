@@ -14,6 +14,8 @@
 //! recursion) is restored by the unfounded-set check in [`crate::stable`], which adds loop
 //! nogoods lazily — the same division of labour as in clasp.
 
+use std::collections::hash_map::Entry;
+
 use crate::ground::GroundProgram;
 use crate::hasher::FxHashMap;
 use crate::sat::{ClauseArena, LinearSpec, Lit, Var};
@@ -92,45 +94,13 @@ pub fn translate(ground: &GroundProgram) -> Translation {
         }
     }
 
-    // Body auxiliary variables, shared between identical bodies. Bodies made of a
-    // *single* literal — by far the most common shape in the concretizer's ground
-    // programs — need no auxiliary at all: the body is equivalent to that literal, so
-    // the literal itself stands in, saving one variable and three clauses per body.
-    let mut body_aux: FxHashMap<(Vec<AtomId>, Vec<AtomId>), Lit> = FxHashMap::default();
-    // supports[atom] = Some(vec of support body literals); None means "unconditionally
-    // supported" (a fact, an empty-body rule, or an empty-body choice).
-    let mut supports: Vec<Option<Vec<Lit>>> = vec![Some(Vec::new()); num_atoms];
-
-    let mut get_body_lit = |t: &mut Translation, pos: &[AtomId], neg: &[AtomId]| -> Option<Lit> {
-        if pos.is_empty() && neg.is_empty() {
-            return None;
-        }
-        if pos.len() == 1 && neg.is_empty() {
-            return Some(Lit::pos(pos[0] as Var));
-        }
-        if pos.is_empty() && neg.len() == 1 {
-            return Some(Lit::neg(neg[0] as Var));
-        }
-        let key = (pos.to_vec(), neg.to_vec());
-        if let Some(&v) = body_aux.get(&key) {
-            return Some(v);
-        }
-        let v = t.num_vars as Var;
-        t.num_vars += 1;
-        body_aux.insert(key, Lit::pos(v));
-        // v -> each body literal
-        for &p in pos {
-            t.clauses.push_canonical([Lit::neg(v), Lit::pos(p as Var)]);
-        }
-        for &n in neg {
-            t.clauses.push_canonical([Lit::neg(v), Lit::neg(n as Var)]);
-        }
-        // body literals -> v
-        let body =
-            pos.iter().map(|&p| Lit::neg(p as Var)).chain(neg.iter().map(|&n| Lit::pos(n as Var)));
-        t.clauses.push_canonical(std::iter::once(Lit::pos(v)).chain(body));
-        Some(Lit::pos(v))
-    };
+    // Body auxiliary variables, shared between identical bodies, keyed by the
+    // ground program's own body slices.
+    let mut body_aux: FxHashMap<(&[AtomId], &[AtomId]), Lit> = FxHashMap::default();
+    // Every `(atom, support body literal)` pair in emission order, and the atoms that
+    // are unconditionally supported (by an empty-body rule or an empty-body choice).
+    let mut supports: Vec<(AtomId, Lit)> = Vec::new();
+    let mut unconditional = vec![false; num_atoms];
 
     // Normal rules and integrity constraints.
     for rule in &ground.rules {
@@ -141,17 +111,15 @@ pub fn translate(ground: &GroundProgram) -> Translation {
                 t.clauses.push_canonical(pos.chain(rule.neg.iter().map(|&n| Lit::pos(n as Var))));
             }
             Some(head) => {
-                match get_body_lit(&mut t, &rule.pos, &rule.neg) {
+                match body_lit(&mut t, &mut body_aux, rule.pos, rule.neg) {
                     None => {
                         // Empty body: the head is forced and unconditionally supported.
                         t.clauses.push_canonical([Lit::pos(head as Var)]);
-                        supports[head as usize] = None;
+                        unconditional[head as usize] = true;
                     }
                     Some(b) => {
                         t.clauses.push_canonical([b.negate(), Lit::pos(head as Var)]);
-                        if let Some(list) = supports[head as usize].as_mut() {
-                            list.push(b);
-                        }
+                        supports.push((head, b));
                     }
                 }
             }
@@ -160,16 +128,12 @@ pub fn translate(ground: &GroundProgram) -> Translation {
 
     // Choice rules.
     for choice in &ground.choices {
-        let body_lit = get_body_lit(&mut t, &choice.pos, &choice.neg);
+        let body = body_lit(&mut t, &mut body_aux, choice.pos, choice.neg);
         // Heads are supported (but not forced) whenever the body holds.
-        for &h in &choice.heads {
-            match body_lit {
-                None => supports[h as usize] = None,
-                Some(b) => {
-                    if let Some(list) = supports[h as usize].as_mut() {
-                        list.push(b);
-                    }
-                }
+        for &h in choice.heads {
+            match body {
+                None => unconditional[h as usize] = true,
+                Some(b) => supports.push((h, b)),
             }
         }
         // Cardinality bounds.
@@ -177,8 +141,23 @@ pub fn translate(ground: &GroundProgram) -> Translation {
             let lits: Vec<Lit> = choice.heads.iter().map(|&h| Lit::pos(h as Var)).collect();
             let lower = choice.lower.unwrap_or(0).max(0) as u64;
             let upper = choice.upper.map(|u| u.max(0) as u64).unwrap_or(u64::MAX);
-            t.linears.push(LinearSpec::cardinality(body_lit, lits, lower, upper));
+            t.linears.push(LinearSpec::cardinality(body, lits, lower, upper));
         }
+    }
+
+    // Group the supports by atom with a counting sort that keeps emission order:
+    // after the fill, atom `a`'s supports are `grouped[end[a - 1]..end[a]]`.
+    let mut end = vec![0u32; num_atoms + 1];
+    for &(a, _) in &supports {
+        end[a as usize + 1] += 1;
+    }
+    for i in 0..num_atoms {
+        end[i + 1] += end[i];
+    }
+    let mut grouped = vec![Lit::pos(0); supports.len()];
+    for &(a, lit) in &supports {
+        grouped[end[a as usize] as usize] = lit;
+        end[a as usize] += 1;
     }
 
     // Support clauses.
@@ -189,24 +168,55 @@ pub fn translate(ground: &GroundProgram) -> Translation {
         // `#external` guard atoms are exempt from support-based elimination: no rule
         // derives them, but they are free rather than forced false — the caller fixes
         // each one per solve through an assumption.
-        if ground.atoms.is_external(id) {
+        if ground.atoms.is_external(id) || unconditional[id as usize] {
             continue;
         }
-        match &supports[id as usize] {
-            None => {} // unconditionally supported
-            Some(list) if list.is_empty() => {
-                // No rule can ever derive this atom: it must be false.
-                t.clauses.push_canonical([Lit::neg(id as Var)]);
-            }
-            Some(list) => {
-                t.clauses.push_canonical(
-                    std::iter::once(Lit::neg(id as Var)).chain(list.iter().copied()),
-                );
-            }
-        }
+        // The atom implies one of its supports; with none, no rule can ever derive it
+        // and the clause is the unit `¬a`.
+        let start = if id == 0 { 0 } else { end[id as usize - 1] as usize };
+        let list = &grouped[start..end[id as usize] as usize];
+        t.clauses.push_canonical(std::iter::once(Lit::neg(id as Var)).chain(list.iter().copied()));
     }
 
     t
+}
+
+/// The literal standing for a rule body: `None` for an empty body, the literal itself
+/// for a body of a single literal — by far the most common shape in the concretizer's
+/// ground programs, which needs no auxiliary variable and no clauses — and otherwise
+/// an auxiliary variable equivalent to the conjunction, shared between identical
+/// bodies and numbered in first-seen order.
+fn body_lit<'g>(
+    t: &mut Translation,
+    body_aux: &mut FxHashMap<(&'g [AtomId], &'g [AtomId]), Lit>,
+    pos: &'g [AtomId],
+    neg: &'g [AtomId],
+) -> Option<Lit> {
+    match (pos, neg) {
+        ([], []) => return None,
+        (&[p], []) => return Some(Lit::pos(p as Var)),
+        ([], &[n]) => return Some(Lit::neg(n as Var)),
+        _ => {}
+    }
+    let slot = match body_aux.entry((pos, neg)) {
+        Entry::Occupied(slot) => return Some(*slot.get()),
+        Entry::Vacant(slot) => slot,
+    };
+    let v = t.num_vars as Var;
+    t.num_vars += 1;
+    slot.insert(Lit::pos(v));
+    // v -> each body literal
+    for &p in pos {
+        t.clauses.push_canonical([Lit::neg(v), Lit::pos(p as Var)]);
+    }
+    for &n in neg {
+        t.clauses.push_canonical([Lit::neg(v), Lit::neg(n as Var)]);
+    }
+    // body literals -> v
+    let body =
+        pos.iter().map(|&p| Lit::neg(p as Var)).chain(neg.iter().map(|&n| Lit::pos(n as Var)));
+    t.clauses.push_canonical(std::iter::once(Lit::pos(v)).chain(body));
+    Some(Lit::pos(v))
 }
 
 #[cfg(test)]
@@ -325,5 +335,193 @@ mod tests {
         let model = model.expect("satisfiable");
         assert!(!atom_true(&ground, &symbols, &model, "normal(a)"));
         assert!(atom_true(&ground, &symbols, &model, "normal(b)"));
+    }
+
+    /// The translation as it was before bodies were read in place: owned `Vec` body
+    /// keys and a `Vec` of supports per atom. [`translate`] must produce exactly this.
+    fn reference_translate(ground: &GroundProgram) -> Translation {
+        let num_atoms = ground.atoms.len();
+        let mut t = Translation { num_vars: num_atoms, num_atoms, ..Translation::default() };
+        for (id, _) in ground.atoms.iter() {
+            if ground.atoms.is_certain(id) {
+                t.clauses.push_canonical([Lit::pos(id as Var)]);
+            }
+        }
+        let mut body_aux: FxHashMap<(Vec<AtomId>, Vec<AtomId>), Lit> = FxHashMap::default();
+        let mut supports: Vec<Option<Vec<Lit>>> = vec![Some(Vec::new()); num_atoms];
+        let mut get_body_lit = |t: &mut Translation, pos: &[AtomId], neg: &[AtomId]| {
+            if pos.is_empty() && neg.is_empty() {
+                return None;
+            }
+            if pos.len() == 1 && neg.is_empty() {
+                return Some(Lit::pos(pos[0] as Var));
+            }
+            if pos.is_empty() && neg.len() == 1 {
+                return Some(Lit::neg(neg[0] as Var));
+            }
+            let key = (pos.to_vec(), neg.to_vec());
+            if let Some(&v) = body_aux.get(&key) {
+                return Some(v);
+            }
+            let v = t.num_vars as Var;
+            t.num_vars += 1;
+            body_aux.insert(key, Lit::pos(v));
+            for &p in pos {
+                t.clauses.push_canonical([Lit::neg(v), Lit::pos(p as Var)]);
+            }
+            for &n in neg {
+                t.clauses.push_canonical([Lit::neg(v), Lit::neg(n as Var)]);
+            }
+            let body = pos
+                .iter()
+                .map(|&p| Lit::neg(p as Var))
+                .chain(neg.iter().map(|&n| Lit::pos(n as Var)));
+            t.clauses.push_canonical(std::iter::once(Lit::pos(v)).chain(body));
+            Some(Lit::pos(v))
+        };
+        for rule in &ground.rules {
+            match rule.head {
+                None => {
+                    let pos = rule.pos.iter().map(|&p| Lit::neg(p as Var));
+                    t.clauses
+                        .push_canonical(pos.chain(rule.neg.iter().map(|&n| Lit::pos(n as Var))));
+                }
+                Some(head) => match get_body_lit(&mut t, rule.pos, rule.neg) {
+                    None => {
+                        t.clauses.push_canonical([Lit::pos(head as Var)]);
+                        supports[head as usize] = None;
+                    }
+                    Some(b) => {
+                        t.clauses.push_canonical([b.negate(), Lit::pos(head as Var)]);
+                        if let Some(list) = supports[head as usize].as_mut() {
+                            list.push(b);
+                        }
+                    }
+                },
+            }
+        }
+        for choice in &ground.choices {
+            let body_lit = get_body_lit(&mut t, choice.pos, choice.neg);
+            for &h in choice.heads {
+                match body_lit {
+                    None => supports[h as usize] = None,
+                    Some(b) => {
+                        if let Some(list) = supports[h as usize].as_mut() {
+                            list.push(b);
+                        }
+                    }
+                }
+            }
+            if choice.lower.is_some() || choice.upper.is_some() {
+                let lits: Vec<Lit> = choice.heads.iter().map(|&h| Lit::pos(h as Var)).collect();
+                let lower = choice.lower.unwrap_or(0).max(0) as u64;
+                let upper = choice.upper.map(|u| u.max(0) as u64).unwrap_or(u64::MAX);
+                t.linears.push(LinearSpec::cardinality(body_lit, lits, lower, upper));
+            }
+        }
+        for (id, _) in ground.atoms.iter() {
+            if ground.atoms.is_certain(id) || ground.atoms.is_external(id) {
+                continue;
+            }
+            match &supports[id as usize] {
+                None => {}
+                Some(list) if list.is_empty() => {
+                    t.clauses.push_canonical([Lit::neg(id as Var)]);
+                }
+                Some(list) => {
+                    t.clauses.push_canonical(
+                        std::iter::once(Lit::neg(id as Var)).chain(list.iter().copied()),
+                    );
+                }
+            }
+        }
+        t
+    }
+
+    /// A random propositional program over atoms `p0..p5` and facts `f0, f1`: normal
+    /// rules, constraints and choices (with and without bounds) whose bodies mix
+    /// negation and facts (which simplify away, leaving empty and single-literal
+    /// bodies), drawn from a small pool so that identical bodies repeat.
+    fn random_program(rng: &mut rand::rngs::StdRng) -> String {
+        use rand::Rng;
+        let lit = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..10u32) {
+            0 => format!("f{}", rng.gen_range(0..2u32)),
+            1..=3 => format!("not p{}", rng.gen_range(0..6u32)),
+            _ => format!("p{}", rng.gen_range(0..6u32)),
+        };
+        let bodies: Vec<String> = (0..6)
+            .map(|_| (0..rng.gen_range(1..5usize)).map(|_| lit(rng)).collect::<Vec<_>>().join(", "))
+            .collect();
+        let mut text = String::from("f0. f1.\n");
+        for _ in 0..rng.gen_range(2..12u32) {
+            let body = &bodies[rng.gen_range(0..bodies.len())];
+            match rng.gen_range(0..6u32) {
+                0 => text += &format!(":- {body}.\n"),
+                1 | 2 => {
+                    let heads: Vec<String> = (0..rng.gen_range(1..4u32))
+                        .map(|_| format!("p{}", rng.gen_range(0..6u32)))
+                        .collect();
+                    let lower = if rng.gen_bool(0.5) {
+                        rng.gen_range(0..3u32).to_string()
+                    } else {
+                        String::new()
+                    };
+                    let upper = if rng.gen_bool(0.5) {
+                        rng.gen_range(1..3u32).to_string()
+                    } else {
+                        String::new()
+                    };
+                    let body =
+                        if rng.gen_bool(0.2) { String::new() } else { format!(" :- {body}") };
+                    text += &format!("{lower} {{ {} }} {upper}{body}.\n", heads.join("; "));
+                }
+                _ => text += &format!("p{} :- {body}.\n", rng.gen_range(0..6u32)),
+            }
+        }
+        text
+    }
+
+    #[test]
+    fn translation_matches_the_owned_reference_on_random_programs() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        let (mut aux, mut repeated, mut bounded, mut empty, mut single) = (0, 0, 0, 0, 0);
+        for _ in 0..400 {
+            let text = random_program(&mut rng);
+            let program = parse_program(&text).unwrap();
+            let mut symbols = SymbolTable::new();
+            let ground = Grounder::new(&mut symbols).ground(&program, &[]).unwrap();
+            let (t, want) = (translate(&ground), reference_translate(&ground));
+            assert_eq!((t.num_vars, t.num_atoms), (want.num_vars, want.num_atoms), "{text}");
+            assert_eq!(t.clauses.len(), want.clauses.len(), "{text}");
+            for (i, (got, want)) in t.clauses.iter().zip(&want.clauses).enumerate() {
+                assert_eq!(got, want, "clause {i} of\n{text}");
+            }
+            assert_eq!(t.clauses, want.clauses, "{text}");
+            let linear =
+                |l: &LinearSpec| (l.condition, l.lits.clone(), l.weights.clone(), l.lower, l.upper);
+            assert_eq!(
+                t.linears.iter().map(linear).collect::<Vec<_>>(),
+                want.linears.iter().map(linear).collect::<Vec<_>>(),
+                "{text}"
+            );
+            assert_eq!(t.digest(), want.digest(), "{text}");
+            aux += t.num_vars - t.num_atoms;
+            bounded += t.linears.len();
+            let bodies = ground.rules.iter().map(|r| (r.pos, r.neg));
+            let bodies: Vec<_> =
+                bodies.chain(ground.choices.iter().map(|c| (c.pos, c.neg))).collect();
+            empty += bodies.iter().filter(|(p, n)| p.len() + n.len() == 0).count();
+            single += bodies.iter().filter(|(p, n)| p.len() + n.len() == 1).count();
+            let wide = bodies.iter().filter(|(p, n)| p.len() + n.len() > 1).count();
+            repeated += wide - (t.num_vars - t.num_atoms);
+        }
+        // The programs exercise auxiliaries, shared auxiliaries, bounds, empty and
+        // single-literal bodies.
+        let counts = [aux, repeated, bounded, empty, single];
+        assert!(
+            counts.iter().all(|&n| n > 100),
+            "aux, repeated, bounded, empty, single: {counts:?}"
+        );
     }
 }

@@ -88,7 +88,7 @@ fn is_stable_reference(ground: &GroundProgram, model: &[bool]) -> bool {
             {
                 continue;
             }
-            for &h in &choice.heads {
+            for &h in choice.heads {
                 if model[h as usize] && !derived[h as usize] {
                     derived[h as usize] = true;
                     changed = true;

@@ -8,6 +8,11 @@
 //! list, a smaller reason or heap entry) must leave every value here as it is. A
 //! change meant to alter the search updates these values deliberately, in the same
 //! change that alters it.
+//!
+//! The same requests also pin the size of what is searched: the ground program's
+//! atoms, rules and choices and the translation's variables and clauses. A change to
+//! how the ground program or its translation is stored must leave these as they are
+//! too.
 
 use spack_concretizer::{ConcretizeError, Concretizer, SolveOptions};
 use spack_repo::builtin_repo;
@@ -16,6 +21,15 @@ use spack_store::{synthesize_buildcache, BuildcacheConfig};
 /// The counters a trajectory is pinned by, in the order
 /// `solver_runs, models_examined, decisions, propagations, conflicts, learned`.
 type Counts = [u64; 6];
+
+/// The sizes a request's problem is pinned by, in the order
+/// `ground.atoms, ground.rules, ground.choices, variables, clauses`.
+type Sizes = [usize; 5];
+
+fn sizes(stats: &asp::Stats) -> Sizes {
+    let ground = &stats.ground;
+    [ground.atoms, ground.rules, ground.choices, stats.variables, stats.clauses]
+}
 
 fn counts(stats: &asp::Stats) -> Counts {
     [
@@ -42,10 +56,13 @@ fn satisfiable_requests_keep_their_search_counters() {
         (&plain, "hpctoolkit ^mpich"),
         (&reuse, "hpctoolkit ^mpich"),
     ];
-    let observed: Vec<Counts> = cases
+    let (observed, observed_sizes): (Vec<Counts>, Vec<Sizes>) = cases
         .iter()
-        .map(|(concretizer, spec)| counts(&concretizer.concretize_str(spec).expect(spec).stats))
-        .collect();
+        .map(|(concretizer, spec)| {
+            let stats = concretizer.concretize_str(spec).expect(spec).stats;
+            (counts(&stats), sizes(&stats))
+        })
+        .unzip();
     let expected: [Counts; 4] = [
         [16, 14, 1404, 104922, 29, 28],
         [12, 10, 2449, 65341, 13, 12],
@@ -53,6 +70,13 @@ fn satisfiable_requests_keep_their_search_counters() {
         [18, 11, 1304, 168817, 39, 37],
     ];
     assert_eq!(observed, expected, "hdf5 --reuse, mpileaks, hpctoolkit ^mpich (plain, --reuse)");
+    let expected_sizes: [Sizes; 4] = [
+        [6215, 8975, 134, 10557, 30467],
+        [4928, 7766, 178, 10462, 32670],
+        [4752, 7223, 176, 9812, 30196],
+        [8337, 12491, 176, 14528, 42659],
+    ];
+    assert_eq!(observed_sizes, expected_sizes, "atoms, rules, choices, variables, clauses");
 }
 
 #[test]
