@@ -11,7 +11,9 @@
 //! * `#minimize { W@P,T : body }.` statements with priorities,
 //! * `#const name = value.` definitions and simple integer arithmetic in terms, and
 //! * `#external atom.` declarations of ground *guard atoms* whose truth is fixed per
-//!   solve (through an assumption) instead of being derived by rules.
+//!   solve (through an assumption) instead of being derived by rules, and
+//! * `#show name/arity.` directives: with at least one, a model lists only the atoms
+//!   of the shown predicates (clingo's semantics); other `#show` forms are rejected.
 
 use std::fmt;
 
@@ -270,8 +272,8 @@ pub struct MinimizeElement {
     pub conditions: Vec<Literal>,
 }
 
-/// A parsed program: rules, minimize statements, `#const` definitions, and `#external`
-/// declarations.
+/// A parsed program: rules, minimize statements, `#const` definitions, `#external`
+/// declarations and `#show` directives.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     /// All rules (facts, normal rules, choices, constraints).
@@ -286,6 +288,10 @@ pub struct Program {
     /// external as founded — so a caller can fix each one per solve via an assumption
     /// without regrounding (the clingo `#external` / `assign_external` pattern).
     pub externals: Vec<Atom>,
+    /// `#show name/arity.` directives, as `(name, arity)`. With none, a model lists
+    /// every atom; with at least one, only atoms of a shown name and arity. Showing
+    /// changes no grounding and no search, only what a model lists.
+    pub shows: Vec<(String, usize)>,
 }
 
 impl Program {
@@ -295,16 +301,17 @@ impl Program {
         self.minimize.extend(other.minimize);
         self.consts.extend(other.consts);
         self.externals.extend(other.externals);
+        self.shows.extend(other.shows);
     }
 
     /// Total number of statements.
     pub fn len(&self) -> usize {
-        self.rules.len() + self.minimize.len() + self.externals.len()
+        self.rules.len() + self.minimize.len() + self.externals.len() + self.shows.len()
     }
 
     /// True when the program has no statements.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty() && self.minimize.is_empty() && self.externals.is_empty()
+        self.len() == 0
     }
 }
 

@@ -24,7 +24,7 @@ use crate::optimize::{
 };
 use crate::parser::{parse_program, ParseError};
 use crate::sat::{Lit, SatConfig, SolveBudgetState};
-use crate::symbols::{GroundAtom, SymbolTable, Val};
+use crate::symbols::{GroundAtom, SymbolId, SymbolTable, Val};
 use crate::translate::{translate, Translation};
 
 /// Errors surfaced by the [`Control`] API.
@@ -323,13 +323,15 @@ impl From<usize> for Value {
 }
 
 /// A stable model returned by the solver: the true atoms, organised for extraction.
+/// When the program has `#show` directives, only the atoms of the shown predicates
+/// are listed; internal auxiliary atoms (names starting with `__`) never are.
 #[derive(Debug, Clone, Default)]
 pub struct Model {
     atoms: Vec<(String, Vec<Value>)>,
 }
 
 impl Model {
-    /// All true atoms as `(predicate, arguments)` pairs.
+    /// All listed true atoms as `(predicate, arguments)` pairs.
     pub fn atoms(&self) -> &[(String, Vec<Value>)] {
         &self.atoms
     }
@@ -466,6 +468,13 @@ pub struct Stats {
     pub conflicts: u64,
     /// Loop nogoods added by the stable-model check.
     pub loop_nogoods: u64,
+    /// Is the current grounding tight (no positive loop, see [`crate::stable`])?
+    /// Decided once by [`Control::ground`].
+    pub tight: bool,
+    /// Candidate models the stable-model check examined in full: every candidate of
+    /// a non-tight grounding, none of a tight one, whose supported models are all
+    /// stable.
+    pub stability_checks: u64,
     /// Total decisions across all solver runs.
     pub decisions: u64,
     /// Total literal propagations across all solver runs.
@@ -532,6 +541,10 @@ pub struct Control {
     /// cannot adopt a retired solver, and is published to the cross-request store.
     /// Invalidated by [`Control::ground`].
     clause_cache: crate::sat::ClauseCache,
+    /// The `#show`n predicates of the programs added so far, as (name, arity); empty
+    /// when there is no `#show`, and then every atom is shown. A fork reads its
+    /// base's instead.
+    shown: Vec<(SymbolId, usize)>,
     /// Cross-request clause store shared between the controls of one session (see
     /// [`Control::set_shared_store`]): [`Control::ground`] pre-seeds the clause cache
     /// from the shelf keyed by the translation's closure digest, and every solve
@@ -558,6 +571,7 @@ struct FrozenInner {
     symbols: SymbolTable,
     base: BaseProgram,
     load_time: Duration,
+    shown: Vec<(SymbolId, usize)>,
 }
 
 impl FrozenControl {
@@ -581,6 +595,7 @@ impl FrozenControl {
             clause_cache: crate::sat::ClauseCache::default(),
             shared_store: None,
             store_key: None,
+            shown: Vec::new(),
         }
     }
 
@@ -668,6 +683,7 @@ impl Control {
             clause_cache: crate::sat::ClauseCache::default(),
             shared_store: None,
             store_key: None,
+            shown: Vec::new(),
         }
     }
 
@@ -734,6 +750,12 @@ impl Control {
         }
         let start = Instant::now();
         let parsed = parse_program(text)?;
+        for (name, arity) in &parsed.shows {
+            let shown = (self.symbols.intern(name), *arity);
+            if !self.shown.contains(&shown) {
+                self.shown.push(shown);
+            }
+        }
         self.program.extend(parsed);
         self.stats.load_time += start.elapsed();
         Ok(())
@@ -757,6 +779,7 @@ impl Control {
                 symbols: self.symbols,
                 base,
                 load_time: self.stats.load_time,
+                shown: self.shown,
             }),
         })
     }
@@ -839,6 +862,7 @@ impl Control {
             None => Grounder::new(&mut self.symbols).ground(&self.program, &self.facts.atoms)?,
         };
         let translation = translate(&ground);
+        self.stats.tight = ground.is_tight();
         self.stats.ground_time = start.elapsed();
         self.stats.facts = self.facts.atoms.len();
         self.stats.ground = ground.stats.clone();
@@ -1165,6 +1189,8 @@ impl Control {
         self.stats.solve_time += start.elapsed();
         self.record_sat_stats(&sat);
         self.stats.models_examined = examined;
+        // Enumeration checks every candidate in full unless the grounding is tight.
+        self.stats.stability_checks = if self.stats.tight { 0 } else { examined };
         Ok(models.iter().map(|m| self.extract_model(m)).collect())
     }
 
@@ -1188,6 +1214,7 @@ impl Control {
         self.stats.models_examined = optimal.models_examined;
         self.stats.solver_runs = optimal.solver_runs;
         self.stats.loop_nogoods = optimal.loop_nogoods;
+        self.stats.stability_checks = optimal.stability_checks;
         self.record_sat_stats(&optimal.sat);
     }
 
@@ -1202,11 +1229,17 @@ impl Control {
         self.stats.deleted = sat.deleted;
     }
 
+    /// The model's shown true atoms. Hidden atoms are skipped before any string is
+    /// copied.
     fn extract_model(&self, model: &[bool]) -> Model {
         let ground = self.ground.as_ref().expect("grounded");
+        let shown = self.base.as_ref().map_or(&self.shown, |base| &base.shown);
         let mut atoms = Vec::new();
         for (id, atom) in ground.atoms.iter() {
             if !model[id as usize] {
+                continue;
+            }
+            if !shown.is_empty() && !shown.contains(&(atom.pred, atom.args.len())) {
                 continue;
             }
             let pred = self.symbols.name(atom.pred);
@@ -1851,6 +1884,52 @@ mod tests {
         let staged = stage_facts(&frozen, &BASE_DEPS, &BASE_VERSIONS);
         frozen.patch_base(staged, &[] as &[&str]).unwrap();
         assert_eq!(session_solve(&frozen, "a"), one_shot(&BASE_DEPS, &BASE_VERSIONS, "a"));
+    }
+
+    /// The cost and the listed atoms of one solve of `program` with the fact `item(a)`.
+    fn shown_solve(program: &str) -> (Vec<(i64, i64)>, Vec<String>) {
+        let mut ctl = Control::new(SolverConfig::default());
+        ctl.add_fact("item", &["a".into()]);
+        ctl.add_program(program).unwrap();
+        ctl.ground().unwrap();
+        solve_cost_and_atoms(ctl.solve().unwrap())
+    }
+
+    const SHOW_LP: &str = r#"
+        { pick(X) } :- item(X).
+        keep(X) :- pick(X).
+        keep(X, 1) :- keep(X).
+        cost(X, 3) :- item(X), not pick(X).
+        #minimize{ W@1,X : cost(X, W) }.
+    "#;
+
+    #[test]
+    fn show_lists_only_the_shown_predicates() {
+        let (cost, all) = shown_solve(SHOW_LP);
+        assert_eq!(all, ["item(a)", "keep(a)", "keep(a,1)", "pick(a)"]);
+        // Showing changes what a model lists, never the search or its cost.
+        let (shown_cost, shown) = shown_solve(&format!("{SHOW_LP} #show keep/2. #show pick/1."));
+        assert_eq!(shown, ["keep(a,1)", "pick(a)"], "keep/1 has the wrong arity");
+        assert_eq!(shown_cost, cost);
+        // A shown predicate with no true atom, or none at all, leaves the model empty.
+        let (_, none) = shown_solve(&format!("{SHOW_LP} #show cost/2. #show missing/0."));
+        assert!(none.is_empty(), "{none:?}");
+        // Showing the same predicate twice is showing it once.
+        let (_, twice) = shown_solve(&format!("{SHOW_LP} #show pick/1. #show pick/1."));
+        assert_eq!(twice, ["pick(a)"]);
+    }
+
+    #[test]
+    fn frozen_bases_carry_their_shown_predicates_to_requests() {
+        let mut base = Control::new(SolverConfig::default());
+        base.add_program(SHOW_LP).unwrap();
+        base.add_program("#show keep/1.").unwrap();
+        let frozen = base.freeze_base().unwrap();
+        let mut req = frozen.request();
+        req.add_fact("item", &["a".into()]);
+        req.ground().unwrap();
+        let (_, atoms) = solve_cost_and_atoms(req.solve().unwrap());
+        assert_eq!(atoms, ["keep(a)"]);
     }
 
     #[test]

@@ -494,9 +494,19 @@ pub struct GroundProgram {
     pub trivially_unsat: bool,
     /// Grounding statistics.
     pub stats: GroundStats,
+    /// [`GroundProgram::is_tight`], decided on first use.
+    tight: std::sync::OnceLock<bool>,
 }
 
 impl GroundProgram {
+    /// Is the program tight (no positive loop among its non-fact atoms, see
+    /// [`crate::stable::is_tight`])? Decided by one linear pass on the first call and
+    /// kept, so every solve on this grounding shares the answer; the program must not
+    /// change after the first call.
+    pub fn is_tight(&self) -> bool {
+        *self.tight.get_or_init(|| crate::stable::is_tight(self))
+    }
+
     /// Atoms that are certainly true (input facts).
     pub fn fact_atoms(&self) -> Vec<AtomId> {
         self.atoms.iter().filter(|(id, _)| self.atoms.is_certain(*id)).map(|(id, _)| id).collect()

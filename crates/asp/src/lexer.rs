@@ -21,6 +21,8 @@ pub enum Token {
     Const,
     /// `#external`
     External,
+    /// `#show`
+    Show,
     /// `not`
     Not,
     /// `:-`
@@ -61,6 +63,8 @@ pub enum Token {
     Minus,
     /// `*`
     Star,
+    /// `/` (only in `#show name/arity.`)
+    Slash,
 }
 
 impl fmt::Display for Token {
@@ -74,6 +78,7 @@ impl fmt::Display for Token {
             Token::Maximize => write!(f, "#maximize"),
             Token::Const => write!(f, "#const"),
             Token::External => write!(f, "#external"),
+            Token::Show => write!(f, "#show"),
             Token::Not => write!(f, "not"),
             Token::If => write!(f, ":-"),
             Token::Dot => write!(f, "."),
@@ -94,6 +99,7 @@ impl fmt::Display for Token {
             Token::Plus => write!(f, "+"),
             Token::Minus => write!(f, "-"),
             Token::Star => write!(f, "*"),
+            Token::Slash => write!(f, "/"),
         }
     }
 }
@@ -173,6 +179,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, LexError> {
                     "maximize" => Token::Maximize,
                     "const" => Token::Const,
                     "external" => Token::External,
+                    "show" => Token::Show,
                     other => {
                         return Err(LexError {
                             message: format!("unknown directive #{other}"),
@@ -266,6 +273,10 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, LexError> {
                 tokens.push(Spanned { token: Token::Star, line });
                 i += 1;
             }
+            '/' => {
+                tokens.push(Spanned { token: Token::Slash, line });
+                i += 1;
+            }
             c if c.is_ascii_digit() => {
                 let start = i;
                 while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
@@ -351,6 +362,25 @@ mod tests {
         assert_eq!(err.line, 2);
         assert!(tokenize("\"unterminated").is_err());
         assert!(tokenize("#unknown thing").is_err());
+    }
+
+    #[test]
+    fn tokenize_show_directive() {
+        let toks = tokenize("#show attr3/3.").unwrap();
+        let kinds: Vec<&Token> = toks.iter().map(|t| &t.token).collect();
+        assert_eq!(
+            kinds,
+            [
+                &Token::Show,
+                &Token::Ident("attr3".into()),
+                &Token::Slash,
+                &Token::Int(3),
+                &Token::Dot
+            ]
+        );
+        // A directive name is matched whole: `#shows` is not `#show`.
+        assert!(tokenize("#shows p/1.").is_err());
+        assert!(tokenize("#Show p/1.").is_err());
     }
 
     #[test]

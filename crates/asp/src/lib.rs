@@ -16,6 +16,8 @@
 //!   constraints,
 //! * [`translate`] — Clark completion + choice-bound translation to clauses/constraints,
 //! * [`stable`] — lazy unfounded-set checking so only *stable* models are reported,
+//!   skipped on *tight* programs (no positive loop), whose supported models are all
+//!   stable,
 //! * [`optimize`] — lexicographic multi-objective optimization (model-guided branch and
 //!   bound), and
 //! * [`control`] — a clingo-like front end ([`Control`]) with phase timings
@@ -37,6 +39,14 @@
 //! differently-parameterized solves — together with the per-solve priority floor of
 //! [`Control::solve_with_assumptions_floor`], this is what lets the concretizer flip
 //! between hard and relaxed error semantics without regrounding.
+//!
+//! `#show name/arity.` works as in clingo: once a program has at least one `#show`, a
+//! [`Model`] lists only the true atoms of the shown predicates (`#show p/2.` shows
+//! `p(a,b)` but not `p(a)`); without any, it lists every true atom. Showing changes
+//! neither the grounding nor the search, only what a model copies out. A frozen base
+//! ([`Control::freeze_base`]) passes its shown predicates on to every request. Only
+//! the `name/arity` form is supported; any other `#show` (a bare `#show.`, a term, a
+//! condition) is a parse error.
 //!
 //! # Example
 //!

@@ -51,6 +51,9 @@ pub struct OptimalModel {
     pub conflicts: u64,
     /// Loop nogoods added by the stable-model check.
     pub loop_nogoods: u64,
+    /// Candidate models the stable-model check examined in full: every candidate of a
+    /// non-tight program, none of a tight one (see [`crate::stable`]).
+    pub stability_checks: u64,
     /// Aggregated low-level solver statistics across all runs.
     pub sat: SatStats,
 }
@@ -199,7 +202,8 @@ pub fn solve_optimal_assuming(
     // loaded once per rebuild. Merged into the caller's `cache` on every exit, never
     // seeded from it.
     let mut nogoods = ClauseCache::default();
-    // One occurrence index serves every stability check of this solve.
+    // One checker serves every stability check of this solve; on a tight grounding
+    // there are none.
     let mut checker = StabilityChecker::new(ground);
 
     // Initial model with no objective bounds. The solver stays live across levels: it
@@ -365,6 +369,7 @@ fn optimal_model(
         solver_runs: stats.runs,
         conflicts: stats.sat.conflicts,
         loop_nogoods: stats.loop_nogoods,
+        stability_checks: stats.stability_checks,
         sat: stats.sat,
     }
 }
@@ -552,6 +557,7 @@ struct RunStats {
     runs: u64,
     models: u64,
     loop_nogoods: u64,
+    stability_checks: u64,
     sat: SatStats,
 }
 
@@ -649,7 +655,7 @@ fn set_level_bound(
         return;
     }
     live_bounds[li] = Some(solver.num_linears());
-    solver.add_linear(level_bound(level, bound));
+    solver.add_linear(&level_bound(level, bound));
 }
 
 fn build_solver(
@@ -676,7 +682,7 @@ fn build_solver(
         }
     }
     for lin in &translation.linears {
-        solver.add_linear(lin.clone());
+        solver.add_linear(lin);
     }
     // Loop nogoods: for a descent, those this solve found so far; for a
     // core-minimization probe, the session cache (possibly transferred in from
@@ -690,7 +696,7 @@ fn build_solver(
             pin_zero(&mut solver, b.lits.iter().copied().zip(b.weights.iter().copied()));
             continue;
         }
-        solver.add_linear(b.clone());
+        solver.add_linear(b);
         // Focus the heuristic on objective literals early.
         for &l in &b.lits {
             solver.bump_variable(l.var(), 0.5);
@@ -729,6 +735,7 @@ fn run_stable(
             SearchResult::Sat => {
                 let model = solver.model();
                 stats.models += 1;
+                stats.stability_checks += u64::from(!ground.is_tight());
                 // Loop nogood: at least one unfounded atom must be false, or one of
                 // the set's external supports must come true. It is a consequence of
                 // the program (not of the bounds), so it persists and is replayed

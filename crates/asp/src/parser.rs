@@ -118,6 +118,23 @@ impl Parser {
                 self.expect(&Token::Dot)?;
                 program.externals.push(atom);
             }
+            Some(Token::Show) => {
+                // `#show name/arity.` — the only `#show` form this dialect accepts.
+                self.pos += 1;
+                let name = match self.advance() {
+                    Some(Token::Ident(s)) => s,
+                    _ => return Err(self.error("expected `#show name/arity.`")),
+                };
+                if !self.eat(&Token::Slash) {
+                    return Err(self.error("expected `#show name/arity.`"));
+                }
+                let arity = match self.advance() {
+                    Some(Token::Int(n)) => n as usize,
+                    _ => return Err(self.error("expected an arity after `#show name/`")),
+                };
+                self.expect(&Token::Dot)?;
+                program.shows.push((name, arity));
+            }
             Some(Token::Minimize) | Some(Token::Maximize) => {
                 let maximize = self.peek() == Some(&Token::Maximize);
                 if maximize {
@@ -486,6 +503,41 @@ mod tests {
         assert!(parse_program("node(a)").is_err());
         assert!(parse_program("#maximize{ 1@1 : a }.").is_err());
         assert!(parse_program(":- X + 1.").is_err());
+    }
+
+    #[test]
+    fn parse_show_directives() {
+        let p = parse_program("#show attr2/2. #show build/1.\n#show ok/0. a.").unwrap();
+        assert_eq!(p.shows, [("attr2".into(), 2), ("build".into(), 1), ("ok".into(), 0)]);
+        assert_eq!(p.rules.len(), 1);
+        assert_eq!(p.len(), 4);
+    }
+
+    #[test]
+    fn malformed_show_directives_are_parse_errors() {
+        for text in [
+            "#show.",
+            "#show",
+            "#show p.",
+            "#show p/.",
+            "#show p/1",
+            "#show p/-1.",
+            "#show p/X.",
+            "#show p/1/2.",
+            "#show p(X) : q(X).",
+            "#show X/1.",
+            "#show \"p\"/1.",
+            "#show -p/1.",
+            "#show p/1 q/2.",
+            "#show /1.",
+            "#show p/99999999999999999999.",
+            "a :- b/2.",
+            "#show p/1.5.",
+        ] {
+            assert!(parse_program(text).is_err(), "{text:?} must not parse");
+        }
+        let err = parse_program("a.\n#show p(X).").unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
     }
 
     #[test]

@@ -572,11 +572,13 @@ impl LinearSpec {
     }
 }
 
+/// A linear constraint inside the solver. Its literals and weights are the segment
+/// [`Linear::range`] of the solver's `linear_lits` and `linear_weights`.
 #[derive(Debug, Clone)]
 struct Linear {
     condition: Option<Lit>,
-    lits: Vec<Lit>,
-    weights: Vec<u64>,
+    start: u32,
+    len: u32,
     lower: u64,
     upper: u64,
     total: u64,
@@ -587,6 +589,13 @@ struct Linear {
     /// `total - sum_false - wmax < lower` (the heaviest literal triggers first on
     /// both bounds), so slack constraints skip the literal scan.
     wmax: u64,
+}
+
+impl Linear {
+    /// The constraint's segment of the solver's literal and weight buffers.
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// Heuristic configuration of the solver (the analogue of clingo's configuration
@@ -669,6 +678,11 @@ pub struct Solver {
     /// Watch lists: for each literal index, the watching clauses (with blockers).
     watches: Lists<Watch>,
     linears: Vec<Linear>,
+    /// The counted literals of every linear constraint, one segment per constraint in
+    /// the order they were added.
+    linear_lits: Vec<Lit>,
+    /// Parallel to `linear_lits`: the literals' weights.
+    linear_weights: Vec<u64>,
     /// For each variable, its occurrences in linear constraints (constraint + slot).
     linear_occ: Lists<LinOcc>,
     assignment: Vec<Value>,
@@ -723,6 +737,8 @@ impl Solver {
             max_learned: config.learned_limit,
             watches: Lists::new(num_vars * 2),
             linears: Vec::new(),
+            linear_lits: Vec::new(),
+            linear_weights: Vec::new(),
             linear_occ: Lists::new(num_vars),
             assignment: vec![Value::Unassigned; num_vars],
             level: vec![0; num_vars],
@@ -919,8 +935,9 @@ impl Solver {
             && lits.windows(2).all(|w| w[0] < w[1] && w[0] != w[1].negate())
     }
 
-    /// Add a linear constraint.
-    pub fn add_linear(&mut self, spec: LinearSpec) {
+    /// Add a linear constraint. Its literals and weights are copied into the solver's
+    /// flat constraint buffers.
+    pub fn add_linear(&mut self, spec: &LinearSpec) {
         assert_eq!(spec.lits.len(), spec.weights.len());
         self.cancel_until(0);
         let total: u64 = spec.weights.iter().sum();
@@ -932,10 +949,14 @@ impl Solver {
             self.linear_occ.push(c.var() as usize, LinOcc { idx, slot: GUARD_SLOT });
         }
         let wmax = spec.weights.iter().copied().max().unwrap_or(0);
+        let start = self.linear_lits.len() as u32;
+        self.linear_lits.extend_from_slice(&spec.lits);
+        self.linear_weights.extend_from_slice(&spec.weights);
+        u32::try_from(self.linear_lits.len()).expect("linear constraints exceed u32::MAX literals");
         let mut lin = Linear {
             condition: spec.condition,
-            lits: spec.lits,
-            weights: spec.weights,
+            start,
+            len: spec.lits.len() as u32,
             lower: spec.lower,
             upper: spec.upper,
             total,
@@ -944,10 +965,10 @@ impl Solver {
             wmax,
         };
         // Account for assignments already made at level 0.
-        for (i, &l) in lin.lits.iter().enumerate() {
+        for (&l, &w) in spec.lits.iter().zip(&spec.weights) {
             match self.value_lit(l) {
-                Value::True => lin.sum_true += lin.weights[i],
-                Value::False => lin.sum_false += lin.weights[i],
+                Value::True => lin.sum_true += w,
+                Value::False => lin.sum_false += w,
                 Value::Unassigned => {}
             }
         }
@@ -1170,8 +1191,8 @@ impl Solver {
                 continue;
             }
             let lin = &mut self.linears[occ.idx as usize];
-            let l = lin.lits[occ.slot as usize];
-            let w = lin.weights[occ.slot as usize];
+            let k = (lin.start + occ.slot) as usize;
+            let (l, w) = (self.linear_lits[k], self.linear_weights[k]);
             if l.is_pos() == lit.is_pos() {
                 lin.sum_true += w;
             } else {
@@ -1187,8 +1208,8 @@ impl Solver {
                 continue;
             }
             let lin = &mut self.linears[occ.idx as usize];
-            let l = lin.lits[occ.slot as usize];
-            let w = lin.weights[occ.slot as usize];
+            let k = (lin.start + occ.slot) as usize;
+            let (l, w) = (self.linear_lits[k], self.linear_weights[k]);
             if l.is_pos() == lit.is_pos() {
                 lin.sum_true -= w;
             } else {
@@ -1339,10 +1360,10 @@ impl Solver {
                 }
                 _ => {
                     // Guard true (or absent): conflict.
-                    let clause =
-                        bound_explanation(&self.linears[idx], &self.assignment, upper_violated)
-                            .chain(condition.map(Lit::negate))
-                            .collect();
+                    let lits = &self.linear_lits[self.linears[idx].range()];
+                    let clause = bound_explanation(lits, &self.assignment, upper_violated)
+                        .chain(condition.map(Lit::negate))
+                        .collect();
                     return Some(clause);
                 }
             }
@@ -1367,13 +1388,12 @@ impl Solver {
         }
 
         // Upper-bound propagation: literal would overflow the bound -> must be false.
-        let lin_len = self.linears[idx].lits.len();
-        for i in 0..lin_len {
+        for k in self.linears[idx].range() {
             let (lit, weight, sum_true, upper, total, sum_false, lower) = {
                 let lin = &self.linears[idx];
                 (
-                    lin.lits[i],
-                    lin.weights[i],
+                    self.linear_lits[k],
+                    self.linear_weights[k],
                     lin.sum_true,
                     lin.upper,
                     lin.total,
@@ -1412,7 +1432,8 @@ impl Solver {
         upper: bool,
         tail: impl IntoIterator<Item = Lit>,
     ) -> u32 {
-        let explanation = bound_explanation(&self.linears[idx], &self.assignment, upper);
+        let lits = &self.linear_lits[self.linears[idx].range()];
+        let explanation = bound_explanation(lits, &self.assignment, upper);
         // Every stored reason holds at least one literal (the tail), and the arena caps
         // literals at `u32::MAX`, so the index fits.
         self.stored_reasons.push_iter(explanation.chain(tail)) as u32
@@ -1675,15 +1696,16 @@ fn lit_value(assignment: &[Value], lit: Lit) -> Value {
     }
 }
 
-/// The counted literals of `lin` explaining its upper bound (negations of its true
-/// literals) or its lower bound (its false literals) under `assignment`.
+/// The counted literals `lits` of a linear constraint explaining its upper bound
+/// (negations of its true literals) or its lower bound (its false literals) under
+/// `assignment`.
 fn bound_explanation<'a>(
-    lin: &'a Linear,
+    lits: &'a [Lit],
     assignment: &'a [Value],
     upper: bool,
 ) -> impl Iterator<Item = Lit> + 'a {
     let wanted = if upper { Value::True } else { Value::False };
-    lin.lits.iter().filter(move |&&l| lit_value(assignment, l) == wanted).map(move |&l| {
+    lits.iter().filter(move |&&l| lit_value(assignment, l) == wanted).map(move |&l| {
         if upper {
             l.negate()
         } else {
@@ -2084,14 +2106,14 @@ mod tests {
     #[test]
     fn cardinality_exactly_one() {
         let mut s = Solver::new(4, SatConfig::default());
-        s.add_linear(LinearSpec::cardinality(None, vec![lit(1), lit(2), lit(3), lit(4)], 1, 1));
+        s.add_linear(&LinearSpec::cardinality(None, vec![lit(1), lit(2), lit(3), lit(4)], 1, 1));
         assert_eq!(s.search(), SearchResult::Sat);
         let m = s.model();
         assert_eq!(m.iter().filter(|&&b| b).count(), 1);
 
         // Forcing two of them true must be unsatisfiable.
         let mut s = Solver::new(4, SatConfig::default());
-        s.add_linear(LinearSpec::cardinality(None, vec![lit(1), lit(2), lit(3), lit(4)], 1, 1));
+        s.add_linear(&LinearSpec::cardinality(None, vec![lit(1), lit(2), lit(3), lit(4)], 1, 1));
         assert!(s.add_clause(&[lit(1)]));
         let ok = s.add_clause(&[lit(2)]);
         assert!(!ok || s.search() == SearchResult::Unsat);
@@ -2101,7 +2123,7 @@ mod tests {
     fn cardinality_lower_bound_propagates() {
         // x1..x4, at least 3 true, x1 and x2 false -> unsat.
         let mut s = Solver::new(4, SatConfig::default());
-        s.add_linear(LinearSpec::cardinality(
+        s.add_linear(&LinearSpec::cardinality(
             None,
             vec![lit(1), lit(2), lit(3), lit(4)],
             3,
@@ -2116,7 +2138,7 @@ mod tests {
     fn conditional_cardinality_inert_when_guard_false() {
         // guard -> exactly one of x2,x3; guard is false, so both may be true.
         let mut s = Solver::new(3, SatConfig::default());
-        s.add_linear(LinearSpec::cardinality(Some(lit(1)), vec![lit(2), lit(3)], 1, 1));
+        s.add_linear(&LinearSpec::cardinality(Some(lit(1)), vec![lit(2), lit(3)], 1, 1));
         assert!(s.add_clause(&[lit(-1)]));
         assert!(s.add_clause(&[lit(2)]));
         assert!(s.add_clause(&[lit(3)]));
@@ -2127,7 +2149,7 @@ mod tests {
     fn conditional_cardinality_forces_guard_false() {
         // guard -> at most one of x2,x3; x2 and x3 forced true -> guard must be false.
         let mut s = Solver::new(3, SatConfig::default());
-        s.add_linear(LinearSpec::cardinality(Some(lit(1)), vec![lit(2), lit(3)], 0, 1));
+        s.add_linear(&LinearSpec::cardinality(Some(lit(1)), vec![lit(2), lit(3)], 0, 1));
         assert!(s.add_clause(&[lit(2)]));
         assert!(s.add_clause(&[lit(3)]));
         assert_eq!(s.search(), SearchResult::Sat);
@@ -2140,7 +2162,7 @@ mod tests {
         // be forced true by propagation alone (the slack check must use wmax on the
         // lower side too, not the lightest weight).
         let mut s = Solver::new(2, SatConfig::default());
-        s.add_linear(LinearSpec {
+        s.add_linear(&LinearSpec {
             condition: None,
             lits: vec![lit(1), lit(2)],
             weights: vec![9, 1],
@@ -2155,7 +2177,7 @@ mod tests {
     fn weighted_upper_bound() {
         // weights 5,3,2 over x1,x2,x3 with sum <= 5: at most x1 alone, or x2+x3.
         let mut s = Solver::new(3, SatConfig::default());
-        s.add_linear(LinearSpec {
+        s.add_linear(&LinearSpec {
             condition: None,
             lits: vec![lit(1), lit(2), lit(3)],
             weights: vec![5, 3, 2],
@@ -2246,7 +2268,7 @@ mod tests {
     fn assumptions_with_linear_constraints() {
         // exactly-one over x1..x3; assuming x1 and x2 must fail with both in the core.
         let mut s = Solver::new(3, SatConfig::default());
-        s.add_linear(LinearSpec::cardinality(None, vec![lit(1), lit(2), lit(3)], 1, 1));
+        s.add_linear(&LinearSpec::cardinality(None, vec![lit(1), lit(2), lit(3)], 1, 1));
         assert_eq!(s.search_with_assumptions(&[lit(1), lit(2)]), SearchResult::Unsat);
         let core = s.failed_assumptions();
         assert!(core.contains(&lit(1)) && core.contains(&lit(2)), "{core:?}");

@@ -14,41 +14,99 @@
 //! A bare "some unfounded atom is false" clause would be unsound: it would also
 //! eliminate later models in which the very same atoms are legitimately founded through
 //! one of those external rules.
+//!
+//! # Tight programs
+//!
+//! A program is *tight* when its positive dependency graph has no cycle: an edge runs
+//! from every positive body atom of a rule to the rule's head (to each head, for a
+//! choice). For a tight program every supported model is stable (Fages, "Consistency of
+//! Clark's completion and existence of stable models", *Methods of Logic in Computer
+//! Science* 1, 1994), so the completion alone is exact and no candidate model can have
+//! a non-empty unfounded set. Input facts are left out of the graph: they are founded
+//! whatever the rest of the model is, so a cycle through a fact founds nothing it does
+//! not already found. [`is_tight`] decides this with one linear pass (Kahn's
+//! algorithm), and [`crate::ground::GroundProgram::is_tight`] keeps the answer, so
+//! every solve on one grounding shares it. On a tight program
+//! [`StabilityChecker::unfounded_nogood`] returns `None` without looking at the model;
+//! debug builds still run the full check there and assert that it finds nothing.
 
 use crate::ground::GroundProgram;
 use crate::sat::{Lit, Var};
 use crate::symbols::AtomId;
 
-/// A reusable unfounded-set checker.
+/// Is the program tight: is its positive dependency graph, over the atoms that are
+/// not input facts, acyclic?
 ///
-/// The least model of the reduct is computed with a counting worklist algorithm
-/// (Dowling–Gallier): every rule keeps the number of its not-yet-derived positive body
-/// atoms, a CSR occurrence index maps each atom to the rules whose counters it
-/// decrements, and a rule fires exactly when its counter reaches zero. One check is
-/// O(program size), not O(rules × fixpoint depth) — and the occurrence index and the
-/// base counters (positive body atoms that are not input facts) are built once and
-/// shared by every check, which matters because the optimizer validates every candidate
-/// model this way.
-pub struct StabilityChecker {
+/// Kahn's algorithm over atoms and rules: a rule is done once each of its positive
+/// body atoms that is not a fact is done, an atom once every rule with it as a head
+/// is. Exactly the atoms on or downstream of a positive cycle are never done, so the
+/// program is tight when every atom is. One pass, linear in the program's size.
+pub fn is_tight(ground: &GroundProgram) -> bool {
+    let n_atoms = ground.atoms.len();
+    let n_normal = ground.rules.len();
+    let mut index = OccurrenceIndex::new(ground);
+    let mut remaining = std::mem::take(&mut index.base_remaining);
+    // Per atom: the rules deriving it that are not done yet.
+    let mut pending = vec![0u32; n_atoms];
+    for rule in &ground.rules {
+        if let Some(h) = rule.head {
+            pending[h as usize] += 1;
+        }
+    }
+    for choice in &ground.choices {
+        for &h in choice.heads {
+            pending[h as usize] += 1;
+        }
+    }
+    let mut ready: Vec<AtomId> =
+        (0..n_atoms as AtomId).filter(|&a| pending[a as usize] == 0).collect();
+    let finish_rule = |ri: usize, pending: &mut [u32], ready: &mut Vec<AtomId>| {
+        let mut finish = |h: AtomId| {
+            pending[h as usize] -= 1;
+            if pending[h as usize] == 0 {
+                ready.push(h);
+            }
+        };
+        if ri < n_normal {
+            if let Some(h) = ground.rules.get(ri).head {
+                finish(h);
+            }
+        } else {
+            ground.choices.get(ri - n_normal).heads.iter().for_each(|&h| finish(h));
+        }
+    };
+    for (ri, &count) in remaining.iter().enumerate() {
+        if count == 0 {
+            finish_rule(ri, &mut pending, &mut ready);
+        }
+    }
+    let mut done = 0;
+    while let Some(a) = ready.pop() {
+        done += 1;
+        for &ri in index.occurrences(a) {
+            remaining[ri as usize] -= 1;
+            if remaining[ri as usize] == 0 {
+                finish_rule(ri as usize, &mut pending, &mut ready);
+            }
+        }
+    }
+    done == n_atoms
+}
+
+/// The positive occurrences of the atoms that are not input facts: for each atom, the
+/// rules whose positive body contains it, and for each rule how many such atoms its
+/// positive body has.
+struct OccurrenceIndex {
     /// CSR offsets: for atom `a`, its occurrences are `occ_data[occ_off[a]..occ_off[a+1]]`.
     occ_off: Vec<u32>,
     /// Rule ids (`0..rules.len()` normal rules, then `rules.len()..` choice rules).
     occ_data: Vec<u32>,
     /// Per rule: number of positive body atoms that are not certain (input facts).
     base_remaining: Vec<u32>,
-    /// Scratch: per-call remaining counters.
-    remaining: Vec<u32>,
-    /// Scratch: derived marker per atom.
-    derived: Vec<bool>,
-    /// Scratch: worklist of newly derived atoms.
-    worklist: Vec<AtomId>,
-    /// Scratch: unfounded-set membership, used while collecting external supports.
-    in_unfounded: Vec<bool>,
 }
 
-impl StabilityChecker {
-    /// Build the occurrence index for a ground program.
-    pub fn new(ground: &GroundProgram) -> Self {
+impl OccurrenceIndex {
+    fn new(ground: &GroundProgram) -> Self {
         let n_atoms = ground.atoms.len();
         let n_rules = ground.rules.len() + ground.choices.len();
         // Count occurrences per atom (positive bodies only, which are deduplicated by
@@ -78,14 +136,53 @@ impl StabilityChecker {
                 }
             }
         }
+        OccurrenceIndex { occ_off, occ_data, base_remaining }
+    }
+
+    fn occurrences(&self, a: AtomId) -> &[u32] {
+        &self.occ_data[self.occ_off[a as usize] as usize..self.occ_off[a as usize + 1] as usize]
+    }
+}
+
+/// A reusable unfounded-set checker.
+///
+/// The least model of the reduct is computed with a counting worklist algorithm
+/// (Dowling–Gallier): every rule keeps the number of its not-yet-derived positive body
+/// atoms, a CSR occurrence index maps each atom to the rules whose counters it
+/// decrements, and a rule fires exactly when its counter reaches zero. One check is
+/// O(program size), not O(rules × fixpoint depth) — and the occurrence index and the
+/// base counters (positive body atoms that are not input facts) are built by the first
+/// check and shared by every later one, which matters because the optimizer validates
+/// every candidate model this way. A checker of a tight program builds nothing.
+pub struct StabilityChecker {
+    /// The program is tight (see the module docs): no model can be unstable.
+    tight: bool,
+    /// Built by the first full check.
+    index: Option<OccurrenceIndex>,
+    /// Scratch: per-call remaining counters.
+    remaining: Vec<u32>,
+    /// Scratch: derived marker per atom.
+    derived: Vec<bool>,
+    /// Scratch: worklist of newly derived atoms.
+    worklist: Vec<AtomId>,
+    /// Scratch: unfounded-set membership, used while collecting external supports.
+    in_unfounded: Vec<bool>,
+}
+
+impl StabilityChecker {
+    /// A checker for a ground program. Nothing is built until the first full check.
+    pub fn new(ground: &GroundProgram) -> Self {
+        Self::with_tightness(ground.is_tight())
+    }
+
+    fn with_tightness(tight: bool) -> Self {
         StabilityChecker {
-            occ_off,
-            occ_data,
-            base_remaining,
+            tight,
+            index: None,
             remaining: Vec::new(),
-            derived: vec![false; n_atoms],
+            derived: Vec::new(),
             worklist: Vec::new(),
-            in_unfounded: vec![false; n_atoms],
+            in_unfounded: Vec::new(),
         }
     }
 
@@ -98,12 +195,24 @@ impl StabilityChecker {
     /// false under `model`, so it contributes one currently-false witness literal. Any
     /// stable model falsifying all witnesses has every external body false, leaving
     /// `U` unfounded — so the clause holds in every stable model and may safely
-    /// persist across solver runs. Returns `None` when the model is stable.
+    /// persist across solver runs. Returns `None` when the model is stable, and at
+    /// once on a tight program, whose supported models are all stable.
     pub fn unfounded_nogood(&mut self, ground: &GroundProgram, model: &[bool]) -> Option<Vec<Lit>> {
+        if self.tight {
+            if cfg!(debug_assertions) {
+                let unfounded = self.unfounded_set(ground, model);
+                debug_assert!(
+                    unfounded.is_empty(),
+                    "a supported model of a tight program has unfounded atoms {unfounded:?}"
+                );
+            }
+            return None;
+        }
         let unfounded = self.unfounded_set(ground, model);
         if unfounded.is_empty() {
             return None;
         }
+        self.in_unfounded.resize(ground.atoms.len(), false);
         for &u in &unfounded {
             self.in_unfounded[u as usize] = true;
         }
@@ -142,18 +251,21 @@ impl StabilityChecker {
 
     /// Compute the set of atoms that are true in `model` but not derivable from the
     /// reduct of the program w.r.t. `model`. An empty result means the model is stable.
+    /// This is the full check, on tight programs too.
     ///
     /// `model` is indexed by SAT variable; only the first `ground.atoms.len()` entries
     /// (the program atoms) are inspected.
     pub fn unfounded_set(&mut self, ground: &GroundProgram, model: &[bool]) -> Vec<AtomId> {
         let n = ground.atoms.len();
         let n_normal = ground.rules.len();
-        self.remaining.clear();
-        self.remaining.extend_from_slice(&self.base_remaining);
-        for d in &mut self.derived {
-            *d = false;
-        }
-        self.worklist.clear();
+        let index = self.index.get_or_insert_with(|| OccurrenceIndex::new(ground));
+        let (remaining, derived, worklist) =
+            (&mut self.remaining, &mut self.derived, &mut self.worklist);
+        remaining.clear();
+        remaining.extend_from_slice(&index.base_remaining);
+        derived.clear();
+        derived.resize(n, false);
+        worklist.clear();
 
         // Seed: input facts are derived; rules whose positive body is fully certain
         // fire immediately (if their negative body survives the reduct). A true
@@ -163,64 +275,69 @@ impl StabilityChecker {
         // the occurrence counters, so they go on the worklist to decrement them.
         for (id, _) in ground.atoms.iter() {
             if ground.atoms.is_certain(id) {
-                self.derived[id as usize] = true;
+                derived[id as usize] = true;
             }
         }
         for &ext in ground.atoms.externals() {
-            if model[ext as usize] && !self.derived[ext as usize] {
-                self.derived[ext as usize] = true;
-                self.worklist.push(ext);
+            if model[ext as usize] && !derived[ext as usize] {
+                derived[ext as usize] = true;
+                worklist.push(ext);
             }
         }
-        for ri in 0..self.base_remaining.len() {
-            if self.base_remaining[ri] == 0 {
-                self.fire_rule(ri, ground, model, n_normal);
+        for (ri, &count) in index.base_remaining.iter().enumerate() {
+            if count == 0 {
+                fire_rule(ri, ground, model, n_normal, derived, worklist);
             }
         }
         // Worklist propagation: each newly derived atom decrements the counters of the
         // rules whose positive bodies contain it.
-        while let Some(a) = self.worklist.pop() {
-            let (start, end) =
-                (self.occ_off[a as usize] as usize, self.occ_off[a as usize + 1] as usize);
-            for k in start..end {
-                let ri = self.occ_data[k] as usize;
-                self.remaining[ri] -= 1;
-                if self.remaining[ri] == 0 {
-                    self.fire_rule(ri, ground, model, n_normal);
+        while let Some(a) = worklist.pop() {
+            for &ri in index.occurrences(a) {
+                let ri = ri as usize;
+                remaining[ri] -= 1;
+                if remaining[ri] == 0 {
+                    fire_rule(ri, ground, model, n_normal, derived, worklist);
                 }
             }
         }
 
-        (0..n as AtomId).filter(|&a| model[a as usize] && !self.derived[a as usize]).collect()
+        (0..n as AtomId).filter(|&a| model[a as usize] && !derived[a as usize]).collect()
     }
+}
 
-    /// A rule's positive body is fully derived: derive its head(s), respecting the
-    /// reduct (negative body false in the model) and, for choices, the model's picks.
-    fn fire_rule(&mut self, ri: usize, ground: &GroundProgram, model: &[bool], n_normal: usize) {
-        if ri < n_normal {
-            let rule = ground.rules.get(ri);
-            let head = match rule.head {
-                Some(h) => h,
-                None => return,
-            };
-            if self.derived[head as usize] {
-                return;
-            }
-            if rule.neg.iter().any(|&a| model[a as usize]) {
-                return;
-            }
-            self.derived[head as usize] = true;
-            self.worklist.push(head);
-        } else {
-            let choice = ground.choices.get(ri - n_normal);
-            if choice.neg.iter().any(|&a| model[a as usize]) {
-                return;
-            }
-            for &h in choice.heads {
-                if model[h as usize] && !self.derived[h as usize] {
-                    self.derived[h as usize] = true;
-                    self.worklist.push(h);
-                }
+/// A rule's positive body is fully derived: derive its head(s), respecting the reduct
+/// (negative body false in the model) and, for choices, the model's picks.
+fn fire_rule(
+    ri: usize,
+    ground: &GroundProgram,
+    model: &[bool],
+    n_normal: usize,
+    derived: &mut [bool],
+    worklist: &mut Vec<AtomId>,
+) {
+    if ri < n_normal {
+        let rule = ground.rules.get(ri);
+        let head = match rule.head {
+            Some(h) => h,
+            None => return,
+        };
+        if derived[head as usize] {
+            return;
+        }
+        if rule.neg.iter().any(|&a| model[a as usize]) {
+            return;
+        }
+        derived[head as usize] = true;
+        worklist.push(head);
+    } else {
+        let choice = ground.choices.get(ri - n_normal);
+        if choice.neg.iter().any(|&a| model[a as usize]) {
+            return;
+        }
+        for &h in choice.heads {
+            if model[h as usize] && !derived[h as usize] {
+                derived[h as usize] = true;
+                worklist.push(h);
             }
         }
     }
@@ -229,7 +346,7 @@ impl StabilityChecker {
 /// One-shot convenience wrapper over [`StabilityChecker`]: build the index, run a
 /// single check. Callers that validate many models should hold a checker instead.
 pub fn unfounded_set(ground: &GroundProgram, model: &[bool]) -> Vec<AtomId> {
-    StabilityChecker::new(ground).unfounded_set(ground, model)
+    StabilityChecker::with_tightness(false).unfounded_set(ground, model)
 }
 
 #[cfg(test)]
@@ -351,6 +468,44 @@ mod tests {
         // The externally supported model is stable: no nogood.
         let model = model_with(&ground, &symbols, &["x", "a", "b"]);
         assert!(checker.unfounded_nogood(&ground, &model).is_none());
+    }
+
+    #[test]
+    fn tight_programs_skip_the_check() {
+        let (ground, symbols) = ground_text("{ x }. a :- x. b :- a, not x.");
+        assert!(ground.is_tight());
+        let mut checker = StabilityChecker::new(&ground);
+        let model = model_with(&ground, &symbols, &["x", "a"]);
+        assert!(checker.unfounded_nogood(&ground, &model).is_none());
+        // Only debug builds run the full check on a tight program, to assert that it
+        // finds nothing; release builds build no occurrence index at all.
+        assert_eq!(checker.index.is_some(), cfg!(debug_assertions));
+        // The full check itself still works on a tight program.
+        let unsupported = model_with(&ground, &symbols, &["a"]);
+        assert_eq!(checker.unfounded_set(&ground, &unsupported).len(), 1);
+    }
+
+    /// Debug builds check the theorem on every candidate of a tight program. A model
+    /// the completion would never produce (`a` true without its only support `x`)
+    /// trips the assertion.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a supported model of a tight program has unfounded atoms")]
+    fn debug_builds_assert_that_tight_programs_have_no_unfounded_atoms() {
+        let (ground, symbols) = ground_text("{ x }. a :- x.");
+        let model = model_with(&ground, &symbols, &["a"]);
+        StabilityChecker::new(&ground).unfounded_nogood(&ground, &model);
+    }
+
+    #[test]
+    fn loops_make_a_program_non_tight() {
+        for text in ["{ x }. a :- x. a :- a.", "{ x }. a :- x. a :- b. b :- a."] {
+            let (ground, symbols) = ground_text(text);
+            assert!(!ground.is_tight(), "{text}");
+            let mut checker = StabilityChecker::new(&ground);
+            let model = model_with(&ground, &symbols, &["a", "b"]);
+            assert!(checker.unfounded_nogood(&ground, &model).is_some(), "{text}");
+        }
     }
 
     #[test]

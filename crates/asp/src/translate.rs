@@ -242,7 +242,7 @@ mod tests {
         }
         if ok {
             for l in &t.linears {
-                solver.add_linear(l.clone());
+                solver.add_linear(l);
             }
         }
         let model =

@@ -55,35 +55,38 @@ use spack_store::{synthesize_buildcache, BuildcacheConfig};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        usage();
+        eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    // `--help` or `-h` anywhere asks for the usage, never names a spec, file or
+    // virtual.
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     match command.as_str() {
         "spec" | "solve" => cmd_spec(&args[1..]),
         "batch" => cmd_batch(&args[1..]),
         "providers" => cmd_providers(&args[1..]),
         "list" => cmd_list(&args[1..]),
         "criteria" => cmd_criteria(),
-        "help" | "--help" | "-h" => {
-            usage();
+        "help" => {
+            print!("{USAGE}");
             ExitCode::SUCCESS
         }
         other => {
             eprintln!("unknown command '{other}'");
-            usage();
+            eprint!("{USAGE}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn usage() {
-    eprintln!(
-        "spack-solve — ASP-based dependency solving (SC'22 reproduction)\n\n\
-         USAGE:\n  spack-solve spec [--greedy] [--reuse] [--lassen] [--stats] [--explain] [--synthetic N] <spec...>\n  \
-         spack-solve batch [--reuse] [--lassen] [--stats] [--json] [--synthetic N]\n                    [--state-dir DIR] [--deadline-ms MS] [--conflict-limit N] [--retries N] <file>   (one spec per line; - for stdin)\n  \
-         spack-solve providers <virtual>\n  spack-solve list [--synthetic N]\n  spack-solve criteria\n"
-    );
-}
+const USAGE: &str = "spack-solve — ASP-based dependency solving (SC'22 reproduction)\n\n\
+     USAGE:\n  spack-solve spec [--greedy] [--reuse] [--lassen] [--stats] [--explain] [--synthetic N] <spec...>\n  \
+     spack-solve batch [--reuse] [--lassen] [--stats] [--json] [--synthetic N]\n                    [--state-dir DIR] [--deadline-ms MS] [--conflict-limit N] [--retries N] <file>   (one spec per line; - for stdin)\n  \
+     spack-solve providers <virtual>\n  spack-solve list [--synthetic N]\n  spack-solve criteria\n\n\
+     --help or -h after any command prints this message.\n";
 
 fn repository(synthetic: Option<usize>) -> Repository {
     match synthetic {
@@ -143,7 +146,7 @@ fn cmd_spec(args: &[String]) -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("==> Error: {e}");
-            usage();
+            eprint!("{USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -299,6 +302,7 @@ fn print_unsat_report(
         for line in sat_lines(&stats.solver) {
             eprintln!("{line}");
         }
+        eprintln!("{}", stable_line(&stats.solver));
     }
 }
 
@@ -325,6 +329,7 @@ fn print_stats(result: &spack_concretizer::Concretization) {
     for line in sat_lines(s) {
         println!("{line}");
     }
+    println!("{}", stable_line(s));
 }
 
 /// The `sat:` lines of `--stats`: the translation's size and the CDCL counters
@@ -344,6 +349,13 @@ fn sat_lines(s: &asp::Stats) -> [String; 3] {
             s.warm_clauses, s.transferred_clauses
         ),
     ]
+}
+
+/// The stable-model line of `--stats`: whether the grounding is tight and how many
+/// candidate models the stability check examined in full.
+fn stable_line(s: &asp::Stats) -> String {
+    let program = if s.tight { "tight, no positive loop" } else { "not tight, positive loops" };
+    format!("  stable:   {program} | {} stability checks", s.stability_checks)
 }
 
 /// `spack-solve batch <file>`: one request per line, answered on a single multi-shot

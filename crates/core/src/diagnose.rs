@@ -194,8 +194,8 @@ fn render(priority: i64, code: &str, args: &[String]) -> Diagnostic {
 /// stable order).
 pub fn diagnostics_from_model(model: &Model) -> Vec<Diagnostic> {
     let mut diags: Vec<Diagnostic> = Vec::new();
-    for pred in ["error3", "error4", "error5", "error6"] {
-        for atom in model.with_pred(pred) {
+    for pred in crate::shown::ERRORS {
+        for atom in crate::shown::atoms(model, pred) {
             let priority = arg_int(atom, 0);
             let code = arg_str(atom, 1);
             let mut args: Vec<String> = (2..atom.len()).map(|i| arg_str(atom, i)).collect();

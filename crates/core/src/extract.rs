@@ -10,6 +10,7 @@ use asp::{Model, SolveOutcome, Value};
 use spack_spec::{Compiler, ConcreteNode, ConcreteSpec, DepKind, Platform, VariantValue, Version};
 
 use crate::config::SiteConfig;
+use crate::shown::{self, ATTR2, ATTR3, ATTR4, BUILD, PROVIDER};
 use crate::ConcretizeError;
 
 /// Unwrap a solve outcome into its model and cost, propagating UNSAT as a
@@ -44,7 +45,7 @@ fn arg_str(args: &[Value], i: usize) -> String {
 pub fn extract(model: &Model, roots: &[String]) -> Result<Extraction, ConcretizeError> {
     // Collect node names.
     let mut names: Vec<String> = Vec::new();
-    for args in model.with_pred("attr2") {
+    for args in shown::atoms(model, ATTR2) {
         if arg_str(args, 0) == "node" {
             let name = arg_str(args, 1);
             if !names.contains(&name) {
@@ -64,7 +65,7 @@ pub fn extract(model: &Model, roots: &[String]) -> Result<Extraction, Concretize
     let mut targets: BTreeMap<String, String> = BTreeMap::new();
     let mut hashes: BTreeMap<String, String> = BTreeMap::new();
     let mut edges: Vec<(String, String)> = Vec::new();
-    for args in model.with_pred("attr3") {
+    for args in shown::atoms(model, ATTR3) {
         let attr = arg_str(args, 0);
         let package = arg_str(args, 1);
         let value = arg_str(args, 2);
@@ -94,7 +95,7 @@ pub fn extract(model: &Model, roots: &[String]) -> Result<Extraction, Concretize
         }
     }
     let mut variants: BTreeMap<String, BTreeMap<String, VariantValue>> = BTreeMap::new();
-    for args in model.with_pred("attr4") {
+    for args in shown::atoms(model, ATTR4) {
         if arg_str(args, 0) == "variant_value" {
             let package = arg_str(args, 1);
             let variant = arg_str(args, 2);
@@ -104,13 +105,13 @@ pub fn extract(model: &Model, roots: &[String]) -> Result<Extraction, Concretize
     }
     // provider(V, P): record provided virtuals per package.
     let mut provides: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for args in model.with_pred("provider") {
+    for args in shown::atoms(model, PROVIDER) {
         let virtual_name = arg_str(args, 0);
         let package = arg_str(args, 1);
         provides.entry(package).or_default().push(virtual_name);
     }
     // build(P)
-    let built: Vec<String> = model.with_pred("build").map(|args| arg_str(args, 0)).collect();
+    let built: Vec<String> = shown::atoms(model, BUILD).map(|args| arg_str(args, 0)).collect();
 
     // Assemble nodes.
     let mut nodes = Vec::with_capacity(names.len());

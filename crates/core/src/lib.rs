@@ -41,6 +41,7 @@ pub mod json;
 pub mod options;
 pub mod server;
 pub mod session;
+pub mod shown;
 
 use std::fmt;
 use std::time::{Duration, Instant};
