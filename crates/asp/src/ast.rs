@@ -31,11 +31,6 @@ pub enum Term {
 }
 
 impl Term {
-    /// True for the anonymous variable `_`.
-    pub fn is_wildcard(&self) -> bool {
-        matches!(self, Term::Var(v) if v == "_")
-    }
-
     /// True when the term contains no variable (including the wildcard).
     pub fn is_ground(&self) -> bool {
         match self {

@@ -19,11 +19,12 @@ use crate::ground::{
     BaseProgram, Facts, GroundError, GroundProgram, GroundStats, Grounder, PatchStats,
 };
 use crate::optimize::{
-    enumerate_models_with_stats, solve_optimal_assuming, OptOutcome, OptimalModel, OptimizeError,
-    ProbeVerdict, StableProbe,
+    build_solver, enumerate_models_with_stats, run_stable, solve_optimal_assuming, OptOutcome,
+    OptimalModel, OptimizeError, RunStats, StableOutcome,
 };
 use crate::parser::{parse_program, ParseError};
 use crate::sat::{Lit, SatConfig, SolveBudgetState};
+use crate::stable::StabilityChecker;
 use crate::symbols::{GroundAtom, SymbolId, SymbolTable, Val};
 use crate::translate::{translate, Translation};
 
@@ -130,10 +131,11 @@ impl SolveBudget {
     }
 
     /// This budget with every set bound doubled — the retry policy's escalation:
-    /// a retried solve gets twice the wall clock and twice the conflicts.
+    /// a retried solve gets twice the wall clock and twice the conflicts. Both
+    /// saturate at their maximum instead of overflowing.
     pub fn doubled(&self) -> Self {
         SolveBudget {
-            wall_deadline: self.wall_deadline.map(|d| d * 2),
+            wall_deadline: self.wall_deadline.map(|d| d.saturating_mul(2)),
             conflict_limit: self.conflict_limit.map(|c| c.saturating_mul(2)),
         }
     }
@@ -189,19 +191,13 @@ impl Drop for BudgetGuard {
     }
 }
 
-/// Solver configuration: preset, RNG seed, priority floor, nogood sharing and budget.
+/// Solver configuration: preset, RNG seed, nogood sharing and budget.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Search parameter preset.
     pub preset: Preset,
     /// Seed for randomized tie-breaking.
     pub seed: u64,
-    /// Minimize levels with a priority below this floor are dropped from the
-    /// optimization entirely: they are neither optimized nor reported in the
-    /// objective vector. The diagnostics path uses this to optimize only the
-    /// high-priority `error(Priority, Msg, Args)` levels on the relaxed second-phase
-    /// solve.
-    pub priority_floor: i64,
     /// Share loop nogoods between requests with an identical translation (same
     /// closure digest) through the session's [`crate::SharedClauseStore`]. Results
     /// are byte-identical either way.
@@ -213,13 +209,7 @@ pub struct SolverConfig {
 
 impl Default for SolverConfig {
     fn default() -> Self {
-        SolverConfig {
-            preset: Preset::default(),
-            seed: 0,
-            priority_floor: i64::MIN,
-            share_nogoods: true,
-            budget: None,
-        }
+        SolverConfig { preset: Preset::default(), seed: 0, share_nogoods: true, budget: None }
     }
 }
 
@@ -499,21 +489,14 @@ pub struct Stats {
     pub budget_exhausted: bool,
 }
 
-impl Stats {
-    /// Total time across all phases measured by the solver.
-    pub fn total_time(&self) -> Duration {
-        self.load_time + self.ground_time + self.solve_time
-    }
-}
-
 /// The solver front end.
 pub struct Control {
     config: SolverConfig,
     symbols: SymbolTable,
     program: Program,
     facts: Facts,
-    ground: Option<GroundProgram>,
-    translation: Option<Translation>,
+    /// The current grounding and its translation, set by [`Control::ground`].
+    grounding: Option<(GroundProgram, Translation)>,
     stats: Stats,
     /// The reusable solver of the last UNSAT [`Control::solve_with_assumptions`]
     /// call, with the fixed `#external` units it was built with: adopted by the next
@@ -551,7 +534,8 @@ pub struct Control {
     /// publishes the cache back.
     shared_store: Option<Arc<crate::sat::SharedClauseStore>>,
     /// The shelf key of the current grounding (its translation's closure digest),
-    /// once a store is attached and [`Control::ground`] has run.
+    /// once a store is attached and [`Control::ground`] has run on a non-tight
+    /// grounding.
     store_key: Option<u64>,
 }
 
@@ -579,24 +563,11 @@ impl FrozenControl {
     /// (the symbol table is cloned so the request may intern new constants), and only
     /// facts added to the fork are ground — incrementally — by [`Control::ground`].
     pub fn request(&self) -> Control {
-        Control {
-            config: self.inner.config.clone(),
-            symbols: self.inner.symbols.clone(),
-            program: Program::default(),
-            facts: Facts::default(),
-            ground: None,
-            translation: None,
-            stats: Stats::default(),
-            retired_unsat: None,
-            base: Some(self.inner.clone()),
-            restricted: crate::hasher::FxHashSet::default(),
-            restricted_ints: Vec::new(),
-            restriction_requested: false,
-            clause_cache: crate::sat::ClauseCache::default(),
-            shared_store: None,
-            store_key: None,
-            shown: Vec::new(),
-        }
+        Control::with_base(
+            self.inner.config.clone(),
+            self.inner.symbols.clone(),
+            Some(self.inner.clone()),
+        )
     }
 
     /// Statistics of the one-time base grounding.
@@ -667,16 +638,24 @@ impl FrozenControl {
 impl Control {
     /// Create a new, empty control object.
     pub fn new(config: SolverConfig) -> Self {
+        Control::with_base(config, SymbolTable::new(), None)
+    }
+
+    /// An empty control over `symbols`, forked from `base` when there is one.
+    fn with_base(
+        config: SolverConfig,
+        symbols: SymbolTable,
+        base: Option<Arc<FrozenInner>>,
+    ) -> Self {
         Control {
             config,
-            symbols: SymbolTable::new(),
+            symbols,
             program: Program::default(),
             facts: Facts::default(),
-            ground: None,
-            translation: None,
+            grounding: None,
             stats: Stats::default(),
             retired_unsat: None,
-            base: None,
+            base,
             restricted: crate::hasher::FxHashSet::default(),
             restricted_ints: Vec::new(),
             restriction_requested: false,
@@ -691,7 +670,8 @@ impl Control {
     /// [`Control::ground`] on, this control's clause cache is pre-seeded with the
     /// loop nogoods earlier requests found on an *identical* translation (same
     /// closure digest — same formula, variable ids included), and every solve
-    /// publishes its own loop nogoods back. Must be called before
+    /// publishes its own loop nogoods back. A tight grounding has none to share and
+    /// skips the store. Must be called before
     /// [`Control::ground`] to take effect for that grounding. Results are
     /// byte-identical with or without a store: optimizing solves never read the
     /// cache, so a transfer can only warm-start a [`Control::minimize_core`] probe.
@@ -868,19 +848,21 @@ impl Control {
         self.stats.ground = ground.stats.clone();
         self.stats.variables = translation.num_vars;
         self.stats.clauses = translation.clauses.len();
-        self.ground = Some(ground);
-        self.translation = Some(translation);
         self.retired_unsat = None; // built against the previous translation
         self.clause_cache = crate::sat::ClauseCache::default(); // ditto
         self.stats.transferred_clauses = 0;
-        if let Some(store) = &self.shared_store {
+        self.store_key = None;
+        // A tight grounding has no loop nogoods to share, so it skips the digest, the
+        // fetch and the publish.
+        if let Some(store) = self.shared_store.as_ref().filter(|_| !self.stats.tight) {
             // Cross-request transfer: pre-seed the fresh cache with the clauses
             // sibling requests found on an identical translation. Equal digest ⇒
             // identical formula ⇒ every loop nogood holds verbatim.
-            let key = self.translation.as_ref().expect("just set").digest();
+            let key = translation.digest();
             self.store_key = Some(key);
             self.stats.transferred_clauses = store.fetch_into(key, &mut self.clause_cache) as u64;
         }
+        self.grounding = Some((ground, translation));
         Ok(())
     }
 
@@ -918,25 +900,21 @@ impl Control {
         &mut self,
         assumptions: &[Assumption],
     ) -> Result<AssumeOutcome, AspError> {
-        self.solve_with_assumptions_floor(assumptions, self.config.priority_floor)
+        self.solve_with_assumptions_floor(assumptions, i64::MIN)
     }
 
-    /// [`Control::solve_with_assumptions`] with a *per-solve* `priority_floor`
-    /// overriding [`SolverConfig::priority_floor`]: minimize levels below the floor are
-    /// neither optimized nor reported for this solve only. Together with `#external`
-    /// guard atoms this makes one ground program serve differently-parameterized
-    /// solves — e.g. the concretizer's diagnostics flip a `relax_mode` assumption and
-    /// raise the floor to optimize only the error levels, with no regrounding and no
-    /// solver rebuild between the phases.
+    /// [`Control::solve_with_assumptions`] with a `priority_floor`: minimize levels
+    /// below the floor are neither optimized nor reported in the objective vector.
+    /// Together with `#external` guard atoms this makes one ground program serve
+    /// differently-parameterized solves — e.g. the concretizer's diagnostics flip a
+    /// `relax_mode` assumption and raise the floor to optimize only the error levels,
+    /// with no regrounding and no solver rebuild between the phases.
     pub fn solve_with_assumptions_floor(
         &mut self,
         assumptions: &[Assumption],
         priority_floor: i64,
     ) -> Result<AssumeOutcome, AspError> {
-        let (ground, translation) = match (&self.ground, &self.translation) {
-            (Some(g), Some(t)) => (g, t),
-            _ => return Err(AspError::Usage("ground() must be called before solve()".into())),
-        };
+        let (ground, translation) = grounded(&self.grounding, "solve")?;
         let start = Instant::now();
         // Map assumptions onto SAT literals. Atoms the grounder never saw are false in
         // every model: a positive assumption on one is trivially refuted by itself, a
@@ -1054,14 +1032,7 @@ impl Control {
         pinned: &[Assumption],
     ) -> Result<(Vec<usize>, u64), AspError> {
         let retired = self.retired_unsat.take();
-        let (ground, translation) = match (&self.ground, &self.translation) {
-            (Some(g), Some(t)) => (g, t),
-            _ => {
-                return Err(AspError::Usage(
-                    "ground() must be called before minimize_core()".into(),
-                ))
-            }
-        };
+        let (ground, translation) = grounded(&self.grounding, "minimize_core")?;
         let start = Instant::now();
         let mut core: Vec<usize> = core.to_vec();
         if core.is_empty() {
@@ -1077,32 +1048,33 @@ impl Control {
         // held in every probe, never deletable, never blamed. When the preceding
         // UNSAT solve left its solver behind with the same guard units, adopt it
         // outright: same clause database, no rebuild, and the clauses learned while
-        // refuting the assumptions prune the probes too.
+        // refuting the assumptions prune the probes too. Otherwise the session
+        // cache's loop nogoods warm-start a fresh one.
         let pinned_lits: Vec<Lit> =
             pinned.iter().filter_map(|a| self.assumption_lit(ground, a)).collect();
         let mut cache = std::mem::take(&mut self.clause_cache);
         self.stats.warm_clauses = 0;
-        let mut probe = match retired {
-            Some((solver, fixed)) if fixed == pinned_lits => {
-                StableProbe::from_solver(ground, solver)
-            }
+        let mut solver = match retired {
+            Some((solver, fixed)) if fixed == pinned_lits => solver,
             _ => {
                 self.stats.warm_clauses = cache.len() as u64;
-                StableProbe::new(
-                    ground,
+                build_solver(
                     translation,
                     &self.config.sat_config(),
                     &pinned_lits,
+                    &[],
                     &cache,
+                    None,
                 )
             }
         };
+        let mut checker = StabilityChecker::new(ground);
         // The diagnostics probes honour the same per-solve budget as the solves: an
         // expired budget aborts the minimization (keeping the current core — still a
         // sound explanation, merely not minimal) instead of probing unboundedly.
         let guard = self.config.budget.filter(|b| b.is_bounded()).map(|b| BudgetGuard::new(&b));
         if let Some(g) = &guard {
-            probe.set_budget(Some(Arc::clone(&g.state)));
+            solver.set_budget(Some(Arc::clone(&g.state)));
         }
         let mut i = 0;
         while i < core.len() {
@@ -1119,8 +1091,15 @@ impl Control {
                 // were already singled out before a search-derived core existed.
             }
             rounds += 1;
-            match probe.check(ground, &trial_lits, &mut cache) {
-                ProbeVerdict::Unsat(_) => {
+            // Only the probe solver's own counters are reported, not the run counts.
+            let mut runs = RunStats::default();
+            let verdict = if ground.trivially_unsat {
+                StableOutcome::Unsat
+            } else {
+                run_stable(&mut solver, ground, &mut checker, &trial_lits, &mut runs, &mut cache)
+            };
+            match verdict {
+                StableOutcome::Unsat => {
                     // Still unsat without member `i`: it is redundant — drop it and
                     // probe the next candidate at the same position. Only the UNSAT
                     // *verdict* is consumed, never the probe's own sub-core: a
@@ -1130,8 +1109,8 @@ impl Control {
                     // a deterministic function of the input core alone.
                     core.remove(i);
                 }
-                ProbeVerdict::Stable => i += 1, // member `i` is necessary
-                ProbeVerdict::Interrupted => {
+                StableOutcome::Model(_) => i += 1, // member `i` is necessary
+                StableOutcome::Interrupted => {
                     // Budget expired mid-minimization: keep the remaining core as-is
                     // (every member not yet probed stays). It is still sound.
                     self.stats.budget_exhausted = true;
@@ -1140,10 +1119,9 @@ impl Control {
             }
         }
         drop(guard);
-        let probe_stats = probe.stats().clone();
         self.clause_cache = cache;
         self.publish_cache();
-        self.record_sat_stats(&probe_stats);
+        self.record_sat_stats(&solver.stats);
         self.stats.solve_time += start.elapsed();
         Ok((core, rounds))
     }
@@ -1177,12 +1155,7 @@ impl Control {
 
     /// Enumerate up to `limit` stable models without optimization.
     pub fn solve_models(&mut self, limit: usize) -> Result<Vec<Model>, AspError> {
-        let (ground, translation) = match (&self.ground, &self.translation) {
-            (Some(g), Some(t)) => (g, t),
-            _ => {
-                return Err(AspError::Usage("ground() must be called before solve_models()".into()))
-            }
-        };
+        let (ground, translation) = grounded(&self.grounding, "solve_models")?;
         let start = Instant::now();
         let (models, sat, examined) =
             enumerate_models_with_stats(ground, translation, &self.config.sat_config(), limit);
@@ -1207,7 +1180,7 @@ impl Control {
 
     /// Access to the ground program (available after [`Control::ground`]).
     pub fn ground_program(&self) -> Option<&GroundProgram> {
-        self.ground.as_ref()
+        self.grounding.as_ref().map(|(ground, _)| ground)
     }
 
     fn record_opt_stats(&mut self, optimal: &OptimalModel) {
@@ -1232,7 +1205,7 @@ impl Control {
     /// The model's shown true atoms. Hidden atoms are skipped before any string is
     /// copied.
     fn extract_model(&self, model: &[bool]) -> Model {
-        let ground = self.ground.as_ref().expect("grounded");
+        let (ground, _) = self.grounding.as_ref().expect("grounded");
         let shown = self.base.as_ref().map_or(&self.shown, |base| &base.shown);
         let mut atoms = Vec::new();
         for (id, atom) in ground.atoms.iter() {
@@ -1259,6 +1232,18 @@ impl Control {
         }
         Model { atoms }
     }
+}
+
+/// The grounding and its translation, or the usage error of calling `call` before
+/// [`Control::ground`].
+fn grounded<'a>(
+    grounding: &'a Option<(GroundProgram, Translation)>,
+    call: &str,
+) -> Result<(&'a GroundProgram, &'a Translation), AspError> {
+    grounding
+        .as_ref()
+        .map(|(ground, translation)| (ground, translation))
+        .ok_or_else(|| AspError::Usage(format!("ground() must be called before {call}()")))
 }
 
 #[cfg(test)]
@@ -1444,7 +1429,7 @@ mod tests {
 
     #[test]
     fn priority_floor_skips_low_priority_levels() {
-        let mut ctl = Control::new(SolverConfig { priority_floor: 100, ..Default::default() });
+        let mut ctl = Control::new(SolverConfig::default());
         ctl.add_program(
             r#"
             1 { pick(a); pick(b) } 1.
@@ -1458,13 +1443,13 @@ mod tests {
         )
         .unwrap();
         ctl.ground().unwrap();
-        match ctl.solve().unwrap() {
-            SolveOutcome::Optimal { model, cost } => {
+        match ctl.solve_with_assumptions_floor(&[], 100).unwrap() {
+            AssumeOutcome::Optimal { model, cost } => {
                 assert!(model.contains("pick", &["a".into()]));
                 // Only the level above the floor appears in the objective vector.
                 assert_eq!(cost, vec![(200, 0)]);
             }
-            SolveOutcome::Unsatisfiable => panic!("expected a model"),
+            other => panic!("expected a model, got {other:?}"),
         }
     }
 
@@ -2064,5 +2049,23 @@ mod tests {
         assert_eq!(d.conflict_limit, Some(2000));
         assert!(!SolveBudget::unlimited().is_bounded());
         assert!(b.is_bounded());
+        // Near the maximum both limits saturate instead of overflowing. A wire
+        // deadline of u64::MAX milliseconds overflows `Duration` on the tenth doubling.
+        let near_max = SolveBudget {
+            wall_deadline: Some(Duration::MAX - Duration::from_secs(1)),
+            conflict_limit: Some(u64::MAX - 1),
+        };
+        let saturated =
+            SolveBudget { wall_deadline: Some(Duration::MAX), conflict_limit: Some(u64::MAX) };
+        assert_eq!(near_max.doubled(), saturated);
+        assert_eq!(saturated.doubled(), saturated);
+        let mut wire = SolveBudget {
+            wall_deadline: Some(Duration::from_millis(u64::MAX)),
+            conflict_limit: None,
+        };
+        for _ in 0..12 {
+            wire = wire.doubled();
+        }
+        assert_eq!(wire.wall_deadline, Some(Duration::MAX));
     }
 }

@@ -506,11 +506,6 @@ impl GroundProgram {
     pub fn is_tight(&self) -> bool {
         *self.tight.get_or_init(|| crate::stable::is_tight(self))
     }
-
-    /// Atoms that are certainly true (input facts).
-    pub fn fact_atoms(&self) -> Vec<AtomId> {
-        self.atoms.iter().filter(|(id, _)| self.atoms.is_certain(*id)).map(|(id, _)| id).collect()
-    }
 }
 
 /// A literal's *delta signature*: the predicate plus the first argument when it is a

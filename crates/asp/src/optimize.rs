@@ -7,6 +7,15 @@
 //! priority level (by adding a weighted-sum upper bound), level by level in decreasing
 //! priority, until the optimum is proved for every level.
 //!
+//! # One stable-model loop
+//!
+//! Every search for a stable model goes through one loop, `run_stable`: search under
+//! the assumptions, check the candidate for an unfounded set ([`crate::stable`]), add
+//! the loop nogood and search again, until the candidate is stable or the search
+//! fails. Each descent step of [`solve_optimal_assuming`], each model of
+//! [`enumerate_models`] (which then blocks it) and each deletion probe of
+//! [`crate::Control::minimize_core`] is one call of it.
+//!
 //! # Determinism
 //!
 //! Every solve starts cold. The descent replays no clause it did not derive itself in
@@ -168,7 +177,7 @@ pub fn solve_optimal(
 /// On an UNSAT outcome the solver of the failed (bound-free) initial run is handed
 /// back through `retired` — assumptions are plain decisions, so it is fully reusable,
 /// and its learned clauses make it a warm probe for follow-up work such as
-/// deletion-based core minimization (see [`StableProbe::from_solver`]).
+/// deletion-based core minimization (see [`crate::Control::minimize_core`]).
 ///
 /// `cache` is the session clause cache shared by every solve on this grounding. It is
 /// an output only: nothing in it is replayed here (see the module docs on
@@ -239,7 +248,7 @@ pub fn solve_optimal_assuming(
                 stats.sat.absorb(&solver.stats);
                 cache.merge(nogoods);
                 let core = solver.failed_assumptions().to_vec();
-                // Retired solvers feed `StableProbe::from_solver`: uninstall the
+                // Retired solvers become core-minimization probes: uninstall the
                 // budget so an adopter can never observe a stale interrupt.
                 *retired = live.take().map(|mut s| {
                     s.set_budget(None);
@@ -385,114 +394,6 @@ fn budget_partial(
     OptOutcome::Budget { partial: Some(Box::new(optimal_model(levels, costs, model, stats))), sat }
 }
 
-/// Verdict of one [`StableProbe::check`] query.
-#[derive(Debug, Clone)]
-pub enum ProbeVerdict {
-    /// A stable model exists under the assumptions.
-    Stable,
-    /// No stable model exists: carries the failed assumption subset (empty when the
-    /// program is unsatisfiable without any assumption).
-    Unsat(Vec<Lit>),
-    /// The solve budget expired before the query reached a verdict. The probe stays
-    /// reusable (once the budget is cleared), but the caller should stop probing.
-    Interrupted,
-}
-
-/// A reusable stable-model satisfiability probe: one solver instance answers many
-/// "is there a stable model under these assumptions?" queries. Assumptions are plain
-/// decisions (undone by backtracking), so learned clauses and loop nogoods persist
-/// across queries — this is what makes deletion-based core minimization affordable:
-/// a core of size `k` costs `k` *incremental* probes, not `k` solver rebuilds.
-pub struct StableProbe {
-    solver: Solver,
-    checker: StabilityChecker,
-    trivially_unsat: bool,
-    nogoods: u64,
-}
-
-impl StableProbe {
-    /// Build the probe solver once from a grounded translation. `fixed` literals are
-    /// asserted as root-level units — per-probe-session truths of `#external` guard
-    /// atoms that parameterize the program but are never candidates for blame. The
-    /// session `cache`'s loop nogoods warm-start the probe.
-    pub fn new(
-        ground: &GroundProgram,
-        translation: &Translation,
-        config: &SatConfig,
-        fixed: &[Lit],
-        cache: &ClauseCache,
-    ) -> Self {
-        Self::from_solver(ground, build_solver(translation, config, fixed, &[], cache, None))
-    }
-
-    /// Adopt an existing solver as the probe — typically the retired solver of a
-    /// failed [`solve_optimal_assuming`] initial run, whose clause database (with the
-    /// same fixed `#external` units and every clause learned refuting the failed
-    /// assumptions) is exactly the probe's starting point. Skips a full solver
-    /// rebuild, and the learned clauses usually pay again during the probes.
-    pub fn from_solver(ground: &GroundProgram, solver: Solver) -> Self {
-        StableProbe {
-            solver,
-            checker: StabilityChecker::new(ground),
-            trivially_unsat: ground.trivially_unsat,
-            nogoods: 0,
-        }
-    }
-
-    /// Install (or clear) a shared solve budget on the probe solver, bounding the
-    /// total work of the remaining queries (deletion-based core minimization aborts
-    /// gracefully on [`ProbeVerdict::Interrupted`], keeping its current core).
-    pub fn set_budget(&mut self, budget: Option<Arc<SolveBudgetState>>) {
-        self.solver.set_budget(budget);
-    }
-
-    /// Search for one stable model under `assumptions`. New loop nogoods flow into
-    /// the session `cache`.
-    pub fn check(
-        &mut self,
-        ground: &GroundProgram,
-        assumptions: &[Lit],
-        cache: &mut ClauseCache,
-    ) -> ProbeVerdict {
-        if self.trivially_unsat {
-            return ProbeVerdict::Unsat(Vec::new());
-        }
-        loop {
-            match self.solver.search_with_assumptions(assumptions) {
-                SearchResult::Interrupted => {
-                    return ProbeVerdict::Interrupted;
-                }
-                SearchResult::Unsat => {
-                    return ProbeVerdict::Unsat(self.solver.failed_assumptions().to_vec());
-                }
-                SearchResult::Sat => {
-                    let model = self.solver.model();
-                    // Loop nogoods (with their external-support witnesses) hold in
-                    // every stable model, so they stay valid for later queries too.
-                    let Some(nogood) = self.checker.unfounded_nogood(ground, &model) else {
-                        return ProbeVerdict::Stable;
-                    };
-                    self.nogoods += 1;
-                    cache.add(&nogood);
-                    if !self.solver.add_clause(&nogood) {
-                        return ProbeVerdict::Unsat(Vec::new());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Aggregate low-level statistics of every query so far.
-    pub fn stats(&self) -> &SatStats {
-        &self.solver.stats
-    }
-
-    /// Loop nogoods added across all queries.
-    pub fn loop_nogoods(&self) -> u64 {
-        self.nogoods
-    }
-}
-
 /// Enumerate stable models (without optimization), up to `limit`.
 pub fn enumerate_models(
     ground: &GroundProgram,
@@ -513,47 +414,36 @@ pub fn enumerate_models_with_stats(
     limit: usize,
 ) -> (Vec<Vec<bool>>, SatStats, u64) {
     let mut models = Vec::new();
-    let mut examined = 0u64;
     if ground.trivially_unsat {
-        return (models, SatStats::default(), examined);
+        return (models, SatStats::default(), 0);
     }
     let mut solver = build_solver(translation, config, &[], &[], &ClauseCache::default(), None);
     let mut checker = StabilityChecker::new(ground);
-    loop {
-        if models.len() >= limit {
-            break;
-        }
-        match solver.search() {
-            SearchResult::Interrupted => {
-                unreachable!("enumeration solvers carry no solve budget")
-            }
-            SearchResult::Unsat => break,
-            SearchResult::Sat => {
-                examined += 1;
-                let model = solver.model();
-                if let Some(nogood) = checker.unfounded_nogood(ground, &model) {
-                    if !solver.add_clause(&nogood) {
-                        break;
-                    }
-                } else {
-                    models.push(model.clone());
-                    // Block this model (projected on the program atoms).
-                    let blocking: Vec<Lit> = (0..translation.num_atoms)
-                        .map(|a| if model[a] { Lit::neg(a as Var) } else { Lit::pos(a as Var) })
-                        .collect();
-                    if !solver.add_blocking_clause(&blocking) {
-                        break;
-                    }
+    let mut stats = RunStats::default();
+    let mut nogoods = ClauseCache::default();
+    while models.len() < limit {
+        match run_stable(&mut solver, ground, &mut checker, &[], &mut stats, &mut nogoods) {
+            StableOutcome::Interrupted => unreachable!("enumeration solvers carry no solve budget"),
+            StableOutcome::Unsat => break,
+            StableOutcome::Model(model) => {
+                // Block this model (projected on the program atoms).
+                let blocking: Vec<Lit> = (0..translation.num_atoms)
+                    .map(|a| if model[a] { Lit::neg(a as Var) } else { Lit::pos(a as Var) })
+                    .collect();
+                models.push(model);
+                if !solver.add_clause(&blocking) {
+                    break;
                 }
             }
         }
     }
-    let stats = solver.stats.clone();
-    (models, stats, examined)
+    (models, solver.stats, stats.models)
 }
 
+/// Counters of the [`run_stable`] calls of one solve, enumeration or core
+/// minimization.
 #[derive(Default)]
-struct RunStats {
+pub(crate) struct RunStats {
     runs: u64,
     models: u64,
     loop_nogoods: u64,
@@ -658,7 +548,10 @@ fn set_level_bound(
     solver.add_linear(&level_bound(level, bound));
 }
 
-fn build_solver(
+/// Build a solver from a translation: its clauses and linear constraints, the
+/// `fixed` literals as root-level units, the loop nogoods of `nogoods`, and the
+/// frozen level `bounds`, with the shared `budget` installed.
+pub(crate) fn build_solver(
     translation: &Translation,
     config: &SatConfig,
     fixed: &[Lit],
@@ -706,7 +599,7 @@ fn build_solver(
 }
 
 /// Outcome of driving a solver to the next stable model ([`run_stable`]).
-enum StableOutcome {
+pub(crate) enum StableOutcome {
     /// The next stable model under the solver's current bounds.
     Model(Vec<bool>),
     /// No stable model exists under the current bounds and assumptions.
@@ -717,9 +610,12 @@ enum StableOutcome {
 
 /// Drive a live solver to the next *stable* model (adding loop nogoods for unstable
 /// supported models along the way), or [`StableOutcome::Unsat`] when none exists
-/// under the solver's current bounds. The solver keeps all state between calls;
-/// aggregate statistics are absorbed by the caller when the solver is retired.
-fn run_stable(
+/// under the solver's current bounds and `assumptions`. The solver keeps all state
+/// between calls; aggregate statistics are absorbed by the caller when the solver is
+/// retired. Every loop nogood also goes into `nogoods`: it holds in every stable
+/// model, so it stays valid for later calls and for solvers built later. Every
+/// stable-model search of the crate goes through here (see the module docs).
+pub(crate) fn run_stable(
     solver: &mut Solver,
     ground: &GroundProgram,
     checker: &mut StabilityChecker,

@@ -1167,12 +1167,6 @@ impl Solver {
         self.assignment.iter().map(|v| matches!(v, Value::True)).collect()
     }
 
-    /// Block the current model (or any other clause) and prepare for continued search.
-    /// Returns `false` when the added clause makes the problem unsatisfiable.
-    pub fn add_blocking_clause(&mut self, clause: &[Lit]) -> bool {
-        self.add_clause(clause)
-    }
-
     // ---- internal: propagation -------------------------------------------------------
 
     fn enqueue(&mut self, lit: Lit, reason: Reason) {
@@ -2207,7 +2201,7 @@ mod tests {
                     let blocking: Vec<Lit> = (0..2)
                         .map(|v| if m[v] { Lit::neg(v as Var) } else { Lit::pos(v as Var) })
                         .collect();
-                    if !s.add_blocking_clause(&blocking) {
+                    if !s.add_clause(&blocking) {
                         break;
                     }
                 }
@@ -2633,7 +2627,7 @@ mod tests {
                 let blocking: Vec<Lit> = (0..n as Var)
                     .map(|v| if m[v as usize] { Lit::neg(v) } else { Lit::pos(v) })
                     .collect();
-                if !s.add_blocking_clause(&blocking) {
+                if !s.add_clause(&blocking) {
                     break;
                 }
             }

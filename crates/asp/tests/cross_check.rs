@@ -13,14 +13,16 @@
 //!   algorithm the optimized `StabilityChecker` replaced).
 //!
 //! The stable-model *sets* must match exactly, and the optimizer's objective vector
-//! must equal the lexicographic minimum over the brute-force models. This pins the
-//! whole chain of hot-path rewrites to the semantics of the naive implementation.
+//! must equal the lexicographic minimum over the brute-force models. Under random
+//! assumptions, every minimized unsat core must be refuted by the brute-force models
+//! and lose that property when any one member is dropped. This pins the whole chain
+//! of hot-path rewrites to the semantics of the naive implementation.
 
 use proptest::prelude::*;
 
-use asp::control::{Control, SolverConfig};
+use asp::control::{AssumeOutcome, Assumption, Control, SolverConfig, Value};
 use asp::ground::GroundProgram;
-use asp::symbols::SymbolTable;
+use asp::symbols::{SymbolTable, Val};
 
 // ---------- reference implementation ----------------------------------------------------
 
@@ -459,6 +461,104 @@ proptest! {
                     program.text
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    // Few generated programs have a positive loop, so this runs more cases to probe
+    // the stability check on the core-minimization path too.
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    #[test]
+    fn minimized_cores_are_minimal_by_brute_force(
+        program in program_strategy(),
+        picks in proptest::collection::vec((0usize..64, any::<bool>()), 1..8),
+    ) {
+        check_minimized_core(&program, &picks);
+    }
+}
+
+/// Assume random atoms of the grounding true or false (`picks` index them modulo
+/// their number). Whenever the solve is UNSAT, `minimize_core` must return a core
+/// that the brute-force models refute, and dropping any one member must leave a
+/// satisfiable set. The first call adopts the failed solve's retired solver; the
+/// second builds a fresh probe solver from the session cache; both must give the
+/// same core.
+fn check_minimized_core(program: &GenProgram, picks: &[(usize, bool)]) {
+    let mut ctl = Control::new(SolverConfig::default());
+    ctl.add_program(&program.text).expect("generated programs parse");
+    ctl.ground().expect("generated programs ground");
+    let ground = ctl.ground_program().expect("grounded").clone();
+    let symbols = ctl.symbols();
+    let atoms: Vec<(u32, Assumption)> = ground
+        .atoms
+        .iter()
+        .filter(|(_, atom)| !symbols.name(atom.pred).starts_with("__"))
+        .map(|(id, atom)| {
+            let args: Vec<Value> = atom
+                .args
+                .iter()
+                .map(|v| match v {
+                    Val::Int(i) => Value::Int(*i),
+                    Val::Sym(s) => Value::Str(symbols.name(*s).to_string()),
+                })
+                .collect();
+            (id, Assumption::holds(symbols.name(atom.pred), &args))
+        })
+        .collect();
+    if atoms.is_empty() {
+        return;
+    }
+    let (assumed, assumptions): (Vec<(u32, bool)>, Vec<Assumption>) = picks
+        .iter()
+        .map(|&(pick, positive)| {
+            let (id, held) = &atoms[pick % atoms.len()];
+            ((*id, positive), Assumption { positive, ..held.clone() })
+        })
+        .unzip();
+    let reference = brute_force_models(&ground);
+    let satisfiable = |members: &[usize]| {
+        reference
+            .iter()
+            .any(|model| members.iter().all(|&i| model[assumed[i].0 as usize] == assumed[i].1))
+    };
+    let all: Vec<usize> = (0..assumptions.len()).collect();
+    let core = match ctl.solve_with_assumptions(&assumptions).expect("solve succeeds") {
+        AssumeOutcome::Unsatisfiable { core } => core,
+        other => {
+            assert!(
+                satisfiable(&all),
+                "engine found {:?} under assumptions the reference refutes:\n{}",
+                other,
+                program.text
+            );
+            return;
+        }
+    };
+    assert!(!satisfiable(&core), "unsound core {:?} for:\n{}", core, program.text);
+    let (adopted, _) = ctl.minimize_core(&assumptions, &core, &[]).expect("minimize");
+    let (rebuilt, _) = ctl.minimize_core(&assumptions, &core, &[]).expect("minimize");
+    assert_eq!(&adopted, &rebuilt, "probe solvers disagree for:\n{}", program.text);
+    // Every assumption together is a sound core too, and rarely a minimal one.
+    let (whole, _) = ctl.minimize_core(&assumptions, &all, &[]).expect("minimize");
+    for minimized in [adopted, whole] {
+        assert!(
+            !satisfiable(&minimized),
+            "minimized core {:?} is satisfiable for:\n{}",
+            minimized,
+            program.text
+        );
+        for drop in 0..minimized.len() {
+            let mut rest = minimized.clone();
+            rest.remove(drop);
+            assert!(
+                satisfiable(&rest),
+                "core {:?} is not minimal (member {} is redundant) for:\n{}",
+                minimized,
+                minimized[drop],
+                program.text
+            );
         }
     }
 }

@@ -49,6 +49,11 @@ pub const WIRE_VERSION: u64 = 1;
 /// `parse` response. (The line length and the JSON nesting are capped upstream.)
 pub const MAX_SPECS: usize = 64;
 
+/// The most budget retries one solve request may ask for; a larger `retries` gets a
+/// `parse` response. Each retry is a full solve under a doubled budget, so an
+/// unbounded count could hold a worker for as long as the client likes.
+pub const MAX_RETRIES: u32 = 16;
+
 /// The `status` field of a [`SolveResponse`]: exactly the worst-class result
 /// taxonomy of [`crate::ResultClass`] (`ok`, `unsat`, `parse`, `budget`,
 /// `internal`), shared with the batch exit-code contract and DLQ records.
@@ -120,7 +125,8 @@ pub struct RequestOptions {
     pub nogood_store: Option<bool>,
     /// Solver seed for randomized tie-breaking.
     pub seed: Option<u64>,
-    /// Budget-exhaustion retries (diversified seed, doubled budget per attempt).
+    /// Budget-exhaustion retries (diversified seed, doubled budget per attempt), at
+    /// most [`MAX_RETRIES`].
     pub retries: Option<u32>,
 }
 
@@ -147,8 +153,10 @@ impl RequestOptions {
         }
         if let Some(v) = json.get("retries") {
             let retries = v.as_u64().ok_or("'retries' must be an integer")?;
-            options.retries =
-                Some(u32::try_from(retries).map_err(|_| "'retries' must be at most 4294967295")?);
+            if retries > u64::from(MAX_RETRIES) {
+                return Err(format!("'retries' must be at most {MAX_RETRIES}, got {retries}"));
+            }
+            options.retries = Some(retries as u32);
         }
         Ok(options)
     }
@@ -707,9 +715,13 @@ mod tests {
         assert_eq!(cfg.share_nogoods, base.share_nogoods);
         assert!(cfg.budget.is_none());
 
-        // `retries` beyond u32 is rejected, not truncated (2^32 + 1 would read as 1).
-        let parsed = RequestOptions::parse(r#"{"retries": 4294967295}"#).unwrap();
-        assert_eq!(parsed.retries, Some(u32::MAX));
+        // `retries` is capped at MAX_RETRIES, and a value beyond u32 is rejected, not
+        // truncated (2^32 + 1 would read as 1).
+        let parsed = RequestOptions::parse(&format!("{{\"retries\": {MAX_RETRIES}}}")).unwrap();
+        assert_eq!(parsed.retries, Some(MAX_RETRIES));
+        let err = RequestOptions::parse(&format!("{{\"retries\": {}}}", MAX_RETRIES + 1));
+        assert!(err.unwrap_err().starts_with("'retries' must be at most"));
+        assert!(RequestOptions::parse(r#"{"retries": 4294967295}"#).is_err());
         assert!(RequestOptions::parse(r#"{"retries": 4294967297}"#).is_err());
         let line = r#"{"v": 1, "id": "r", "specs": ["zlib"], "options": {"retries": 4294967296}}"#;
         assert!(parse_request(line).is_err());

@@ -167,7 +167,7 @@ pub struct SessionStats {
     /// closure digest (zero when the store is disabled).
     pub store_hits: u64,
     /// Cross-request nogood store lookups that found nothing (first request per
-    /// distinct closure digest).
+    /// distinct closure digest). Tight requests never look the store up.
     pub store_misses: u64,
     /// Loop nogoods transferred between requests through the store.
     pub store_transferred: u64,

@@ -493,6 +493,21 @@ fn solve_requests_carry_at_most_max_specs() {
     assert_eq!(response(&lines[1]).status, wire::SolveStatus::Ok);
 }
 
+#[test]
+fn retries_under_the_largest_deadline_answer_budget() {
+    // Doubling a deadline of u64::MAX milliseconds overflows `Duration` after ten
+    // doublings; the retry policy must saturate instead of panicking, so every
+    // retry runs and the answer is `budget`, not `internal`.
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let input = "{\"v\": 1, \"id\": \"x\", \"specs\": [\"hdf5\"], \"options\": \
+                 {\"deadline_ms\": 18446744073709551615, \"conflict_limit\": 0, \"retries\": 12}}\n";
+    let (lines, _) = serve(false, &config, input);
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    let answer = response(&lines[0]);
+    assert_eq!(answer.status, wire::SolveStatus::Budget, "{answer:?}");
+    assert_eq!(answer.retries, 12);
+}
+
 /// Resident memory of process `pid` in MB, from `/proc/<pid>/statm` (4 KiB pages).
 #[cfg(target_os = "linux")]
 fn resident_mb(pid: u32) -> f64 {

@@ -151,6 +151,29 @@ fn nogood_store_transfers_between_identical_requests() {
     assert_eq!(store.transferred(), transferred);
 }
 
+/// A tight grounding has no positive loop, so it can never find a loop nogood: its
+/// requests neither look the store up nor publish to it.
+#[test]
+fn tight_requests_skip_the_nogood_store() {
+    use asp::{Control, SharedClauseStore, SolveOutcome, SolverConfig};
+    use std::sync::Arc;
+    let mut base = Control::new(SolverConfig::default());
+    base.add_program("a :- x. { x; c }. :- not a. :- a, c. #minimize{ 1@1 : x }.")
+        .expect("program parses");
+    let frozen = base.freeze_base().expect("base freezes");
+    let store = Arc::new(SharedClauseStore::new());
+    for _ in 0..2 {
+        let mut ctl = frozen.request();
+        ctl.set_shared_store(Arc::clone(&store));
+        ctl.ground().expect("request grounds");
+        assert!(ctl.stats().tight, "the program has no positive loop");
+        let outcome = ctl.solve().expect("request solves");
+        assert!(matches!(outcome, SolveOutcome::Optimal { .. }), "{outcome:?}");
+        assert_eq!(ctl.stats().transferred_clauses, 0);
+    }
+    assert_eq!((store.hits(), store.misses()), (0, 0), "tight requests must not touch the store");
+}
+
 /// Mutation-style soundness check at the public-API level: corrupt a shelved clause
 /// behind the store's back (duplicate literal — a shape no canonicalized cache can
 /// contain); the raw transfer hands it through and the trusted bulk loader's
